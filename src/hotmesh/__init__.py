@@ -22,7 +22,7 @@ from .scenario import ScenarioConfig, load_scenario
 from .sim import RunSummary, SweepCell, Trace, format_run, report, run, summarize, sweep
 from .thermal import (ThermalNetwork, ThermalParams, ThermalState, TransientSolver,
                       build_network, peak, spatial_spread, steady_state,
-                      step_transient, write_trace_csv)
+                      write_trace_csv)
 from .transforms import (IDENTITY, MIRROR_X, MIRROR_XY, MIRROR_Y, ROTATION,
                          CumulativeTransform, MigrationFunction, Permutation, apply,
                          as_permutation, compose, external_address, fixed_points,
@@ -44,7 +44,7 @@ __all__ = [
     "identity_mapping", "idle_vector", "internal_address", "load_scenario",
     "make_grid", "migration_downtime", "migration_energy", "peak", "place", "plan",
     "parse_function", "power_vector", "read_mapping_csv", "report", "run",
-    "spatial_spread", "steady_state", "step_transient", "summarize", "sweep",
+    "spatial_spread", "steady_state", "summarize", "sweep",
     "translate_x", "translate_xy", "translate_y", "write_mapping_csv",
     "write_trace_csv",
 ]

@@ -24,6 +24,7 @@ library defaults.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,16 +68,15 @@ class ScenarioConfig:
         return self.sim_duration / 2 if self.warmup is None else self.warmup
 
     def validate(self) -> None:
-        if self.period <= 0:
-            raise ConfigurationError(f"period must be positive, got {self.period}")
-        if self.sim_duration <= 0:
-            raise ConfigurationError(f"sim_duration must be positive, got {self.sim_duration}")
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        for name in ("period", "sim_duration", "dt"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.sim_duration < self.period and self.migration_fn.kind != "identity":
             raise ConfigurationError(
                 "sim_duration is shorter than one migration period; "
                 "use fn = identity to disable migration")
+        # sim_duration is finite here, so this also rejects a nan or inf warmup
         if not 0 <= self.effective_warmup < self.sim_duration:
             raise ConfigurationError("warmup must lie inside the simulated interval")
         if isinstance(self.initial_mapping, str):

@@ -1,12 +1,13 @@
-"""Closed-loop simulation: transient thermal runs with periodic migration.
+"""Closed-loop simulation: a transient run with periodic migration.
 
-run() executes two transient simulations from the same starting point, the
-steady state of the initial placement: a static baseline and a migrated run
-with one event per period. At each event the plan's downtime stalls every
-PE at idle power, the transfer energy lands as a one-timestep heat pulse on
-the source PEs, and the placement permutes. Statistics are taken over the
-window after warm-up so they describe settled behavior rather than the
-decay of the shared initial condition.
+run() compares two runs that start from the same point, the steady state
+of the initial placement. The static baseline holds that placement at
+constant power, so it stays at this steady state and needs no march. The
+migrated run is one backward-Euler march with one event per period: the
+plan's downtime stalls every PE at idle power, the transfer energy lands
+as a one-timestep heat pulse on the source PEs, and the placement
+permutes. Statistics are taken over the window after warm-up so they
+describe settled behavior rather than the decay of the initial condition.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .grid import Mapping, identity_mapping, idle_vector, power_vector
 from .migration import MigrationPlan, execute, plan
 from .placement import AnnealConfig, place
 from .scenario import ScenarioConfig
-from .thermal import TransientSolver, build_network, steady_state
+from .thermal import TransientSolver, build_network, peak, steady_state
 from .transforms import MigrationFunction
 
-# Collapses float noise when comparing simulation instants; far below dt,
-# far above the drift accumulated over any realistic step count.
+# Collapses float noise when laying out the steps; far below dt, far above
+# the drift accumulated over any realistic step count.
 _TIME_EPS = 1e-9
 
 CSV_COLUMNS = (
@@ -69,73 +70,79 @@ class SweepCell:
     error: str | None
 
 
-@dataclass
-class _LoopResult:
-    times: np.ndarray
-    temps: np.ndarray
-    events: int
-
-
-def _transient_loop(net, cfg: ScenarioConfig, mapping0: Mapping,
-                    temps0: np.ndarray, mplan: MigrationPlan | None) -> _LoopResult:
-    """Backward-Euler march with optional periodic migration events.
-
-    Steps are capped so event instants, stall ends, and pulse ends land on
-    step boundaries; events fire at t = k*period strictly inside the run.
-    """
-    solver = TransientSolver(net, cfg.dt)
-    duration = cfg.sim_duration
-    mapping = mapping0
-    active = power_vector(mapping, cfg.profile)
-    stalled = idle_vector(cfg.profile, cfg.grid)
-
-    enabled = mplan is not None and mplan.total_hops > 0
-    src_idx = np.array([], dtype=int)
-    if enabled and cfg.deposit_migration_energy:
-        src_idx = np.array(sorted(cfg.grid.index(c) for c in mplan.source_cells()))
-    pulse = np.zeros(cfg.grid.n_cells)
-    next_event = cfg.period if enabled else float("inf")
-    stall_until = 0.0
-    pulse_until = 0.0
-    fired = 0
-
-    temps = temps0.copy()
+def _segment(length: float, dt: float, stall: float, pulse: float, event: bool):
+    """Steps over [0, length] after an event (or t = 0), and their ends: dt
+    steps, cut where the stall (PEs idle before it) or the heat pulse ends."""
+    steps, ends = [], []
     t = 0.0
-    times = [0.0]
-    trace = [temps.copy()]
-    while t < duration - _TIME_EPS:
-        if enabled and t >= next_event - _TIME_EPS and next_event < duration - _TIME_EPS:
-            mapping = execute(mapping, mplan)
-            active = power_vector(mapping, cfg.profile)
-            stall_until = t + mplan.downtime
-            if src_idx.size:
-                pulse[:] = 0.0
-                pulse[src_idx] = mplan.energy / (src_idx.size * cfg.dt)
-                pulse_until = t + cfg.dt
-            fired += 1
-            next_event = (fired + 1) * cfg.period
-        t_next = min(t + cfg.dt, duration)
-        for brk in (next_event, stall_until, pulse_until):
+    while t < length - _TIME_EPS:
+        t_next = min(t + dt, length)
+        for brk in (stall, pulse):
             if t + _TIME_EPS < brk < t_next - _TIME_EPS:
                 t_next = brk
-        p = stalled if t < stall_until - _TIME_EPS else active
-        if t < pulse_until - _TIME_EPS:
-            p = p + pulse
-        dt_step = t_next - t
-        temps = solver.step(temps, p, None if abs(dt_step - cfg.dt) < _TIME_EPS else dt_step)
+        h = t_next - t
+        steps.append((None if abs(h - dt) < _TIME_EPS else h,
+                      t < stall - _TIME_EPS, t < pulse - _TIME_EPS, event and not steps))
+        ends.append(t_next)
         t = t_next
-        times.append(t)
-        trace.append(temps.copy())
-    return _LoopResult(times=np.array(times), temps=np.vstack(trace), events=fired)
+    return steps, np.array(ends)
 
 
-def _window_stats(res: _LoopResult, warmup: float, n_blocks: int):
+def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None):
+    """Steps of the migrated run, laid out once: (times, steps, window, events).
+
+    A head up to the first event, one template per event-to-event period and
+    a tail after the last event; events fire at t = k*period strictly inside
+    the run. Step i ends at times[i + 1] and is (length or None for dt,
+    stalled, pulsed, fires); steps from index window on end after warm-up.
+    """
+    period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
+    events = 0
+    if mplan is not None:
+        while (events + 1) * period < duration - _TIME_EPS:
+            events += 1
+    steps, ends = _segment(period if events else duration, dt, 0.0, 0.0, False)
+    parts = [ends]
+    if events:
+        pulse = dt if cfg.deposit_migration_energy else 0.0
+        body, body_ends = _segment(period, dt, mplan.downtime, pulse, True)
+        tail, tail_ends = _segment(duration - events * period, dt, mplan.downtime,
+                                   pulse, True)
+        steps = steps + body * (events - 1) + tail
+        parts += [k * period + body_ends for k in range(1, events)]
+        parts.append(events * period + tail_ends)
+    times = np.concatenate([[0.0], *parts])
+    window = int(np.searchsorted(times[1:], cfg.effective_warmup + _TIME_EPS, side="right"))
+    return times, steps, window, events
+
+
+def _march(net, cfg: ScenarioConfig, mapping: Mapping, temps0: np.ndarray,
+           mplan: MigrationPlan | None, steps) -> np.ndarray:
+    """Backward-Euler march over the steps; node temps at every step end."""
+    solver = TransientSolver(net, cfg.dt)
+    active = power_vector(mapping, cfg.profile)
+    stalled = idle_vector(cfg.profile, cfg.grid)
+    pulse = np.zeros(cfg.grid.n_cells)
+    if mplan is not None:
+        src_idx = [cfg.grid.index(c) for c in mplan.source_cells()]
+        pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
+    temps = np.empty((len(steps) + 1, net.n_nodes))
+    temps[0] = temps0
+    for i, (length, idle, pulsed, fires) in enumerate(steps):
+        if fires:
+            mapping = execute(mapping, mplan)
+            active = power_vector(mapping, cfg.profile)
+        p = stalled if idle else active
+        if pulsed:
+            p = p + pulse
+        temps[i + 1] = solver.step(temps[i], p, length)
+    return temps
+
+
+def _window_stats(times: np.ndarray, temps: np.ndarray, window: int, n_blocks: int):
     """(peak, time-avg mean, max spread) over block temps after warm-up."""
-    step_ends = res.times[1:]
-    weights = np.diff(res.times)
-    mask = step_ends > warmup + _TIME_EPS
-    blocks = res.temps[1:, :n_blocks][mask]
-    w = weights[mask]
+    w = np.diff(times)[window:]
+    blocks = temps[1 + window:, :n_blocks]
     peak_overall = float(blocks.max())
     time_avg = float((blocks.mean(axis=1) * w).sum() / w.sum())
     spread = float((blocks.max(axis=1) - blocks.min(axis=1)).max())
@@ -152,11 +159,11 @@ def _resolve_initial_mapping(cfg: ScenarioConfig, net) -> Mapping:
 
 
 def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
-    """Simulate one scenario (baseline plus migrated run) and summarize."""
+    """Simulate one scenario (migrated run against the static baseline)."""
     cfg.validate()
     net = build_network(cfg.grid, cfg.thermal)
     mapping0 = _resolve_initial_mapping(cfg, net)
-    temps0 = steady_state(net, power_vector(mapping0, cfg.profile)).temps
+    baseline = steady_state(net, power_vector(mapping0, cfg.profile))
 
     if cfg.migration_fn.kind == "identity":
         mplan = None
@@ -165,16 +172,13 @@ def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
         if mplan.total_hops == 0:
             mplan = None  # e.g. zero-offset translation: nothing ever moves
 
-    baseline = _transient_loop(net, cfg, mapping0, temps0, None)
-    migrated = _transient_loop(net, cfg, mapping0, temps0, mplan)
-
-    warmup = cfg.effective_warmup
-    n = cfg.grid.n_cells
-    base_peak, _, _ = _window_stats(baseline, warmup, n)
-    mig_peak, time_avg, spread = _window_stats(migrated, warmup, n)
+    times, steps, window, events = _schedule(cfg, mplan)
+    temps = _march(net, cfg, mapping0, baseline.temps, mplan, steps)
+    base_peak = peak(baseline)
+    mig_peak, time_avg, spread = _window_stats(times, temps, window, cfg.grid.n_cells)
 
     penalty = 0.0 if mplan is None else mplan.downtime / cfg.period
-    energy = 0.0 if mplan is None else migrated.events * mplan.energy
+    energy = 0.0 if mplan is None else events * mplan.energy
     summary = RunSummary(
         peak_overall=mig_peak,
         peak_static_baseline=base_peak,
@@ -182,10 +186,10 @@ def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
         time_avg_mean_temp=time_avg,
         max_spatial_spread=spread,
         throughput_penalty=penalty,
-        migration_count=migrated.events,
+        migration_count=events,
         total_migration_energy=energy,
     )
-    return summary, Trace(times=migrated.times, temps=migrated.temps)
+    return summary, Trace(times=times, temps=temps)
 
 
 def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],

@@ -10,6 +10,9 @@ G is the mesh Laplacian of the lateral block-to-block conductances plus
 each node's coupling to the sink or to ambient on the diagonal, so every
 row sums to the node's ambient conductance. For square blocks the lateral
 conductance reduces to k_si * die_thickness.
+
+Backward Euler leaves a steady state fixed: a placement held at constant
+power, the static baseline of a run, is its steady state at every step.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigurationError, ModelError
 from .grid import Coord, GridSpec
@@ -69,7 +71,6 @@ class ThermalState:
     """Node temperatures (deg C, blocks then sink) at one instant."""
 
     temps: np.ndarray
-    time: float = 0.0
 
 
 def build_network(grid: GridSpec, params: ThermalParams) -> ThermalNetwork:
@@ -124,47 +125,37 @@ def steady_state(net: ThermalNetwork, power) -> ThermalState:
         x = np.linalg.solve(net.conductance, p)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"thermal system is singular: {exc}") from None
-    return ThermalState(temps=x + net.ambient, time=0.0)
-
-
-def _be_step(net: ThermalNetwork, temps: np.ndarray, power, dt: float) -> np.ndarray:
-    p = _extended_power(net, power)
-    c_over_dt = net.capacitance / dt
-    a = net.conductance + np.diag(c_over_dt)
-    b = p + c_over_dt * (temps - net.ambient)
-    return np.linalg.solve(a, b) + net.ambient
-
-
-def step_transient(net: ThermalNetwork, state: ThermalState, power,
-                   dt: float) -> ThermalState:
-    """One backward-Euler step; unconditionally stable for any dt > 0."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return ThermalState(temps=_be_step(net, state.temps, power, dt),
-                        time=state.time + dt)
+    return ThermalState(temps=x + net.ambient)
 
 
 class TransientSolver:
-    """Backward-Euler stepper with the system matrix prefactored for one dt.
+    """Backward-Euler stepper over one network, dt being its default step.
 
-    Owns mutable LAPACK workspaces: give each concurrent run its own
-    instance instead of sharing one.
+    Each step solves (G + C/dt) d = P - G x for the temperature increment d
+    with the inverse of G + C/dt, cached per step length: that matrix is
+    symmetric and strictly diagonally dominant, so the inverse is as exact
+    as a factorization. T + d is rounded once, so a steady state stays put.
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
         self.net = net
         self.dt = dt
-        self._c_over_dt = net.capacitance / dt
-        self._lu = lu_factor(net.conductance + np.diag(self._c_over_dt))
+        self._propagators: dict[float, np.ndarray] = {}
+        self._propagator(dt)
+
+    def _propagator(self, dt: float) -> np.ndarray:
+        if dt not in self._propagators:
+            if not 0 < dt < math.inf:
+                raise ValueError(f"dt must be positive and finite, got {dt}")
+            a = self.net.conductance + np.diag(self.net.capacitance / dt)
+            self._propagators[dt] = np.linalg.inv(a)
+        return self._propagators[dt]
 
     def step(self, temps: np.ndarray, power, dt: float | None = None) -> np.ndarray:
-        """Advance node temperatures by dt (defaults to the prefactored one)."""
-        if dt is None or dt == self.dt:
-            b = _extended_power(self.net, power) + self._c_over_dt * (temps - self.net.ambient)
-            return lu_solve(self._lu, b, check_finite=False) + self.net.ambient
-        return _be_step(self.net, temps, power, dt)
+        """Advance node temperatures by dt (defaults to the solver's own)."""
+        net = self.net
+        heat = _extended_power(net, power) - net.conductance @ (temps - net.ambient)
+        return temps + self._propagator(self.dt if dt is None else dt) @ heat
 
 
 def peak(state: ThermalState) -> float:

@@ -16,8 +16,8 @@ from hotmesh.migration import MigrationCostParams, migration_downtime, plan
 from hotmesh.placement import AnnealConfig, evaluate, place
 from hotmesh.scenario import ScenarioConfig
 from hotmesh.sim import report, run, sweep
-from hotmesh.thermal import (ThermalParams, ThermalState, build_network,
-                             steady_state, step_transient)
+from hotmesh.thermal import (ThermalParams, TransientSolver, build_network,
+                             steady_state)
 from hotmesh.transforms import (IDENTITY, MIRROR_X, MIRROR_XY, MIRROR_Y, ROTATION,
                                 apply, as_permutation, fixed_points, translate_x,
                                 translate_xy, translate_y)
@@ -114,11 +114,12 @@ def test_criterion_03_thermal_solver_properties():
             failures.append(f"energy conservation on {n}x{n}")
 
         target = st.temps
-        state = ThermalState(temps=np.full(net.n_nodes, 40.0))
-        residual = float(np.max(np.abs(state.temps - target)))
+        solver = TransientSolver(net, 5.0)
+        temps = np.full(net.n_nodes, 40.0)
+        residual = float(np.max(np.abs(temps - target)))
         for _ in range(400):
-            state = step_transient(net, state, p1, 5.0)
-            new_residual = float(np.max(np.abs(state.temps - target)))
+            temps = solver.step(temps, p1)
+            new_residual = float(np.max(np.abs(temps - target)))
             if new_residual > residual + 1e-12:
                 failures.append(f"non-monotone convergence on {n}x{n}")
                 break

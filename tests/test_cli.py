@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hotmesh
 from hotmesh.cli import main
 
 SCENARIO = """
@@ -146,3 +151,14 @@ seed = 1
     assert main(["place", str(scenario), "--out", str(out_b), "--seed", "1"]) == 0
     # same seed (explicit or from the file) gives identical mapping bytes
     assert (out_a / "mapping.csv").read_bytes() == (out_b / "mapping.csv").read_bytes()
+
+
+def test_import_loads_no_scipy():
+    # every CLI call pays the import; scipy.linalg alone used to cost more
+    # than half of it
+    src = str(Path(hotmesh.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hotmesh; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

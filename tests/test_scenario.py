@@ -113,6 +113,9 @@ seed = 11
     ("kind = warm_band", "kind = volcano"),         # unknown profile kind
     ("fn = translate_xy", "fn = sideways"),         # unknown migration tag
     ("period_us = 109", "period_us = -5"),          # invalid period
+    ("period_us = 109", "period_us = nan"),         # non-finite period
+    ("dt_us = 1.0", "dt_us = inf"),                 # non-finite step
+    ("duration_us = 2000", "duration_us = inf"),    # non-finite run length
     ("band_row = 1", "band_row = 9"),               # band outside the mesh
 ])
 def test_broken_scenarios_raise_configuration_error(tmp_path, old, new):

@@ -44,8 +44,23 @@ def test_baseline_matches_initial_steady_state():
     net = build_network(cfg.grid, cfg.thermal)
     ss = steady_state(net, power_vector(cfg.initial_mapping, cfg.profile))
     summary, _ = run(cfg)
-    assert summary.peak_static_baseline == pytest.approx(peak(ss), abs=1e-4)
+    assert summary.peak_static_baseline == peak(ss)
     assert summary.peak_overall == pytest.approx(peak(ss), abs=1e-4)
+
+
+def test_trace_steps_end_on_every_breakpoint():
+    cfg = band_cfg()
+    summary, trace = run(cfg)
+    # 8 ms of 1 us steps plus one extra step for each of the 73 events: the
+    # 1.744 us stall end does not fall on the 1 us grid
+    assert len(trace.times) - 1 == 8073
+    assert summary.migration_count == 73
+    from hotmesh.migration import plan
+    downtime = plan(cfg.migration_fn, cfg.grid, cfg.cost).downtime
+    for k in range(1, 74):
+        event = k * cfg.period
+        for instant in (event, event + downtime, event + cfg.dt):
+            assert np.min(np.abs(trace.times - instant)) <= 1e-12, (k, instant)
 
 
 def test_translate_xy_reduces_peak_and_spread_on_the_band():

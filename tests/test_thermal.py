@@ -3,9 +3,9 @@ import pytest
 
 from hotmesh.errors import ConfigurationError, ModelError
 from hotmesh.grid import generate_warm_band, make_grid, power_vector
-from hotmesh.thermal import (ThermalNetwork, ThermalParams, ThermalState,
-                             TransientSolver, build_network, peak, spatial_spread,
-                             steady_state, step_transient, write_trace_csv)
+from hotmesh.thermal import (ThermalNetwork, ThermalParams, TransientSolver,
+                             build_network, peak, spatial_spread, steady_state,
+                             write_trace_csv)
 from hotmesh.transforms import MIRROR_X, MIRROR_Y, ROTATION, as_permutation
 
 
@@ -141,15 +141,16 @@ def test_transient_fixed_point_and_cooling():
     net = build_network(make_grid(3, 3), ThermalParams())
     p = np.linspace(0.1, 0.9, 9)
     ss = steady_state(net, p)
-    stepped = step_transient(net, ss, p, 1e-6)
-    assert np.allclose(stepped.temps, ss.temps, atol=1e-9)
-    assert stepped.time == pytest.approx(1e-6)
+    solver = TransientSolver(net, 1e-6)
+    assert np.allclose(solver.step(ss.temps, p), ss.temps, atol=1e-9)
 
-    cold = ThermalState(temps=np.full(10, 40.0), time=0.0)
-    still_cold = step_transient(net, cold, np.zeros(9), 1.0)
-    assert np.allclose(still_cold.temps, 40.0, atol=1e-12)
+    cold = np.full(10, 40.0)
+    still_cold = solver.step(cold, np.zeros(9), 1.0)
+    assert np.allclose(still_cold, 40.0, atol=1e-12)
     with pytest.raises(ValueError):
-        step_transient(net, cold, np.zeros(9), 0.0)
+        solver.step(cold, np.zeros(9), 0.0)
+    with pytest.raises(ValueError):
+        TransientSolver(net, 0.0)
 
 
 def test_transient_converges_monotonically_to_steady_state():
@@ -158,12 +159,13 @@ def test_transient_converges_monotonically_to_steady_state():
     profile, mapping = generate_warm_band(grid, 0.5, 2.0, 1)
     p = power_vector(mapping, profile)
     target = steady_state(net, p).temps
-    state = ThermalState(temps=np.full(net.n_nodes, 40.0), time=0.0)
-    residual = float(np.max(np.abs(state.temps - target)))
     # large steps are fine: backward Euler is unconditionally stable
+    solver = TransientSolver(net, 5.0)
+    temps = np.full(net.n_nodes, 40.0)
+    residual = float(np.max(np.abs(temps - target)))
     for _ in range(400):
-        state = step_transient(net, state, p, 5.0)
-        new_residual = float(np.max(np.abs(state.temps - target)))
+        temps = solver.step(temps, p)
+        new_residual = float(np.max(np.abs(temps - target)))
         assert new_residual <= residual + 1e-12
         residual = new_residual
         if residual < 1e-6:
@@ -171,21 +173,47 @@ def test_transient_converges_monotonically_to_steady_state():
     assert residual < 1e-6
 
 
-def test_transient_solver_matches_step_transient():
+def test_transient_solver_matches_dense_backward_euler():
     net = build_network(make_grid(3, 2), ThermalParams())
     solver = TransientSolver(net, 1e-6)
     rng = np.random.default_rng(5)
     p = rng.uniform(0.0, 1.0, 6)
-    state = ThermalState(temps=np.full(net.n_nodes, 40.0))
-    fast = state.temps
+
+    def oracle(temps, dt):
+        c_over_dt = net.capacitance / dt
+        x = np.linalg.solve(net.conductance + np.diag(c_over_dt),
+                            np.append(p, 0.0) + c_over_dt * (temps - net.ambient))
+        return x + net.ambient
+
+    exact = fast = np.full(net.n_nodes, 40.0)
     for _ in range(50):
-        state = step_transient(net, state, p, 1e-6)
+        exact = oracle(exact, 1e-6)
         fast = solver.step(fast, p)
-    assert np.allclose(fast, state.temps, atol=1e-9)
-    # off-grid dt falls back to the generic step
-    assert np.allclose(solver.step(fast, p, 2.5e-7),
-                       step_transient(net, ThermalState(temps=fast), p, 2.5e-7).temps,
-                       atol=1e-12)
+    assert np.allclose(fast, exact, atol=1e-9)
+    assert np.allclose(solver.step(fast, p), oracle(fast, 1e-6), atol=1e-12)
+    # an off-grid step length gets its own propagator
+    assert np.allclose(solver.step(fast, p, 2.5e-7), oracle(fast, 2.5e-7), atol=1e-12)
+
+
+def test_transient_step_conserves_energy():
+    # Per step: sum C (T' - T) / dt + heat to ambient = sum P. That holds
+    # exactly for backward Euler up to the rounding of the stored T', which
+    # is also charged: one ulp per node, weighted by C / dt.
+    for n in (2, 3, 4, 5):
+        net = build_network(make_grid(n, n), ThermalParams())
+        rng = np.random.default_rng(n)
+        p0, p1 = rng.uniform(0.0, 2.0, (2, n * n))
+        solver = TransientSolver(net, 1e-6)
+        for dt in (1e-6, 2.5e-7):
+            c_over_dt = net.capacitance / dt
+            temps = steady_state(net, p0).temps
+            for _ in range(100):
+                new = solver.step(temps, p1, dt)
+                balance = (c_over_dt * (new - temps)).sum() \
+                    + net.ambient_coupling @ (new - net.ambient)
+                rounding = (c_over_dt * np.spacing(new)).sum()
+                assert abs(balance - p1.sum()) <= 1e-9 * p1.sum() + rounding, (n, dt)
+                temps = new
 
 
 def test_warm_band_peak_sits_on_the_band_row():
