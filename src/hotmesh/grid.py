@@ -31,25 +31,17 @@ class Coord:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Mesh dimensions plus per-PE geometry (areas in mm^2, lengths in mm)."""
+    """Mesh dimensions plus the area of one PE block, mm^2."""
 
     nx: int
     ny: int
     cell_area: float = 4.36
-    die_thickness: float = 0.5
 
     def __post_init__(self) -> None:
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError(f"mesh dimensions must be >= 1, got {self.nx}x{self.ny}")
         if self.cell_area <= 0:
             raise ConfigurationError(f"cell_area must be positive, got {self.cell_area}")
-        if self.die_thickness <= 0:
-            raise ConfigurationError(f"die_thickness must be positive, got {self.die_thickness}")
-
-    @property
-    def cell_side(self) -> float:
-        """Side length of one square PE block, mm."""
-        return math.sqrt(self.cell_area)
 
     @property
     def n_cells(self) -> int:
@@ -104,15 +96,6 @@ class Mapping:
     def location(self, workload: int) -> Coord:
         return self.assignment[workload]
 
-    def workload_at(self, c: Coord) -> int:
-        for w, cc in self.assignment.items():
-            if cc == c:
-                return w
-        raise BoundsError(f"{c} outside {self.grid.nx}x{self.grid.ny} mesh")
-
-    def workloads(self) -> list[int]:
-        return sorted(self.assignment)
-
 
 def identity_mapping(grid: GridSpec) -> Mapping:
     """Workload i on block i, row-major."""
@@ -133,14 +116,14 @@ class PowerProfile:
 
     def __post_init__(self) -> None:
         for w, p in self.workload_power.items():
-            if p < 0:
-                raise ConfigurationError(f"workload {w} has negative power {p}")
+            if not 0 <= p < math.inf:
+                raise ConfigurationError(f"workload {w} needs a finite power >= 0, got {p}")
         if self.idle_power is None:
             mean = (sum(self.workload_power.values()) / len(self.workload_power)
                     if self.workload_power else 0.0)
             object.__setattr__(self, "idle_power", DEFAULT_IDLE_FRACTION * mean)
-        if self.idle_power < 0:
-            raise ConfigurationError(f"idle_power must be >= 0, got {self.idle_power}")
+        if not 0 <= self.idle_power < math.inf:
+            raise ConfigurationError(f"idle_power must be finite and >= 0, got {self.idle_power}")
 
     def power_of(self, workload: int) -> float:
         return self.workload_power.get(workload, self.idle_power)

@@ -1,4 +1,14 @@
-"""Thermally-aware static placement: simulated annealing over pairwise swaps."""
+"""Thermally-aware static placement: simulated annealing over pairwise swaps.
+
+The objective is the steady-state peak block temperature. Steady state is
+linear, so the block temperatures are T - T_amb = R p, where R holds the
+block rows and columns of G^-1 (see :mod:`hotmesh.thermal`). anneal()
+computes R once and keeps the placement as a block index per workload plus
+the power vector it induces: a swap exchanges two entries of each, and a
+move costs one matvec instead of a dense solve. The same p gives the same
+R p, so equal-power swaps stay exact ties. A sweep anneals once and hands
+the placement to every cell.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +17,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+import numpy as np
+
+from .errors import ConfigurationError, ModelError
 from .grid import Coord, GridSpec, Mapping, PowerProfile, identity_mapping, power_vector
 from .thermal import ThermalNetwork, peak, steady_state
 
@@ -43,32 +55,48 @@ def evaluate(mapping: Mapping, profile: PowerProfile, net: ThermalNetwork) -> fl
     return peak(steady_state(net, power_vector(mapping, profile)))
 
 
+def _block_response(net: ThermalNetwork) -> np.ndarray:
+    """R with T_blocks - T_amb = R p: the block rows and columns of G^-1."""
+    n = net.n_blocks
+    try:
+        return np.linalg.solve(net.conductance, np.eye(n + 1, n))[:n]
+    except np.linalg.LinAlgError as exc:
+        raise ModelError(f"thermal system is singular: {exc}") from None
+
+
 def anneal(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,
            cfg: AnnealConfig) -> PlacementResult:
     """Anneal pairwise workload swaps starting from the identity placement."""
+    if net.grid != grid:
+        raise ConfigurationError("thermal network was built for a different mesh")
     rng = random.Random(cfg.seed)
-    current = dict(identity_mapping(grid).assignment)
-    ids = sorted(current)
-    cur_obj = evaluate(Mapping(grid, dict(current)), profile, net)
-    best = dict(current)
-    best_obj = cur_obj
+    ids = list(range(grid.n_cells))
+    block = np.arange(grid.n_cells)  # workload id -> block index
+    power = power_vector(identity_mapping(grid), profile)
+    best = block.copy()
     if len(ids) >= 2:
+        response = _block_response(net)
+        cur_obj = best_obj = float(np.max(response @ power)) + net.ambient
         cooling = (cfg.t_end / cfg.t_start) ** (1.0 / max(cfg.iterations - 1, 1))
         temp = cfg.t_start
         for _ in range(cfg.iterations):
             a, b = rng.sample(ids, 2)
-            current[a], current[b] = current[b], current[a]
-            obj = evaluate(Mapping(grid, dict(current)), profile, net)
+            i, j = block[a], block[b]
+            block[a], block[b] = j, i
+            power[i], power[j] = power[j], power[i]
+            obj = float(np.max(response @ power)) + net.ambient
             delta = obj - cur_obj
             if delta <= 0 or rng.random() < math.exp(-delta / temp):
                 cur_obj = obj
                 if obj < best_obj:
                     best_obj = obj
-                    best = dict(current)
+                    best = block.copy()
             else:
-                current[a], current[b] = current[b], current[a]
+                block[a], block[b] = i, j
+                power[i], power[j] = power[j], power[i]
             temp *= cooling
-    return PlacementResult(mapping=Mapping(grid, best), peak_c=best_obj)
+    mapping = Mapping(grid, {w: grid.coord(int(i)) for w, i in enumerate(best)})
+    return PlacementResult(mapping=mapping, peak_c=evaluate(mapping, profile, net))
 
 
 def place(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,

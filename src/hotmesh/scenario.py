@@ -6,7 +6,8 @@ Sections and keys (units are part of the key names):
 [profile]   kind = warm_band | center_hotspot | explicit
             warm_band:      base_power_w, band_power_w, band_row
             center_hotspot: base_power_w, hot_power_w
-            explicit:       workload_<id>_w = <watts> per active workload
+            explicit:       workload_<id>_w = <watts> per active workload,
+                            0 <= id < nx * ny
             idle_power_w    optional for every kind
 [migration] fn (tag, e.g. rotation or translate_xy:1:1), dx, dy,
             state_bits, e_bit_hop_j, downtime_fixed_us, t_bit_hop_s,
@@ -86,6 +87,13 @@ class ScenarioConfig:
                     f"got {self.initial_mapping!r}")
         elif self.initial_mapping.grid != self.grid:
             raise ConfigurationError("initial mapping belongs to a different mesh")
+        placed = (range(self.grid.n_cells) if isinstance(self.initial_mapping, str)
+                  else self.initial_mapping.assignment)
+        unplaced = sorted(w for w in self.profile.workload_power if w not in placed)
+        if unplaced:
+            raise ConfigurationError(
+                f"workloads {unplaced} have a power entry but no PE on the "
+                f"{self.grid.nx}x{self.grid.ny} mesh")
         # raises if the function is invalid on this mesh (e.g. rotation, non-square)
         as_permutation(self.migration_fn, self.grid)
 

@@ -196,12 +196,22 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
           periods: Sequence[float]) -> list[SweepCell]:
     """Cross product of runs in (function, period) input order.
 
-    A failing cell records its error instead of aborting the sweep.
+    An "auto" placement is annealed once and shared by every cell. A failing
+    cell records its error instead of aborting the sweep; a failing
+    placement is recorded in every cell.
     """
     functions = list(functions)
     periods = list(periods)
     if not functions or not periods:
         raise ConfigurationError("sweep needs at least one function and one period")
+    if base.initial_mapping == "auto":
+        # the placement depends on neither the function nor the period
+        try:
+            mapping = _resolve_initial_mapping(base, build_network(base.grid, base.thermal))
+        except HotmeshError as exc:
+            return [SweepCell(base.name, fn, period, None, str(exc))
+                    for fn in functions for period in periods]
+        base = replace(base, initial_mapping=mapping)
     rows = []
     for fn in functions:
         for period in periods:

@@ -160,9 +160,6 @@ class Permutation:
             raise ConfigurationError("cannot compose permutations of different meshes")
         return Permutation(self.grid, tuple(self.forward[i] for i in other.forward))
 
-    def fixed_point_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.forward) if i == d)
-
     @classmethod
     def identity(cls, grid: GridSpec) -> "Permutation":
         return cls(grid, tuple(range(grid.n_cells)))

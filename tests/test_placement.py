@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hotmesh.grid import (Coord, Mapping, PowerProfile, generate_warm_band,
-                          identity_mapping, make_grid)
-from hotmesh.placement import (AnnealConfig, anneal, evaluate, place,
+                          identity_mapping, make_grid, power_vector)
+from hotmesh.placement import (AnnealConfig, _block_response, anneal, evaluate, place,
                                read_mapping_csv, write_mapping_csv)
 from hotmesh.errors import ConfigurationError
 from hotmesh.thermal import ThermalParams, build_network
@@ -39,6 +41,32 @@ def test_evaluate_rejects_mismatched_network():
     net = build_network(make_grid(4, 4), ThermalParams())
     with pytest.raises(ConfigurationError):
         evaluate(identity_mapping(g), PowerProfile({0: 1.0}), net)
+
+
+def test_anneal_rejects_mismatched_network():
+    net = build_network(make_grid(4, 4), ThermalParams())
+    with pytest.raises(ConfigurationError):
+        anneal(PowerProfile({0: 1.0}), make_grid(3, 3), net, AnnealConfig(iterations=10))
+
+
+@st.composite
+def placements(draw):
+    """A random mesh up to 8x8, random powers and a random permutation."""
+    grid = make_grid(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    n = grid.n_cells
+    powers = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    blocks = draw(st.permutations(range(n)))
+    mapping = Mapping(grid, {w: grid.coord(i) for w, i in enumerate(blocks)})
+    return mapping, PowerProfile(dict(enumerate(powers)))
+
+
+@given(placements())
+def test_response_operator_peak_matches_evaluate(case):
+    mapping, profile = case
+    net = build_network(mapping.grid, ThermalParams())
+    p = power_vector(mapping, profile)
+    by_operator = float(np.max(_block_response(net) @ p)) + net.ambient
+    assert abs(by_operator - evaluate(mapping, profile, net)) <= 1e-9
 
 
 def test_hot_workload_lands_on_center():

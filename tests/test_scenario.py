@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from hotmesh.errors import ConfigurationError
-from hotmesh.grid import generate_warm_band, make_grid
+from hotmesh.grid import Mapping, generate_warm_band, make_grid
 from hotmesh.scenario import ScenarioConfig, load_scenario
 from hotmesh.transforms import IDENTITY, ROTATION, translate_xy
 
@@ -117,6 +119,10 @@ seed = 11
     ("dt_us = 1.0", "dt_us = inf"),                 # non-finite step
     ("duration_us = 2000", "duration_us = inf"),    # non-finite run length
     ("band_row = 1", "band_row = 9"),               # band outside the mesh
+    ("kind = warm_band", "kind = explicit\nworkload_3_w = inf"),  # infinite power
+    ("kind = warm_band", "kind = explicit\nworkload_3_w = nan"),  # nan power
+    ("band_row = 1", "band_row = 1\nidle_power_w = inf"),         # infinite idle power
+    ("kind = warm_band", "kind = explicit\nworkload_99_w = 1.0"),  # id not on the 4x4 mesh
 ])
 def test_broken_scenarios_raise_configuration_error(tmp_path, old, new):
     with pytest.raises(ConfigurationError):
@@ -169,3 +175,13 @@ def test_validate_rejects_foreign_mapping():
                          initial_mapping=other_mapping)
     with pytest.raises(ConfigurationError):
         cfg.validate()
+
+
+def test_validate_rejects_power_for_unplaced_workload():
+    grid = make_grid(2, 2)
+    profile, mapping = generate_warm_band(grid, 0.5, 2.0, 0)
+    shifted = Mapping(grid, {w + 10: c for w, c in mapping.assignment.items()})
+    cfg = ScenarioConfig(name="x", grid=grid, profile=profile, initial_mapping=shifted)
+    with pytest.raises(ConfigurationError):
+        cfg.validate()
+    replace(cfg, initial_mapping=mapping).validate()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hotmesh.errors import ConfigurationError
+import hotmesh.placement
+import hotmesh.sim
+from hotmesh.errors import ConfigurationError, ModelError
 from hotmesh.grid import generate_warm_band, make_grid, power_vector
 from hotmesh.migration import MigrationCostParams
 from hotmesh.placement import AnnealConfig
@@ -136,6 +138,45 @@ def test_sweep_single_cell_equals_run():
     direct, _ = run(cfg)
     assert rows[0].summary == direct
     assert rows[0].error is None
+
+
+def test_sweep_anneals_once_and_cells_equal_runs(monkeypatch):
+    cfg = band_cfg(initial_mapping="auto", sim_duration=1e-3, warmup=0.3e-3,
+                   anneal=AnnealConfig(iterations=300, seed=4))
+    calls = {"place": 0, "anneal": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    real_place = hotmesh.sim.place
+    monkeypatch.setattr(hotmesh.sim, "place", counting("place", real_place))
+    monkeypatch.setattr(hotmesh.placement, "anneal",
+                        counting("anneal", hotmesh.placement.anneal))
+    rows = sweep(cfg, [translate_xy(1, 1), ROTATION], [109e-6, 218e-6])
+    assert calls == {"place": 1, "anneal": 1}
+    monkeypatch.undo()
+    mapping = real_place(cfg.profile, cfg.grid, build_network(cfg.grid, cfg.thermal),
+                         cfg.anneal)
+    for row in rows:
+        direct, _ = run(replace(cfg, migration_fn=row.fn, period=row.period,
+                                initial_mapping=mapping))
+        assert row.error is None
+        assert row.summary == direct
+
+
+def test_sweep_records_a_failed_placement_in_every_cell(monkeypatch):
+    def fail(*args):
+        raise ModelError("placement failed")
+
+    monkeypatch.setattr(hotmesh.sim, "place", fail)
+    cfg = band_cfg(initial_mapping="auto", sim_duration=1e-3, warmup=0.3e-3)
+    rows = sweep(cfg, [translate_xy(1, 1), ROTATION], [109e-6, 218e-6])
+    assert [(r.fn, r.period) for r in rows] == [
+        (fn, p) for fn in (translate_xy(1, 1), ROTATION) for p in (109e-6, 218e-6)]
+    assert all(r.summary is None and r.error == "placement failed" for r in rows)
 
 
 def test_sweep_cross_product_order_and_errors():
