@@ -6,13 +6,18 @@ constant power, so it stays at this steady state and needs no march. The
 migrated run is one backward-Euler march with one event per period: the
 plan's downtime stalls every PE at idle power, the transfer energy lands
 as a one-timestep heat pulse on the source PEs, and the placement
-permutes. Statistics are taken over the window after warm-up so they
-describe settled behavior rather than the decay of the initial condition.
+permutes. Between events, stall end and pulse end the power is constant,
+so the schedule is laid out once as runs of equal steps, each marched in
+one product by TransientSolver.march. Statistics are taken over the
+window after warm-up so they describe settled behavior rather than the
+decay of the initial condition; they are accumulated run by run, so a
+sweep cell keeps no trace.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -23,12 +28,16 @@ from .grid import Mapping, identity_mapping, idle_vector, power_vector
 from .migration import MigrationPlan, execute, plan
 from .placement import AnnealConfig, place
 from .scenario import ScenarioConfig
-from .thermal import TransientSolver, build_network, peak, steady_state
+from .thermal import ThermalState, TransientSolver, build_network, peak, steady_state
 from .transforms import MigrationFunction
 
 # Collapses float noise when laying out the steps; far below dt, far above
 # the drift accumulated over any realistic step count.
 _TIME_EPS = 1e-9
+
+# Bound on the rows x nodes of one solver.march call, so a long run at
+# constant power (all of an identity run) is marched in pieces.
+_MARCH_ELEMENTS = 1 << 18
 
 CSV_COLUMNS = (
     "scenario", "fn", "period_us", "peak_c", "baseline_peak_c",
@@ -70,10 +79,13 @@ class SweepCell:
     error: str | None
 
 
-def _segment(length: float, dt: float, stall: float, pulse: float, event: bool):
-    """Steps over [0, length] after an event (or t = 0), and their ends: dt
-    steps, cut where the stall (PEs idle before it) or the heat pulse ends."""
-    steps, ends = [], []
+def _segment(length: float, dt: float, stall: float, pulse: float, event: bool,
+             max_rows: int):
+    """Runs of steps over [0, length] after an event (or t = 0), and the step
+    ends: dt steps, cut where the stall (PEs idle before it) or the heat pulse
+    ends. A run is (length or None for dt, stalled, pulsed, fires, count):
+    count equal steps, at most max_rows, of which only the first may fire."""
+    runs, ends = [], []
     t = 0.0
     while t < length - _TIME_EPS:
         t_next = min(t + dt, length)
@@ -81,72 +93,101 @@ def _segment(length: float, dt: float, stall: float, pulse: float, event: bool):
             if t + _TIME_EPS < brk < t_next - _TIME_EPS:
                 t_next = brk
         h = t_next - t
-        steps.append((None if abs(h - dt) < _TIME_EPS else h,
-                      t < stall - _TIME_EPS, t < pulse - _TIME_EPS, event and not steps))
+        key = (None if abs(h - dt) < _TIME_EPS else h,
+               t < stall - _TIME_EPS, t < pulse - _TIME_EPS)
+        if runs and runs[-1][:3] == key and runs[-1][4] < max_rows:
+            runs[-1] = (*key, runs[-1][3], runs[-1][4] + 1)
+        else:
+            runs.append((*key, event and not runs, 1))
         ends.append(t_next)
         t = t_next
-    return steps, np.array(ends)
+    return runs, np.array(ends)
 
 
 def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None):
-    """Steps of the migrated run, laid out once: (times, steps, window, events).
+    """Steps of the migrated run, laid out once: (times, runs, window, events).
 
     A head up to the first event, one template per event-to-event period and
     a tail after the last event; events fire at t = k*period strictly inside
-    the run. Step i ends at times[i + 1] and is (length or None for dt,
-    stalled, pulsed, fires); steps from index window on end after warm-up.
+    the run. Step i ends at times[i + 1]; the runs (see _segment) cover the
+    steps in order, each short enough that its rows stay within
+    _MARCH_ELEMENTS; steps from index window on end after warm-up.
     """
     period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
+    max_rows = max(1, _MARCH_ELEMENTS // (cfg.grid.n_cells + 1))
     events = 0
     if mplan is not None:
         while (events + 1) * period < duration - _TIME_EPS:
             events += 1
-    steps, ends = _segment(period if events else duration, dt, 0.0, 0.0, False)
+    runs, ends = _segment(period if events else duration, dt, 0.0, 0.0, False, max_rows)
     parts = [ends]
     if events:
         pulse = dt if cfg.deposit_migration_energy else 0.0
-        body, body_ends = _segment(period, dt, mplan.downtime, pulse, True)
+        body, body_ends = _segment(period, dt, mplan.downtime, pulse, True, max_rows)
         tail, tail_ends = _segment(duration - events * period, dt, mplan.downtime,
-                                   pulse, True)
-        steps = steps + body * (events - 1) + tail
+                                   pulse, True, max_rows)
+        runs = runs + body * (events - 1) + tail
         parts += [k * period + body_ends for k in range(1, events)]
         parts.append(events * period + tail_ends)
     times = np.concatenate([[0.0], *parts])
     window = int(np.searchsorted(times[1:], cfg.effective_warmup + _TIME_EPS, side="right"))
-    return times, steps, window, events
+    if window == len(times) - 1:
+        raise ConfigurationError("warmup leaves no step to take statistics over")
+    return times, runs, window, events
 
 
-def _march(net, cfg: ScenarioConfig, mapping: Mapping, temps0: np.ndarray,
-           mplan: MigrationPlan | None, steps) -> np.ndarray:
-    """Backward-Euler march over the steps; node temps at every step end."""
-    solver = TransientSolver(net, cfg.dt)
+def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
+           temps0: np.ndarray, mplan: MigrationPlan | None, runs, times: np.ndarray,
+           window: int, trace: np.ndarray | None):
+    """Backward-Euler march over the runs from temps0; the window statistics.
+
+    A run of equal steps at constant power is one solver.march, a lone step
+    one solver.step. Peak, time-weighted mean and largest spread of the
+    block temperatures over the steps from index window on are accumulated
+    per run. trace, if given, receives the node temps at every step end.
+    """
+    n_blocks = cfg.grid.n_cells
     active = power_vector(mapping, cfg.profile)
     stalled = idle_vector(cfg.profile, cfg.grid)
-    pulse = np.zeros(cfg.grid.n_cells)
+    pulse = np.zeros(n_blocks)
     if mplan is not None:
         src_idx = [cfg.grid.index(c) for c in mplan.source_cells()]
         pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
-    temps = np.empty((len(steps) + 1, net.n_nodes))
-    temps[0] = temps0
-    for i, (length, idle, pulsed, fires) in enumerate(steps):
+    weights = np.diff(times)
+    peak_c = spread = -math.inf
+    mean_terms = []
+    x, i = temps0, 0
+    for length, idle, pulsed, fires, count in runs:
         if fires:
             mapping = execute(mapping, mplan)
             active = power_vector(mapping, cfg.profile)
         p = stalled if idle else active
         if pulsed:
             p = p + pulse
-        temps[i + 1] = solver.step(temps[i], p, length)
-    return temps
+        if count == 1:
+            rows = solver.step(x, p, length)[None]
+        else:
+            rows = solver.march(x, p, count, length)
+        if trace is not None:
+            trace[i + 1:i + 1 + count] = rows
+        x = rows[-1]
+        lo = max(window - i, 0)  # rows of this run that end before warm-up
+        if lo < count:
+            blocks = rows[lo:, :n_blocks]
+            row_max = blocks.max(axis=1)
+            peak_c = max(peak_c, float(row_max.max()))
+            spread = max(spread, float((row_max - blocks.min(axis=1)).max()))
+            mean_terms.append(float((blocks.mean(axis=1) * weights[i + lo:i + count]).sum()))
+        i += count
+    return peak_c, math.fsum(mean_terms) / weights[window:].sum(), spread
 
 
-def _window_stats(times: np.ndarray, temps: np.ndarray, window: int, n_blocks: int):
-    """(peak, time-avg mean, max spread) over block temps after warm-up."""
-    w = np.diff(times)[window:]
-    blocks = temps[1 + window:, :n_blocks]
-    peak_overall = float(blocks.max())
-    time_avg = float((blocks.mean(axis=1) * w).sum() / w.sum())
-    spread = float((blocks.max(axis=1) - blocks.min(axis=1)).max())
-    return peak_overall, time_avg, spread
+def _start(cfg: ScenarioConfig, net):
+    """(initial placement, its steady state, solver): what every run of one
+    configuration starts from; the steady state is the static baseline."""
+    mapping = _resolve_initial_mapping(cfg, net)
+    baseline = steady_state(net, power_vector(mapping, cfg.profile))
+    return mapping, baseline, TransientSolver(net, cfg.dt)
 
 
 def _resolve_initial_mapping(cfg: ScenarioConfig, net) -> Mapping:
@@ -158,13 +199,9 @@ def _resolve_initial_mapping(cfg: ScenarioConfig, net) -> Mapping:
     return place(cfg.profile, cfg.grid, net, anneal_cfg)
 
 
-def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
-    """Simulate one scenario (migrated run against the static baseline)."""
-    cfg.validate()
-    net = build_network(cfg.grid, cfg.thermal)
-    mapping0 = _resolve_initial_mapping(cfg, net)
-    baseline = steady_state(net, power_vector(mapping0, cfg.profile))
-
+def _simulate(cfg: ScenarioConfig, mapping0: Mapping, baseline: ThermalState,
+              solver: TransientSolver, keep_trace: bool) -> tuple[RunSummary, Trace | None]:
+    """The migrated run of a validated cfg against its static baseline."""
     if cfg.migration_fn.kind == "identity":
         mplan = None
     else:
@@ -172,10 +209,14 @@ def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
         if mplan.total_hops == 0:
             mplan = None  # e.g. zero-offset translation: nothing ever moves
 
-    times, steps, window, events = _schedule(cfg, mplan)
-    temps = _march(net, cfg, mapping0, baseline.temps, mplan, steps)
+    times, runs, window, events = _schedule(cfg, mplan)
+    temps = None
+    if keep_trace:
+        temps = np.empty((len(times), solver.net.n_nodes))
+        temps[0] = baseline.temps
+    mig_peak, time_avg, spread = _march(solver, cfg, mapping0, baseline.temps, mplan,
+                                        runs, times, window, temps)
     base_peak = peak(baseline)
-    mig_peak, time_avg, spread = _window_stats(times, temps, window, cfg.grid.n_cells)
 
     penalty = 0.0 if mplan is None else mplan.downtime / cfg.period
     energy = 0.0 if mplan is None else events * mplan.energy
@@ -189,35 +230,47 @@ def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
         migration_count=events,
         total_migration_energy=energy,
     )
-    return summary, Trace(times=times, temps=temps)
+    return summary, (Trace(times=times, temps=temps) if keep_trace else None)
+
+
+def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
+    """Simulate one scenario (migrated run against the static baseline)."""
+    cfg.validate()
+    return _simulate(cfg, *_start(cfg, build_network(cfg.grid, cfg.thermal)), True)
 
 
 def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
           periods: Sequence[float]) -> list[SweepCell]:
     """Cross product of runs in (function, period) input order.
 
-    An "auto" placement is annealed once and shared by every cell. A failing
-    cell records its error instead of aborting the sweep; a failing
-    placement is recorded in every cell.
+    The network, an "auto" placement, the baseline and the solver are built
+    once and shared by every cell, which keeps no trace. A failing cell
+    records its error instead of aborting the sweep; a failing placement is
+    recorded in every cell.
     """
     functions = list(functions)
     periods = list(periods)
     if not functions or not periods:
         raise ConfigurationError("sweep needs at least one function and one period")
+    net = build_network(base.grid, base.thermal)
     if base.initial_mapping == "auto":
         # the placement depends on neither the function nor the period
         try:
-            mapping = _resolve_initial_mapping(base, build_network(base.grid, base.thermal))
+            mapping = _resolve_initial_mapping(base, net)
         except HotmeshError as exc:
             return [SweepCell(base.name, fn, period, None, str(exc))
                     for fn in functions for period in periods]
         base = replace(base, initial_mapping=mapping)
+    start = None
     rows = []
     for fn in functions:
         for period in periods:
             try:
                 cell_cfg = replace(base, migration_fn=fn, period=period)
-                summary, _ = run(cell_cfg)
+                cell_cfg.validate()
+                if start is None:  # the same for every cell: built on the first valid one
+                    start = _start(cell_cfg, net)
+                summary, _ = _simulate(cell_cfg, *start, False)
                 rows.append(SweepCell(base.name, fn, period, summary, None))
             except HotmeshError as exc:
                 rows.append(SweepCell(base.name, fn, period, None, str(exc)))

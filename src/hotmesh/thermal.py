@@ -11,20 +11,31 @@ each node's coupling to the sink or to ambient on the diagonal, so every
 row sums to the node's ambient conductance. For square blocks the lateral
 conductance reduces to k_si * die_thickness.
 
-Backward Euler leaves a steady state fixed: a placement held at constant
-power, the static baseline of a run, is its steady state at every step.
+Transients use one modal operator per network: with the symmetric
+S = C^-1/2 G C^-1/2 = Q diag(mu) Q^T, a backward-Euler step of any length h
+scales each modal deviation from the steady state x_ss of the step's power
+by lambda(h) = 1 / (1 + h mu). At constant power, k equal steps are then
+one matrix product,
+
+    x_j = x_ss + C^-1/2 Q (lambda^j * Q^T C^1/2 (x_0 - x_ss)),  j = 1..k,
+
+and a steady state stays fixed bit for bit: x_ss is the steady_state()
+solve of that power, so a start at it has zero deviation.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, ModelError
 from .grid import Coord, GridSpec
+
+# Rows formatted per write by write_trace_csv.
+_CSV_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -131,31 +142,51 @@ def steady_state(net: ThermalNetwork, power) -> ThermalState:
 class TransientSolver:
     """Backward-Euler stepper over one network, dt being its default step.
 
-    Each step solves (G + C/dt) d = P - G x for the temperature increment d
-    with the inverse of G + C/dt, cached per step length: that matrix is
-    symmetric and strictly diagonally dominant, so the inverse is as exact
-    as a factorization. T + d is rounded once, so a steady state stays put.
+    One eigendecomposition of C^-1/2 G C^-1/2 serves every step length:
+    march() returns the k rows of k equal steps at constant power in one
+    (k x n)(n x n) product, and step() is its one-row case. The steady
+    state of each distinct power vector is solved once with steady_state()
+    and kept for the solver's life.
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
+        _check_dt(dt)
         self.net = net
         self.dt = dt
-        self._propagators: dict[float, np.ndarray] = {}
-        self._propagator(dt)
+        c_half = np.sqrt(net.capacitance)
+        mu, q = np.linalg.eigh(net.conductance / np.outer(c_half, c_half))
+        self._mu = mu
+        self._to_modal = c_half[:, None] * q      # row x -> modal Q^T C^1/2 x
+        self._from_modal = q.T / c_half           # modal row -> C^-1/2 Q y
+        self._steady_by_power: dict[bytes, np.ndarray] = {}
 
-    def _propagator(self, dt: float) -> np.ndarray:
-        if dt not in self._propagators:
-            if not 0 < dt < math.inf:
-                raise ValueError(f"dt must be positive and finite, got {dt}")
-            a = self.net.conductance + np.diag(self.net.capacitance / dt)
-            self._propagators[dt] = np.linalg.inv(a)
-        return self._propagators[dt]
+    def _steady_temps(self, power) -> np.ndarray:
+        power = np.asarray(power, dtype=float)
+        key = power.tobytes()
+        if key not in self._steady_by_power:
+            self._steady_by_power[key] = steady_state(self.net, power).temps
+        return self._steady_by_power[key]
+
+    def march(self, temps: np.ndarray, power, count: int, dt: float | None = None) -> np.ndarray:
+        """Node temperatures after each of count steps of length dt at constant
+        power (dt defaults to the solver's own), as a (count, n_nodes) array."""
+        dt = self.dt if dt is None else dt
+        _check_dt(dt)
+        count = operator.index(count)
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
+        x_ss = self._steady_temps(power)
+        decay = (1.0 + dt * self._mu) ** -np.arange(1, count + 1)[:, None]
+        return x_ss + (decay * ((temps - x_ss) @ self._to_modal)) @ self._from_modal
 
     def step(self, temps: np.ndarray, power, dt: float | None = None) -> np.ndarray:
         """Advance node temperatures by dt (defaults to the solver's own)."""
-        net = self.net
-        heat = _extended_power(net, power) - net.conductance @ (temps - net.ambient)
-        return temps + self._propagator(self.dt if dt is None else dt) @ heat
+        return self.march(temps, power, 1, dt)[0]
+
+
+def _check_dt(dt: float) -> None:
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 def peak(state: ThermalState) -> float:
@@ -170,11 +201,19 @@ def spatial_spread(state: ThermalState) -> float:
 
 
 def write_trace_csv(times, temps, path) -> None:
-    """Emit a trace as CSV with columns time_s, t_block_0.., t_sink."""
-    temps = np.asarray(temps)
+    """Emit a trace as CSV with columns time_s, t_block_0.., t_sink.
+
+    Rows are formatted a chunk at a time from one template, so memory stays
+    bounded however long the trace is.
+    """
+    times = np.asarray(times, dtype=float)
+    temps = np.asarray(temps, dtype=float)
     n_blocks = temps.shape[1] - 1
+    header = ["time_s"] + [f"t_block_{i}" for i in range(n_blocks)] + ["t_sink"]
+    row = "%.9f" + ",%.6f" * temps.shape[1] + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time_s"] + [f"t_block_{i}" for i in range(n_blocks)] + ["t_sink"])
-        for t, row in zip(times, temps):
-            w.writerow([f"{t:.9f}"] + [f"{v:.6f}" for v in row])
+        f.write(",".join(header) + "\r\n")
+        for lo in range(0, len(temps), _CSV_CHUNK_ROWS):
+            chunk = np.column_stack((times[lo:lo + _CSV_CHUNK_ROWS],
+                                     temps[lo:lo + _CSV_CHUNK_ROWS]))
+            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

@@ -65,6 +65,31 @@ def test_trace_steps_end_on_every_breakpoint():
             assert np.min(np.abs(trace.times - instant)) <= 1e-12, (k, instant)
 
 
+def test_online_window_statistics_match_the_full_trace():
+    # the statistics are accumulated run by run; recompute them from the
+    # returned trace over the steps that end after warm-up
+    for cfg in (band_cfg(), band_cfg(migration_fn=ROTATION, warmup=0.0, sim_duration=2e-3),
+                band_cfg(migration_fn=IDENTITY, warmup=1.2345e-3, sim_duration=2e-3)):
+        summary, trace = run(cfg)
+        window = int(np.searchsorted(trace.times[1:], cfg.effective_warmup + 1e-9,
+                                     side="right"))
+        w = np.diff(trace.times)[window:]
+        blocks = trace.temps[1 + window:, :cfg.grid.n_cells]
+        assert abs(summary.peak_overall - blocks.max()) <= 1e-12
+        assert abs(summary.time_avg_mean_temp
+                   - (blocks.mean(axis=1) * w).sum() / w.sum()) <= 1e-12
+        assert abs(summary.max_spatial_spread
+                   - (blocks.max(axis=1) - blocks.min(axis=1)).max()) <= 1e-12
+
+
+def test_warmup_that_leaves_no_step_is_a_configuration_error():
+    # valid to validate() (warmup < duration) but within the step-layout
+    # tolerance of the end: no step ends after warm-up
+    for fn in (translate_xy(1, 1), IDENTITY):
+        with pytest.raises(ConfigurationError):
+            run(band_cfg(migration_fn=fn, sim_duration=1e-3, warmup=1e-3 - 1e-10))
+
+
 def test_translate_xy_reduces_peak_and_spread_on_the_band():
     cfg = band_cfg()
     summary, _ = run(cfg)

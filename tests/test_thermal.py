@@ -1,5 +1,10 @@
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hotmesh.errors import ConfigurationError, ModelError
 from hotmesh.grid import generate_warm_band, make_grid, power_vector
@@ -147,10 +152,27 @@ def test_transient_fixed_point_and_cooling():
     cold = np.full(10, 40.0)
     still_cold = solver.step(cold, np.zeros(9), 1.0)
     assert np.allclose(still_cold, 40.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        solver.step(cold, np.zeros(9), 0.0)
-    with pytest.raises(ValueError):
-        TransientSolver(net, 0.0)
+    # a start at steady state has zero deviation, but the step is still checked
+    for bad in (0.0, -1e-6, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            TransientSolver(net, bad)
+        for temps, power in ((cold, np.zeros(9)), (ss.temps, p)):
+            with pytest.raises(ValueError):
+                solver.step(temps, power, bad)
+            with pytest.raises(ValueError):
+                solver.march(temps, power, 3, bad)
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            solver.march(ss.temps, p, count)
+
+
+def test_march_holds_a_steady_state_bit_for_bit():
+    net = build_network(make_grid(4, 4), ThermalParams())
+    p = np.linspace(0.2, 1.7, 16)
+    ss = steady_state(net, p).temps
+    solver = TransientSolver(net, 1e-6)
+    assert np.array_equal(solver.march(ss, p, 500), np.tile(ss, (500, 1)))
+    assert np.array_equal(solver.step(ss, p, 7.44e-7), ss)
 
 
 def test_transient_converges_monotonically_to_steady_state():
@@ -195,10 +217,42 @@ def test_transient_solver_matches_dense_backward_euler():
     assert np.allclose(solver.step(fast, p, 2.5e-7), oracle(fast, 2.5e-7), atol=1e-12)
 
 
+@st.composite
+def march_cases(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dt = draw(st.one_of(st.sampled_from([1e-6, 7.44e-7, 2.56e-7]),
+                        st.floats(1e-8, 1e-2)))
+    count = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nx, ny, dt, count, seed
+
+
+@given(march_cases())
+def test_march_matches_sequential_dense_backward_euler(case):
+    nx, ny, dt, count, seed = case
+    net = build_network(make_grid(nx, ny), ThermalParams())
+    rng = np.random.default_rng(seed)
+    p0, p1 = rng.uniform(0.0, 2.0, (2, net.n_blocks))
+    start = steady_state(net, p0).temps + rng.uniform(-1.0, 1.0, net.n_nodes)
+    c_over_dt = net.capacitance / dt
+    system = net.conductance + np.diag(c_over_dt)
+    x, exact = start - net.ambient, []
+    for _ in range(count):
+        x = np.linalg.solve(system, np.append(p1, 0.0) + c_over_dt * x)
+        exact.append(x + net.ambient)
+    rows = TransientSolver(net, dt).march(start, p1, count)
+    assert rows.shape == (count, net.n_nodes)
+    assert np.max(np.abs(rows - np.array(exact))) <= 1e-9
+    # off the default step length, through the explicit dt
+    rows = TransientSolver(net, 1e-6).march(start, p1, count, dt)
+    assert np.max(np.abs(rows - np.array(exact))) <= 1e-9
+
+
 def test_transient_step_conserves_energy():
     # Per step: sum C (T' - T) / dt + heat to ambient = sum P. That holds
     # exactly for backward Euler up to the rounding of the stored T', which
-    # is also charged: one ulp per node, weighted by C / dt.
+    # is also charged: one ulp per node, weighted by C / dt. Checked for
+    # single steps and for consecutive rows of one march.
     for n in (2, 3, 4, 5):
         net = build_network(make_grid(n, n), ThermalParams())
         rng = np.random.default_rng(n)
@@ -206,14 +260,17 @@ def test_transient_step_conserves_energy():
         solver = TransientSolver(net, 1e-6)
         for dt in (1e-6, 2.5e-7):
             c_over_dt = net.capacitance / dt
-            temps = steady_state(net, p0).temps
+            start = steady_state(net, p0).temps
+            stepped = [start]
             for _ in range(100):
-                new = solver.step(temps, p1, dt)
-                balance = (c_over_dt * (new - temps)).sum() \
-                    + net.ambient_coupling @ (new - net.ambient)
-                rounding = (c_over_dt * np.spacing(new)).sum()
-                assert abs(balance - p1.sum()) <= 1e-9 * p1.sum() + rounding, (n, dt)
-                temps = new
+                stepped.append(solver.step(stepped[-1], p1, dt))
+            marched = np.vstack([start, solver.march(start, p1, 100, dt)])
+            for rows in (np.array(stepped), marched):
+                for old, new in zip(rows[:-1], rows[1:]):
+                    balance = (c_over_dt * (new - old)).sum() \
+                        + net.ambient_coupling @ (new - net.ambient)
+                    rounding = (c_over_dt * np.spacing(new)).sum()
+                    assert abs(balance - p1.sum()) <= 1e-9 * p1.sum() + rounding, (n, dt)
 
 
 def test_warm_band_peak_sits_on_the_band_row():
@@ -236,3 +293,32 @@ def test_trace_csv_layout(tmp_path):
     assert lines[0] == "time_s,t_block_0,t_block_1,t_block_2,t_block_3,t_sink"
     assert len(lines) == 4
     assert lines[1].startswith("0.000000000,40.000000,")
+
+
+def _csv_writer_reference(times, temps, path):
+    # the row-at-a-time csv.writer layout write_trace_csv must reproduce
+    temps = np.asarray(temps)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["time_s"] + [f"t_block_{i}" for i in range(temps.shape[1] - 1)]
+                   + ["t_sink"])
+        for t, row in zip(times, temps):
+            w.writerow([f"{t:.9f}"] + [f"{v:.6f}" for v in row])
+
+
+def test_trace_csv_matches_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(17)
+    rows = 700  # more than one formatting chunk
+    times = np.cumsum(rng.uniform(0.0, 2e-6, rows))
+    times[0] = 0.0
+    temps = rng.normal(45.0, 30.0, (rows, 6))
+    temps[1, :] = [-0.0, 0.0, -1.5, 0.0000005, 2.0000025, -3.0000005]
+    temps[2, :] = [40.0000005, 40.0000015, -40.0000025, 1e-7, -1e-7, 123456.7890125]
+    times[3] = 0.0000000005
+    for as_lists in (False, True):
+        t_in = times.tolist() if as_lists else times
+        x_in = list(temps) if as_lists else temps
+        write_trace_csv(t_in, x_in, tmp_path / "fast.csv")
+        _csv_writer_reference(times, temps, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert b"-0.000000" in (tmp_path / "ref.csv").read_bytes()
