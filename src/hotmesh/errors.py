@@ -18,4 +18,5 @@ class BoundsError(HotmeshError):
 
 
 class ModelError(HotmeshError):
-    """Thermal network cannot be solved (no path to ambient)."""
+    """Thermal network cannot be solved: no path to ambient, or a structure
+    the closed-form modal basis cannot represent."""

@@ -87,16 +87,37 @@ class MigrationPlan:
         return [t.src for ph in self.phases for t in ph]
 
 
+def _xy_path(src: int, dst: int, nx: int) -> list[int]:
+    """Block indices along the XY route src -> dst, both ends included."""
+    (y0, x0), x1 = divmod(src, nx), dst % nx
+    turn = y0 * nx + x1
+    return [*range(src, turn, 1 if x1 > x0 else -1),
+            *range(turn, dst, nx if dst > turn else -nx), dst]
+
+
 def plan(fn: MigrationFunction, grid: GridSpec,
          params: MigrationCostParams) -> MigrationPlan:
-    """Deterministic congestion-free schedule for one migration event."""
+    """Deterministic congestion-free schedule for one migration event.
+
+    Routes are walked on block indices and phases packed on integer link
+    ids (a directed link a -> b is a * n + b); the Coords of the transfers
+    come from one per-cell list.
+    """
     perm = as_permutation(fn, grid)
-    moves = [Transfer(src=c, dst=perm(c), route=xy_route(c, perm(c)))
-             for c in grid.cells() if perm(c) != c]
+    n = grid.n_cells
+    coords = list(grid.cells())
     phases: list[list[Transfer]] = []
-    busy: list[set[Link]] = []
-    for t in moves:
-        links = set(t.route)
+    busy: list[set[int]] = []
+    total_hops = 0
+    for src, dst in enumerate(perm.forward):
+        if src == dst:
+            continue
+        path = _xy_path(src, dst, grid.nx)
+        hops = list(zip(path, path[1:]))
+        total_hops += len(hops)
+        t = Transfer(src=coords[src], dst=coords[dst],
+                     route=tuple((coords[a], coords[b]) for a, b in hops))
+        links = {a * n + b for a, b in hops}
         for i, used in enumerate(busy):
             if not used & links:
                 phases[i].append(t)
@@ -104,9 +125,8 @@ def plan(fn: MigrationFunction, grid: GridSpec,
                 break
         else:
             phases.append([t])
-            busy.append(set(links))
+            busy.append(links)
     phases_t = tuple(tuple(ph) for ph in phases)
-    total_hops = sum(t.hops for t in moves)
     draft = MigrationPlan(grid=grid, permutation=perm, phases=phases_t,
                           total_hops=total_hops, energy=0.0, downtime=0.0)
     return MigrationPlan(grid=grid, permutation=perm, phases=phases_t,

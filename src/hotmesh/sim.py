@@ -28,7 +28,7 @@ from .grid import Mapping, identity_mapping, idle_vector, power_vector
 from .migration import MigrationPlan, execute, plan
 from .placement import AnnealConfig, place
 from .scenario import ScenarioConfig
-from .thermal import ThermalState, TransientSolver, build_network, peak, steady_state
+from .thermal import ThermalState, TransientSolver, build_network, peak
 from .transforms import MigrationFunction
 
 # Collapses float noise when laying out the steps; far below dt, far above
@@ -184,10 +184,11 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
 
 def _start(cfg: ScenarioConfig, net):
     """(initial placement, its steady state, solver): what every run of one
-    configuration starts from; the steady state is the static baseline."""
+    configuration starts from. The steady state is the static baseline,
+    solved once by the solver, whose march holds it as that power's x_ss."""
     mapping = _resolve_initial_mapping(cfg, net)
-    baseline = steady_state(net, power_vector(mapping, cfg.profile))
-    return mapping, baseline, TransientSolver(net, cfg.dt)
+    solver = TransientSolver(net, cfg.dt)
+    return mapping, solver.steady(power_vector(mapping, cfg.profile)), solver
 
 
 def _resolve_initial_mapping(cfg: ScenarioConfig, net) -> Mapping:
@@ -199,16 +200,18 @@ def _resolve_initial_mapping(cfg: ScenarioConfig, net) -> Mapping:
     return place(cfg.profile, cfg.grid, net, anneal_cfg)
 
 
-def _simulate(cfg: ScenarioConfig, mapping0: Mapping, baseline: ThermalState,
-              solver: TransientSolver, keep_trace: bool) -> tuple[RunSummary, Trace | None]:
-    """The migrated run of a validated cfg against its static baseline."""
+def _plan(cfg: ScenarioConfig) -> MigrationPlan | None:
+    """The plan of every event of a run, or None when nothing ever moves."""
     if cfg.migration_fn.kind == "identity":
-        mplan = None
-    else:
-        mplan = plan(cfg.migration_fn, cfg.grid, cfg.cost)
-        if mplan.total_hops == 0:
-            mplan = None  # e.g. zero-offset translation: nothing ever moves
+        return None
+    mplan = plan(cfg.migration_fn, cfg.grid, cfg.cost)
+    return mplan if mplan.total_hops else None  # e.g. zero-offset translation
 
+
+def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mapping,
+              baseline: ThermalState, solver: TransientSolver,
+              keep_trace: bool) -> tuple[RunSummary, Trace | None]:
+    """The migrated run of a validated cfg against its static baseline."""
     times, runs, window, events = _schedule(cfg, mplan)
     temps = None
     if keep_trace:
@@ -236,7 +239,8 @@ def _simulate(cfg: ScenarioConfig, mapping0: Mapping, baseline: ThermalState,
 def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
     """Simulate one scenario (migrated run against the static baseline)."""
     cfg.validate()
-    return _simulate(cfg, *_start(cfg, build_network(cfg.grid, cfg.thermal)), True)
+    return _simulate(cfg, _plan(cfg), *_start(cfg, build_network(cfg.grid, cfg.thermal)),
+                     True)
 
 
 def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
@@ -244,9 +248,9 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
     """Cross product of runs in (function, period) input order.
 
     The network, an "auto" placement, the baseline and the solver are built
-    once and shared by every cell, which keeps no trace. A failing cell
-    records its error instead of aborting the sweep; a failing placement is
-    recorded in every cell.
+    once and shared by every cell, which keeps no trace; each distinct
+    function is planned once. A failing cell records its error instead of
+    aborting the sweep; a failing placement is recorded in every cell.
     """
     functions = list(functions)
     periods = list(periods)
@@ -262,6 +266,7 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
                     for fn in functions for period in periods]
         base = replace(base, initial_mapping=mapping)
     start = None
+    plans: dict[MigrationFunction, MigrationPlan | None] = {}
     rows = []
     for fn in functions:
         for period in periods:
@@ -270,7 +275,9 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
                 cell_cfg.validate()
                 if start is None:  # the same for every cell: built on the first valid one
                     start = _start(cell_cfg, net)
-                summary, _ = _simulate(cell_cfg, *start, False)
+                if fn not in plans:  # depends on neither the period nor the power
+                    plans[fn] = _plan(cell_cfg)
+                summary, _ = _simulate(cell_cfg, plans[fn], *start, False)
                 rows.append(SweepCell(base.name, fn, period, summary, None))
             except HotmeshError as exc:
                 rows.append(SweepCell(base.name, fn, period, None, str(exc)))

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
 from hotmesh.errors import ConfigurationError
 from hotmesh.grid import Coord, generate_warm_band, identity_mapping, make_grid
-from hotmesh.migration import (MigrationCostParams, execute, format_plan,
-                               migration_downtime, migration_energy, plan, xy_route)
-from hotmesh.transforms import (IDENTITY, MIRROR_X, MIRROR_XY, ROTATION, apply,
-                                translate_x, translate_xy)
+from hotmesh.migration import (MigrationCostParams, MigrationPlan, Transfer, execute,
+                               format_plan, migration_downtime, migration_energy, plan,
+                               xy_route)
+from hotmesh.transforms import (IDENTITY, MIRROR_X, MIRROR_XY, MIRROR_Y, ROTATION, apply,
+                                as_permutation, parse_function, translate_x, translate_xy)
 
 PARAMS = MigrationCostParams()
 
@@ -90,6 +93,46 @@ def test_phases_are_congestion_free_and_cover_all_moves():
                     assert len(links) == len(set(links))  # pairwise disjoint
                 non_fixed = {c for c in grid.cells() if apply(fn, c, grid) != c}
                 assert moved == non_fixed
+
+
+def coordinate_plan(fn, grid, params):
+    """Reference packer on Coord routes and Coord-pair link sets."""
+    perm = as_permutation(fn, grid)
+    phases, busy = [], []
+    for c in grid.cells():
+        if perm(c) == c:
+            continue
+        t = Transfer(src=c, dst=perm(c), route=xy_route(c, perm(c)))
+        for ph, used in zip(phases, busy):
+            if not used & set(t.route):
+                ph.append(t)
+                used |= set(t.route)
+                break
+        else:
+            phases.append([t])
+            busy.append(set(t.route))
+    draft = MigrationPlan(grid=grid, permutation=perm,
+                          phases=tuple(tuple(ph) for ph in phases),
+                          total_hops=sum(t.hops for ph in phases for t in ph),
+                          energy=0.0, downtime=0.0)
+    return replace(draft, energy=migration_energy(draft, params),
+                   downtime=migration_downtime(draft, params))
+
+
+def test_plan_equals_the_coordinate_reference():
+    detailed = MigrationCostParams(detailed_timing=True)
+    fns = (ROTATION, MIRROR_XY, MIRROR_Y, translate_xy(1, 1), translate_x(3),
+           parse_function("translate_y:2"), IDENTITY)
+    for nx, ny in ((4, 4), (5, 5), (8, 8), (1, 6), (6, 1), (3, 5)):
+        grid = make_grid(nx, ny)
+        for fn in fns:
+            if fn != ROTATION or nx == ny:
+                for params in (PARAMS, detailed):
+                    assert plan(fn, grid, params) == coordinate_plan(fn, grid, params), \
+                        (nx, ny, fn)
+    big = make_grid(32, 32)
+    for fn in (ROTATION, translate_xy(1, 1)):
+        assert plan(fn, big, detailed) == coordinate_plan(fn, big, detailed)
 
 
 def test_plan_is_deterministic():

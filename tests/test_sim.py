@@ -3,6 +3,7 @@ import pytest
 
 import hotmesh.placement
 import hotmesh.sim
+import hotmesh.thermal
 from hotmesh.errors import ConfigurationError, ModelError
 from hotmesh.grid import generate_warm_band, make_grid, power_vector
 from hotmesh.migration import MigrationCostParams
@@ -10,7 +11,7 @@ from hotmesh.placement import AnnealConfig
 from hotmesh.scenario import ScenarioConfig
 from hotmesh.sim import RunSummary, SweepCell, report, run, summarize, sweep
 from hotmesh.thermal import build_network, peak, spatial_spread, steady_state
-from hotmesh.transforms import IDENTITY, ROTATION, translate_x, translate_xy
+from hotmesh.transforms import IDENTITY, MIRROR_XY, ROTATION, translate_x, translate_xy
 from dataclasses import replace
 
 
@@ -48,6 +49,23 @@ def test_baseline_matches_initial_steady_state():
     summary, _ = run(cfg)
     assert summary.peak_static_baseline == peak(ss)
     assert summary.peak_overall == pytest.approx(peak(ss), abs=1e-4)
+
+
+def test_baseline_is_solved_once(monkeypatch):
+    # the baseline and the identity run's x_ss are one steady-state solve
+    calls = []
+
+    def counted(net, power):
+        calls.append(power)
+        return steady_state(net, power)
+
+    monkeypatch.setattr(hotmesh.thermal, "steady_state", counted)
+    monkeypatch.setattr(hotmesh.sim, "steady_state", counted, raising=False)
+    cfg = band_cfg(migration_fn=IDENTITY, sim_duration=1e-3, warmup=0.5e-3)
+    summary, trace = run(cfg)
+    assert len(calls) == 1
+    assert summary.peak_reduction == 0.0
+    assert np.array_equal(trace.temps[-1], trace.temps[0])
 
 
 def test_trace_steps_end_on_every_breakpoint():
@@ -190,6 +208,54 @@ def test_sweep_anneals_once_and_cells_equal_runs(monkeypatch):
                                 initial_mapping=mapping))
         assert row.error is None
         assert row.summary == direct
+
+
+def test_sweep_plans_once_per_distinct_function(monkeypatch):
+    cfg = band_cfg(sim_duration=1e-3, warmup=0.3e-3)
+    planned = []
+
+    def counted(fn, grid, params):
+        planned.append(fn)
+        return real_plan(fn, grid, params)
+
+    real_plan = hotmesh.sim.plan
+    monkeypatch.setattr(hotmesh.sim, "plan", counted)
+    functions = [translate_xy(1, 1), MIRROR_XY, translate_xy(1, 1), IDENTITY]
+    rows = sweep(cfg, functions, [109e-6, 218e-6, 437.2e-6])
+    assert planned == [translate_xy(1, 1), MIRROR_XY]
+    monkeypatch.undo()
+    for row in rows:
+        direct, _ = run(replace(cfg, migration_fn=row.fn, period=row.period))
+        assert row.summary == direct
+
+
+def test_run_makes_no_dense_linear_algebra_on_the_network(monkeypatch):
+    # The modal basis is closed form: a run factors, inverts or decomposes
+    # nothing larger than 2x2, so no O(n^3) work on the n-node network.
+    shapes = []
+
+    def recording(fn):
+        def recorded(*args, **kwargs):
+            shapes.extend(np.shape(a) for a in (*args, *kwargs.values())
+                          if isinstance(a, np.ndarray))
+            return fn(*args, **kwargs)
+        return recorded
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, recording(fn))
+    np.linalg.solve(np.eye(3), np.ones(3))
+    assert shapes == [(3, 3), (3,)]  # the recorder sees calls
+    shapes.clear()
+    grid = make_grid(16, 16)
+    profile, mapping = generate_warm_band(grid, 0.5, 2.0, 5)
+    cfg = ScenarioConfig(name="band16", grid=grid, profile=profile,
+                         initial_mapping=mapping, migration_fn=ROTATION,
+                         period=109e-6, sim_duration=0.5e-3, dt=1e-6)
+    summary, _ = run(cfg)
+    assert summary.migration_count == 4
+    assert all(max(shape, default=0) <= 2 for shape in shapes), shapes
 
 
 def test_sweep_records_a_failed_placement_in_every_cell(monkeypatch):

@@ -1,9 +1,10 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hotmesh.errors import ConfigurationError, ModelError
@@ -134,6 +135,76 @@ def test_singular_network_raises_model_error():
                          ambient_coupling=np.zeros(5), ambient=40.0)
     with pytest.raises(ModelError):
         steady_state(bad, np.ones(4))
+
+
+def test_networks_the_closed_form_cannot_represent_raise_model_error():
+    grid = make_grid(3, 2)
+    good = build_network(grid, ThermalParams())
+    g, cap, amb = good.conductance, good.capacitance, good.ambient_coupling
+    unequal = cap.copy()
+    unequal[2] *= 1.5
+    diagonal_link = g.copy()  # blocks 0 and 4 are not mesh neighbors
+    diagonal_link[0, 4] = diagonal_link[4, 0] = -0.01
+    diagonal_link[0, 0] += 0.01
+    diagonal_link[4, 4] += 0.01
+    block_to_ambient = amb.copy()
+    block_to_ambient[1] = 0.1
+    g_block_to_ambient = g.copy()
+    g_block_to_ambient[1, 1] += 0.1
+    nan_link = g.copy()
+    nan_link[1, 2] = math.nan
+    bad_networks = [
+        replace(good, capacitance=unequal),
+        replace(good, ambient_coupling=np.zeros(7)),
+        replace(good, conductance=diagonal_link),
+        replace(good, conductance=g_block_to_ambient, ambient_coupling=block_to_ambient),
+        replace(good, conductance=nan_link),
+        replace(good, grid=make_grid(2, 3)),  # the same shapes on a transposed mesh
+        replace(good, grid=make_grid(2, 2)),
+    ]
+    for bad in bad_networks:
+        with pytest.raises(ModelError):
+            steady_state(bad, np.ones(bad.n_blocks))
+        with pytest.raises(ModelError):
+            TransientSolver(bad, 1e-6)
+    # a hand-built copy of a built network has the structure and is accepted
+    copy = ThermalNetwork(grid=grid, conductance=g.copy(), capacitance=cap.copy(),
+                          ambient_coupling=amb.copy(), ambient=40.0)
+    p = np.linspace(0.1, 1.1, 6)
+    assert np.array_equal(steady_state(copy, p).temps, steady_state(good, p).temps)
+
+
+@st.composite
+def thermal_cases(draw):
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    factor = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
+    defaults = ThermalParams()
+    params = ThermalParams(
+        **{name: getattr(defaults, name) * draw(factor)
+           for name in ("k_si", "c_v", "die_thickness", "r_vertical", "r_sink", "c_sink")},
+        ambient=draw(st.floats(-40.0, 120.0)))
+    return make_grid(nx, ny, 4.36 * draw(factor)), params, draw(st.integers(0, 2**32 - 1))
+
+
+@given(thermal_cases())
+@example((make_grid(1, 1), ThermalParams(), 0))
+@example((make_grid(1, 9), ThermalParams(), 1))
+@example((make_grid(12, 1), ThermalParams(), 2))
+@example((make_grid(12, 12), ThermalParams(), 3))
+def test_closed_form_basis_matches_the_dense_operator(case):
+    grid, params, seed = case
+    net = build_network(grid, params)
+    modes = net.modes
+    c_half = np.sqrt(net.capacitance)
+    q = modes.to_modal / c_half[:, None]
+    s = net.conductance / np.outer(c_half, c_half)
+    assert np.max(np.abs(modes.from_modal * c_half - q.T)) <= 1e-12
+    assert np.max(np.abs(q.T @ q - np.eye(net.n_nodes))) <= 1e-12
+    assert np.max(np.abs(s @ q - q * modes.mu)) <= 1e-12 * np.max(np.abs(s))
+    assert np.all(modes.mu > 0)
+    p = np.random.default_rng(seed).uniform(0.0, 2.0, net.n_blocks)
+    dense = np.linalg.solve(net.conductance, np.append(p, 0.0)) + net.ambient
+    assert np.max(np.abs(steady_state(net, p).temps - dense)) <= 1e-9
 
 
 def test_power_vector_shape_checked():
