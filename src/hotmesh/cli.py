@@ -10,7 +10,7 @@ from pathlib import Path
 from .errors import HotmeshError
 from .grid import identity_mapping, make_grid
 from .migration import MigrationCostParams, format_plan, plan
-from .placement import AnnealConfig, evaluate, place, write_mapping_csv
+from .placement import AnnealConfig, anneal, evaluate, write_mapping_csv
 from .scenario import ScenarioConfig, load_scenario
 from .sim import SweepCell, format_run, report, run, sweep
 from .thermal import build_network, write_trace_csv
@@ -133,12 +133,11 @@ def _cmd_place(args) -> int:
     cfg = _load(args)
     net = build_network(cfg.grid, cfg.thermal)
     anneal_cfg = cfg.anneal if cfg.anneal is not None else AnnealConfig(seed=cfg.seed)
-    mapping = place(cfg.profile, cfg.grid, net, anneal_cfg)
+    result = anneal(cfg.profile, cfg.grid, net, anneal_cfg)
     out = _ensure_out(args)
-    write_mapping_csv(mapping, out / "mapping.csv")
+    write_mapping_csv(result.mapping, out / "mapping.csv")
     before = evaluate(identity_mapping(cfg.grid), cfg.profile, net)
-    after = evaluate(mapping, cfg.profile, net)
-    print(f"peak {before:.3f} C with the identity placement, {after:.3f} C annealed")
+    print(f"peak {before:.3f} C with the identity placement, {result.peak_c:.3f} C annealed")
     print(f"wrote {out / 'mapping.csv'}")
     return 0
 

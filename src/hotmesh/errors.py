@@ -18,5 +18,5 @@ class BoundsError(HotmeshError):
 
 
 class ModelError(HotmeshError):
-    """Thermal network cannot be solved: no path to ambient, or a structure
-    the closed-form modal basis cannot represent."""
+    """Thermal network cannot be solved: a conductance or capacitance that is
+    not positive and finite, or a singular system."""

@@ -9,6 +9,7 @@ a directed mesh link and the movement is congestion free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -35,8 +36,8 @@ class MigrationCostParams:
 
     def __post_init__(self) -> None:
         for name in ("state_bits", "e_bit_hop", "downtime_fixed", "t_bit_hop"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be in [0, inf), got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

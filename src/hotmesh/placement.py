@@ -36,8 +36,8 @@ class AnnealConfig:
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.t_start > self.t_end > 0:
-            raise ConfigurationError("annealing temperatures need t_start > t_end > 0")
+        if not math.inf > self.t_start > self.t_end > 0:
+            raise ConfigurationError("annealing temperatures need inf > t_start > t_end > 0")
 
 
 @dataclass(frozen=True)

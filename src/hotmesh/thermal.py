@@ -13,21 +13,20 @@ conductance reduces to k_si * die_thickness. The compact RC structure
 follows HotSpot (Huang et al., IEEE TVLSI 14(5), 2006).
 
 The blocks are identical: GridSpec has one cell_area and ThermalParams is
-global, so every block has the same capacitance c_b and the block part of
-G is g_lat L + g_vert I, with L the 4-neighbor grid Laplacian with
-adiabatic (Neumann) edges. The 2-D DCT-II diagonalizes L exactly (Strang,
-"The Discrete Cosine Transform", SIAM Review 41, 1999), so the symmetric
-S = C^-1/2 G C^-1/2 = Q diag(mu) Q^T is known in closed form:
+global, so the network is its scalars: conductances g_lat between mesh
+neighbors, g_vert from each block to the sink and g_amb from the sink to
+ambient, capacitances c_b per block and c_s of the sink. G and C are
+derived from them where they are read. The block part of G is
+g_lat L + g_vert I, with L the 4-neighbor grid Laplacian with adiabatic
+(Neumann) edges. The 2-D DCT-II diagonalizes L exactly (Strang, SIAM
+Review 41, 1999), so S = C^-1/2 G C^-1/2 = Q diag(mu) Q^T is closed form:
 
     Q  = kron(DCT_y, DCT_x) over the blocks, mode k = (ky, kx) row-major,
     mu = (g_lat (4 sin^2(pi kx / 2nx) + 4 sin^2(pi ky / 2ny)) + g_vert) / c_b,
 
 except that the sink couples only to the uniform mode k = 0: one 2x2
 rotation mixes that mode with the sink node and gives the last two
-eigenvalues. A network the closed form cannot represent (unequal block
-capacitances, no ambient coupling, any other coupling pattern) raises
-ModelError instead of returning numbers. The basis is built once per
-network and serves both solvers:
+eigenvalues. The basis is built once per network and serves both solvers:
 
     steady state:  x = C^-1/2 Q diag(1/mu) Q^T C^-1/2 P
 
@@ -52,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ModelError
-from .grid import Coord, GridSpec
+from .grid import GridSpec
 
 # Rows formatted per write by write_trace_csv.
 _CSV_CHUNK_ROWS = 256
@@ -72,8 +71,8 @@ class ThermalParams:
 
     def __post_init__(self) -> None:
         for name in ("k_si", "c_v", "die_thickness", "r_vertical", "r_sink", "c_sink"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be in (0, inf), got {getattr(self, name)}")
         if not math.isfinite(self.ambient):
             raise ConfigurationError("ambient temperature must be finite")
 
@@ -91,13 +90,23 @@ class ModalBasis:
 
 @dataclass(frozen=True)
 class ThermalNetwork:
-    """RC network over n block nodes plus the sink node at index n."""
+    """RC network over n identical block nodes plus the sink node at index n,
+    kept as its scalars; G and C are derived from them on each read."""
 
     grid: GridSpec
-    conductance: np.ndarray       # (n+1, n+1), W/K
-    capacitance: np.ndarray       # (n+1,), J/K
-    ambient_coupling: np.ndarray  # (n+1,), W/K
-    ambient: float                # deg C
+    g_lat: float    # W/K, between mesh-adjacent blocks
+    g_vert: float   # W/K, from each block to the sink
+    g_amb: float    # W/K, from the sink to ambient
+    c_b: float      # J/K, per block
+    c_s: float      # J/K, the sink
+    ambient: float  # deg C
+
+    def __post_init__(self) -> None:
+        for name in ("g_lat", "g_vert", "g_amb", "c_b", "c_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be in (0, inf), got {getattr(self, name)}")
+        if not math.isfinite(self.ambient):
+            raise ModelError(f"ambient must be finite, got {self.ambient}")
 
     @property
     def n_blocks(self) -> int:
@@ -107,11 +116,38 @@ class ThermalNetwork:
     def n_nodes(self) -> int:
         return self.grid.n_cells + 1
 
+    @property
+    def capacitance(self) -> np.ndarray:
+        """(n+1,), J/K: c_b on every block, c_s on the sink."""
+        return np.append(np.full(self.n_blocks, self.c_b), self.c_s)
+
+    @property
+    def ambient_coupling(self) -> np.ndarray:
+        """(n+1,), W/K: only the sink couples to ambient."""
+        return np.append(np.zeros(self.n_blocks), self.g_amb)
+
+    @property
+    def conductance(self) -> np.ndarray:
+        """(n+1, n+1), W/K: the dense G, assembled on each read. Its entries
+        are the sums a link-by-link assembly makes in float64: a block's
+        diagonal adds g_lat once per neighbor and then g_vert."""
+        nx, ny, n = self.grid.nx, self.grid.ny, self.n_blocks
+        g = np.zeros((n + 1, n + 1))
+        x, y = np.arange(n) % nx, np.arange(n) // nx
+        right, down = np.flatnonzero(x < nx - 1), np.flatnonzero(y < ny - 1)
+        for i, j in ((right, right + 1), (down, down + nx)):
+            g[i, j] = g[j, i] = -self.g_lat
+        g[:n, n] = g[n, :n] = -self.g_vert
+        lateral = np.add.accumulate([0.0] + [self.g_lat] * 4)  # 0, g, g+g, (g+g)+g, ...
+        degree = (x > 0).astype(int) + (x < nx - 1) + (y > 0) + (y < ny - 1)
+        g[np.arange(n), np.arange(n)] = lateral[degree] + self.g_vert
+        g[n, n] = _sink_diagonal(self)
+        return g
+
     @cached_property
     def modes(self) -> ModalBasis:
         """The closed-form modal basis, built once: by build_network, or on
-        first use of a network assembled otherwise (ModelError if the closed
-        form cannot represent it)."""
+        first use of a network constructed directly."""
         return _modal_basis(self)
 
 
@@ -125,38 +161,22 @@ class ThermalState:
 def build_network(grid: GridSpec, params: ThermalParams) -> ThermalNetwork:
     """4-neighbor lateral links, one vertical link per block, lumped sink,
     and the network's modal basis."""
-    n = grid.n_cells
-    sink = n
-    g = np.zeros((n + 1, n + 1))
-    g_lat = params.k_si * params.die_thickness
-    for c in grid.cells():
-        i = grid.index(c)
-        for nb in (Coord(c.x + 1, c.y), Coord(c.x, c.y + 1)):
-            if grid.in_bounds(nb):
-                j = grid.index(nb)
-                g[i, j] -= g_lat
-                g[j, i] -= g_lat
-                g[i, i] += g_lat
-                g[j, j] += g_lat
-    g_vert = 1.0 / params.r_vertical
-    for i in range(n):
-        g[i, sink] -= g_vert
-        g[sink, i] -= g_vert
-        g[i, i] += g_vert
-        g[sink, sink] += g_vert
-    ambient_coupling = np.zeros(n + 1)
-    ambient_coupling[sink] = 1.0 / params.r_sink
-    g[sink, sink] += ambient_coupling[sink]
-
-    cap = np.empty(n + 1)
-    cap[:n] = params.c_v * (grid.cell_area * 1e-6) * params.die_thickness
-    cap[sink] = params.c_sink
-    for arr in (g, cap, ambient_coupling):
-        arr.setflags(write=False)
-    net = ThermalNetwork(grid=grid, conductance=g, capacitance=cap,
-                         ambient_coupling=ambient_coupling, ambient=params.ambient)
+    net = ThermalNetwork(grid=grid,
+                         g_lat=params.k_si * params.die_thickness,
+                         g_vert=1.0 / params.r_vertical,
+                         g_amb=1.0 / params.r_sink,
+                         c_b=params.c_v * (grid.cell_area * 1e-6) * params.die_thickness,
+                         c_s=params.c_sink,
+                         ambient=params.ambient)
     _ = net.modes  # the basis is part of building the network, not of its first use
     return net
+
+
+def _sink_diagonal(net: ThermalNetwork) -> float:
+    """G[n, n] as a link-by-link assembly sums it in float64: the n vertical
+    links one at a time (accumulate adds left to right), then the ambient
+    link. The modal basis reads this rounded sum, not n g_vert + g_amb."""
+    return float(np.add.accumulate(np.full(net.n_blocks, net.g_vert))[-1]) + net.g_amb
 
 
 def _extended_power(net: ThermalNetwork, power) -> np.ndarray:
@@ -178,33 +198,9 @@ def _dct2(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _modal_basis(net: ThermalNetwork) -> ModalBasis:
-    """The network's modal basis in closed form, after checking that G and C
-    have the structure the closed form assumes (see the module docstring)."""
+    """The network's modal basis in closed form (see the module docstring)."""
     nx, ny, n = net.grid.nx, net.grid.ny, net.n_blocks
-    g, cap, amb = net.conductance, net.capacitance, net.ambient_coupling
-    if g.shape != (n + 1, n + 1) or cap.shape != (n + 1,) or amb.shape != (n + 1,):
-        raise ModelError(f"network arrays do not match its {nx}x{ny} mesh")
-    if not np.any(amb > 0):
-        raise ModelError("network has no coupling to ambient; steady state undefined")
-    c_b, c_s, g_amb = float(cap[0]), float(cap[n]), float(amb[n])
-    if not (np.all(cap[:n] == c_b) and 0 < c_b < math.inf and 0 < c_s < math.inf):
-        raise ModelError("closed form needs identical blocks: block capacitances differ "
-                         "or are not positive")
-    g_vert = float(-g[n, 0])
-    g_lat = float(-g[0, 1]) if nx > 1 else float(-g[0, nx]) if ny > 1 else 0.0
-    x, y = np.arange(n) % nx, np.arange(n) // nx
-    right, down = np.flatnonzero(x < nx - 1), np.flatnonzero(y < ny - 1)
-    degree = (x > 0).astype(int) + (x < nx - 1) + (y > 0) + (y < ny - 1)
-    diag = np.append(degree * g_lat + g_vert, n * g_vert + g_amb)
-    if not (g_amb < math.inf and np.all(amb[:n] == 0)
-            and 0 < g_vert < math.inf and (n == 1 or 0 < g_lat < math.inf)
-            and np.all(g[:n, n] == -g_vert) and np.all(g[n, :n] == -g_vert)
-            and all(np.all(g[i, j] == -g_lat) and np.all(g[j, i] == -g_lat)
-                    for i, j in ((right, right + 1), (down, down + nx)))
-            and np.allclose(np.diag(g), diag, rtol=1e-12, atol=0.0)
-            and np.count_nonzero(g) == 3 * n + 1 + 2 * (len(right) + len(down))):
-        raise ModelError("conductance is not a grid Laplacian plus a uniform vertical "
-                         "link to a sink that alone couples to ambient")
+    g_lat, g_vert, c_b, c_s = net.g_lat, net.g_vert, net.c_b, net.c_s
 
     dx, lx = _dct2(nx)
     dy, ly = _dct2(ny)
@@ -219,7 +215,7 @@ def _modal_basis(net: ThermalNetwork) -> ModalBasis:
     # [[a, b], [b, d]] with determinant g_vert g_amb / (c_b c_s). The sink
     # row is taken as assembled: its diagonal G[n, n] and the ambient
     # coupling it carries, G[n, n] - n g_vert, summed exactly.
-    g_sink = float(g[n, n])
+    g_sink = _sink_diagonal(net)
     g_amb_row = math.fsum([g_sink, *[-g_vert] * n])
     a, b, d = g_vert / c_b, -g_vert * math.sqrt(n / (c_b * c_s)), g_sink / c_s
     mu[0] = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
@@ -228,7 +224,7 @@ def _modal_basis(net: ThermalNetwork) -> ModalBasis:
     cos, sin = math.cos(theta), math.sin(theta)
     q[:n, 0], q[n, 0] = cos / math.sqrt(n), sin
     q[:n, n], q[n, n] = -sin / math.sqrt(n), cos
-    c_half = np.sqrt(cap)[:, None]
+    c_half = np.sqrt(net.capacitance)[:, None]
     to_modal = c_half * q
     q /= c_half  # in place: Q itself is not kept
     for arr in (mu, to_modal, q):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -226,3 +227,7 @@ def test_format_plan_lines():
 def test_cost_params_reject_negative_values():
     with pytest.raises(ConfigurationError):
         MigrationCostParams(e_bit_hop=-1.0)
+    for name in ("state_bits", "e_bit_hop", "downtime_fixed", "t_bit_hop"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                MigrationCostParams(**{name: bad})

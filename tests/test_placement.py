@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -137,6 +139,10 @@ def test_anneal_config_validation():
         AnnealConfig(iterations=0)
     with pytest.raises(ConfigurationError):
         AnnealConfig(t_start=1e-3, t_end=1.0)
+    for t_start, t_end in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
+                           (math.inf, math.inf)):
+        with pytest.raises(ConfigurationError):
+            AnnealConfig(t_start=t_start, t_end=t_end)
 
 
 def test_mapping_csv_round_trip(tmp_path):

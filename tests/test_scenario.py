@@ -123,6 +123,11 @@ seed = 11
     ("kind = warm_band", "kind = explicit\nworkload_3_w = nan"),  # nan power
     ("band_row = 1", "band_row = 1\nidle_power_w = inf"),         # infinite idle power
     ("kind = warm_band", "kind = explicit\nworkload_99_w = 1.0"),  # id not on the 4x4 mesh
+    ("r_sink_k_per_w = 0.5", "r_sink_k_per_w = inf"),            # infinite sink resistance
+    ("[thermal]", "[thermal]\nk_si_w_per_m_k = nan"),            # nan conductivity
+    ("downtime_fixed_us = 1.744", "downtime_fixed_us = nan"),   # nan downtime
+    ("state_bits = 8192", "state_bits = inf"),                  # infinite state blob
+    ("seed = 7", "seed = 7\nplacement = auto\nanneal_t_start = inf"),  # infinite temperature
 ])
 def test_broken_scenarios_raise_configuration_error(tmp_path, old, new):
     with pytest.raises(ConfigurationError):

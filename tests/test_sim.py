@@ -10,7 +10,8 @@ from hotmesh.migration import MigrationCostParams
 from hotmesh.placement import AnnealConfig
 from hotmesh.scenario import ScenarioConfig
 from hotmesh.sim import RunSummary, SweepCell, report, run, summarize, sweep
-from hotmesh.thermal import build_network, peak, spatial_spread, steady_state
+from hotmesh.thermal import (ThermalNetwork, ThermalParams, build_network, peak,
+                             spatial_spread, steady_state)
 from hotmesh.transforms import IDENTITY, MIRROR_XY, ROTATION, translate_x, translate_xy
 from dataclasses import replace
 
@@ -231,8 +232,16 @@ def test_sweep_plans_once_per_distinct_function(monkeypatch):
 
 def test_run_makes_no_dense_linear_algebra_on_the_network(monkeypatch):
     # The modal basis is closed form: a run factors, inverts or decomposes
-    # nothing larger than 2x2, so no O(n^3) work on the n-node network.
+    # nothing larger than 2x2, so no O(n^3) work on the n-node network, and
+    # an identity-placement run never assembles the dense (n+1)^2 G.
     shapes = []
+
+    def no_dense_conductance(net):
+        raise RuntimeError("the dense conductance was assembled")
+
+    monkeypatch.setattr(ThermalNetwork, "conductance", property(no_dense_conductance))
+    with pytest.raises(RuntimeError):
+        build_network(make_grid(2, 2), ThermalParams()).conductance
 
     def recording(fn):
         def recorded(*args, **kwargs):
