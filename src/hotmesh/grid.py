@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -59,13 +60,21 @@ class GridSpec:
     def coord(self, index: int) -> Coord:
         if not 0 <= index < self.n_cells:
             raise BoundsError(f"block index {index} outside {self.nx}x{self.ny} mesh")
-        return Coord(index % self.nx, index // self.nx)
+        return self._coords[index]
 
     def cells(self) -> Iterator[Coord]:
         """All coordinates in row-major order."""
-        for y in range(self.ny):
-            for x in range(self.nx):
-                yield Coord(x, y)
+        return iter(self._coords)
+
+    @cached_property
+    def _coords(self) -> tuple[Coord, ...]:
+        """Every coordinate, row-major, built once: coord() and cells() hand
+        out these objects, so dict and set lookups on them hit by identity."""
+        return tuple(Coord(i % self.nx, i // self.nx) for i in range(self.n_cells))
+
+    @cached_property
+    def _cell_set(self) -> frozenset[Coord]:
+        return frozenset(self._coords)
 
 
 def make_grid(nx: int, ny: int, cell_area: float = 4.36) -> GridSpec:
@@ -85,13 +94,13 @@ class Mapping:
             raise ConfigurationError(
                 f"mapping places {len(self.assignment)} workloads on a mesh of "
                 f"{self.grid.n_cells} PEs")
-        occupied = set()
+        if set(self.assignment.values()) == self.grid._cell_set:
+            return
+        # n workloads that do not cover the n cells: name the fault
         for w, c in self.assignment.items():
             if not self.grid.in_bounds(c):
                 raise ConfigurationError(f"workload {w} mapped outside the mesh at {c}")
-            occupied.add(c)
-        if len(occupied) != self.grid.n_cells:
-            raise ConfigurationError("mapping is not a bijection: a PE hosts multiple workloads")
+        raise ConfigurationError("mapping is not a bijection: a PE hosts multiple workloads")
 
     def location(self, workload: int) -> Coord:
         return self.assignment[workload]

@@ -157,11 +157,14 @@ def migration_downtime(plan_: MigrationPlan, params: MigrationCostParams) -> flo
 
 
 def execute(mapping: Mapping, plan_: MigrationPlan) -> Mapping:
-    """Apply the plan's permutation to a placement."""
+    """Apply the plan's permutation to a placement: one table lookup per
+    workload, at the row-major index of its cell (in bounds, since the
+    mapping was validated)."""
     if mapping.grid != plan_.grid:
         raise ConfigurationError("plan was built for a different mesh")
-    moved = {w: plan_.permutation(c) for w, c in mapping.assignment.items()}
-    return Mapping(mapping.grid, moved)
+    images, nx = plan_.permutation.images, mapping.grid.nx
+    return Mapping(mapping.grid,
+                   {w: images[c.y * nx + c.x] for w, c in mapping.assignment.items()})
 
 
 def format_plan(plan_: MigrationPlan) -> str:

@@ -35,7 +35,7 @@ from .grid import (GridSpec, Mapping, PowerProfile, generate_center_hotspot,
                    generate_warm_band, identity_mapping)
 from .migration import MigrationCostParams
 from .placement import AnnealConfig
-from .thermal import ThermalParams
+from .thermal import ThermalParams, network_scalars
 from .transforms import IDENTITY, MigrationFunction, as_permutation, parse_function
 
 
@@ -96,8 +96,21 @@ class ScenarioConfig:
                 f"{self.grid.nx}x{self.grid.ny} mesh")
         # raises if the function is invalid on this mesh (e.g. rotation, non-square)
         as_permutation(self.migration_fn, self.grid)
+        for name, value in network_scalars(self.grid, self.thermal).items():
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{_SCALAR_KEYS[name]} gives the thermal network {name} = {value}, "
+                    f"outside (0, inf)")
 
 
+# The scenario keys each network scalar of thermal.network_scalars is derived from.
+_SCALAR_KEYS = {
+    "g_lat": "[thermal] k_si_w_per_m_k * die_thickness_mm",
+    "g_vert": "1 / [thermal] r_vertical_k_per_w",
+    "g_amb": "1 / [thermal] r_sink_k_per_w",
+    "c_b": "[thermal] c_v_j_per_m3_k * die_thickness_mm * [grid] cell_area_mm2",
+    "c_s": "[thermal] c_sink_j_per_k",
+}
 _DEF_COST = MigrationCostParams()
 _DEF_THERMAL = ThermalParams()
 _DEF_ANNEAL = AnnealConfig()

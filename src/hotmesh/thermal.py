@@ -53,8 +53,18 @@ import numpy as np
 from .errors import ConfigurationError, ModelError
 from .grid import GridSpec
 
-# Rows formatted per write by write_trace_csv.
-_CSV_CHUNK_ROWS = 256
+# Values per block of rows formatted by write_trace_csv: its buffers stay a
+# few hundred kB however long or wide the trace is.
+_CSV_BLOCK_VALUES = 1 << 15
+# Decimal places of the time column and of every temperature column.
+_TIME_DECIMALS, _TEMP_DECIMALS = 9, 6
+# "0000".."9999", one uint32 word of four ASCII digits each.
+_DIGITS4 = (np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                                 indexing="ij"), axis=-1)
+            .reshape(10_000, 4).view(np.uint32).ravel())
+# The punctuation of a CSV row, two words, and the byte offset of each mark.
+_PUNCT = np.frombuffer(b"-.,\r\n\0\0\0", dtype=np.uint32)
+_MINUS, _DOT, _COMMA, _CR, _LF = range(5)
 
 
 @dataclass(frozen=True)
@@ -158,16 +168,21 @@ class ThermalState:
     temps: np.ndarray
 
 
+def network_scalars(grid: GridSpec, params: ThermalParams) -> dict[str, float]:
+    """The network's five conductances and capacitances, derived from the
+    material constants and the block area. Each constant may be in range
+    while a product or reciprocal of them under- or overflows."""
+    return dict(g_lat=params.k_si * params.die_thickness,
+                g_vert=1.0 / params.r_vertical,
+                g_amb=1.0 / params.r_sink,
+                c_b=params.c_v * (grid.cell_area * 1e-6) * params.die_thickness,
+                c_s=params.c_sink)
+
+
 def build_network(grid: GridSpec, params: ThermalParams) -> ThermalNetwork:
     """4-neighbor lateral links, one vertical link per block, lumped sink,
     and the network's modal basis."""
-    net = ThermalNetwork(grid=grid,
-                         g_lat=params.k_si * params.die_thickness,
-                         g_vert=1.0 / params.r_vertical,
-                         g_amb=1.0 / params.r_sink,
-                         c_b=params.c_v * (grid.cell_area * 1e-6) * params.die_thickness,
-                         c_s=params.c_sink,
-                         ambient=params.ambient)
+    net = ThermalNetwork(grid=grid, **network_scalars(grid, params), ambient=params.ambient)
     _ = net.modes  # the basis is part of building the network, not of its first use
     return net
 
@@ -306,17 +321,101 @@ def spatial_spread(state: ThermalState) -> float:
 def write_trace_csv(times, temps, path) -> None:
     """Emit a trace as CSV with columns time_s, t_block_0.., t_sink.
 
-    Rows are formatted a chunk at a time from one template, so memory stays
-    bounded however long the trace is.
+    Times are printed as %.9f and temperatures as %.6f, one block of rows
+    at a time, so memory stays bounded however long the trace is. A block
+    in which every column keeps one sign and one integer-digit count is
+    formatted by a fixed-width kernel (_fixed_point_rows); any other block
+    by the %-template (_template_rows), whose bytes the kernel reproduces.
     """
     times = np.asarray(times, dtype=float)
     temps = np.asarray(temps, dtype=float)
     n_blocks = temps.shape[1] - 1
     header = ["time_s"] + [f"t_block_{i}" for i in range(n_blocks)] + ["t_sink"]
-    row = "%.9f" + ",%.6f" * temps.shape[1] + "\r\n"
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for lo in range(0, len(temps), _CSV_CHUNK_ROWS):
-            chunk = np.column_stack((times[lo:lo + _CSV_CHUNK_ROWS],
-                                     temps[lo:lo + _CSV_CHUNK_ROWS]))
-            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+    decimals = (_TIME_DECIMALS,) + (_TEMP_DECIMALS,) * temps.shape[1]
+    block_rows = max(1, _CSV_BLOCK_VALUES // len(decimals))
+    layouts: dict[tuple, tuple[np.ndarray, int]] = {}
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\r\n").encode("ascii"))
+        for lo in range(0, len(temps), block_rows):
+            block = np.column_stack((times[lo:lo + block_rows], temps[lo:lo + block_rows]))
+            rows = _fixed_point_rows(block, decimals, layouts)
+            f.write(_template_rows(block, decimals) if rows is None else rows)
+
+
+def _template_rows(block: np.ndarray, decimals) -> bytes:
+    """The CSV rows of a block, every value %-formatted: the exact path."""
+    row = ",".join(f"%.{d}f" for d in decimals) + "\r\n"
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def _fixed_point_rows(block: np.ndarray, decimals, layouts: dict) -> np.ndarray | None:
+    """The bytes of _template_rows(block, decimals) as a (rows, width) uint8
+    array, or None when a column changes sign or integer-digit count or a
+    value is non-finite or at least 2^52 once scaled.
+
+    A value v with d decimals prints the integer q = rint(|v| 10^d). The
+    float product differs from the exact |v| 10^d by at most 2^-53 of its
+    size, so rint rounds it as %-formatting does (half to even on the exact
+    binary value) unless a tie lies in between. Values whose product lies
+    within 1e-6 + 2^-50 * (the block's largest product) of a tie are
+    therefore rounded by %-formatting, one at a time. q is cut into
+    base-10^4 groups whose ASCII digits are looked up in _DIGITS4, and an
+    index built once per layout (_row_layout) picks every row's bytes from
+    those digit words and the punctuation.
+    """
+    n_rows, n_cols = block.shape
+    scaled = np.abs(block) * 10.0 ** np.asarray(decimals)
+    top = scaled.max()
+    if not top < 2.0 ** 52:  # also false for nan and inf
+        return None
+    q = np.rint(scaled)
+    near_tie = np.abs(scaled - q) >= 0.5 - 1e-6 - top * 2.0 ** -50
+    for i in np.flatnonzero(near_tie).tolist():
+        r, c = divmod(i, n_cols)
+        q[r, c] = float(("%.*f" % (decimals[c], abs(block[r, c]))).replace(".", ""))
+    sign_bits = block.view(np.int64)  # negative exactly where the sign bit is set
+    negative = (sign_bits.max(axis=0) < 0).tolist()
+    if negative != (sign_bits.min(axis=0) < 0).tolist():
+        return None
+    widths = []  # digits printed per column, at least one before the point
+    for lo, hi, d in zip(q.min(axis=0).tolist(), q.max(axis=0).tolist(), decimals):
+        width = max(len(str(int(lo))), d + 1)
+        if width != max(len(str(int(hi))), d + 1):
+            return None
+        widths.append(width)
+    key = (tuple(widths), tuple(negative))
+    if key not in layouts:
+        layouts[key] = _row_layout(widths, negative, decimals)
+    index, groups = layouts[key]
+    # per row: groups digit words per column, then the punctuation words
+    words = np.empty((n_rows, n_cols + 1, groups), dtype=np.uint32)
+    q = q.astype(np.int64)
+    for j in range(groups - 1, 0, -1):
+        high = q // 10_000
+        words[:, :n_cols, j] = _DIGITS4[q - high * 10_000]
+        q = high
+    words[:, :n_cols, 0] = _DIGITS4[q]
+    words[:, n_cols, :len(_PUNCT)] = _PUNCT
+    return np.take(words.reshape(n_rows, -1).view(np.uint8), index, axis=1)  # C order
+
+
+def _row_layout(widths, negative, decimals) -> tuple[np.ndarray, int]:
+    """(index, groups) of one block layout: the digit words per value, and
+    the byte offset in a row of the kernel's word buffer of each byte of a
+    CSV row (per column an optional minus, the integer digits, the point
+    and the decimals, then a comma, or CRLF after the last column)."""
+    groups = max(-(-max(widths) // 4), len(_PUNCT))
+    stride = 4 * groups  # bytes per column; its digits end at the column's end
+    punct = len(widths) * stride
+    index = []
+    for c, (width, neg, d) in enumerate(zip(widths, negative, decimals)):
+        end = (c + 1) * stride
+        if neg:
+            index.append(punct + _MINUS)
+        index += range(end - width, end - d)
+        index.append(punct + _DOT)
+        index += range(end - d, end)
+        index.append(punct + _COMMA)
+    index[-1] = punct + _CR
+    index.append(punct + _LF)
+    return np.array(index, dtype=np.intp), groups

@@ -19,6 +19,9 @@ permutation of the plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import BoundsError, ConfigurationError, UnsupportedFunctionError
 from .grid import Coord, GridSpec
@@ -113,25 +116,27 @@ def apply(fn: MigrationFunction, c: Coord, grid: GridSpec) -> Coord:
     """Image of one coordinate under a migration function."""
     if not grid.in_bounds(c):
         raise BoundsError(f"{c} outside {grid.nx}x{grid.ny} mesh")
+    return Coord(*_image(fn, c.x, c.y, grid))
+
+
+def _image(fn: MigrationFunction, x, y, grid: GridSpec):
+    """(x', y') of the function: on ints for one coordinate, or elementwise
+    on integer arrays for many."""
     k = fn.kind
-    if k == "identity":
-        return c
     if k == "rotation":
         if grid.nx != grid.ny:
             raise UnsupportedFunctionError(
                 f"rotation needs a square mesh, got {grid.nx}x{grid.ny}")
-        return Coord(grid.nx - 1 - c.y, c.x)
-    if k == "mirror_x":
-        return Coord(grid.nx - 1 - c.x, c.y)
-    if k == "mirror_y":
-        return Coord(c.x, grid.ny - 1 - c.y)
-    if k == "mirror_xy":
-        return Coord(grid.nx - 1 - c.x, grid.ny - 1 - c.y)
-    if k == "translate_x":
-        return Coord((c.x + fn.dx) % grid.nx, c.y)
-    if k == "translate_y":
-        return Coord(c.x, (c.y + fn.dy) % grid.ny)
-    return Coord((c.x + fn.dx) % grid.nx, (c.y + fn.dy) % grid.ny)
+        return grid.nx - 1 - y, x
+    if k in ("mirror_x", "mirror_xy"):
+        x = grid.nx - 1 - x
+    if k in ("mirror_y", "mirror_xy"):
+        y = grid.ny - 1 - y
+    if k in ("translate_x", "translate_xy"):
+        x = (x + fn.dx % grid.nx) % grid.nx  # offsets reduced first: any int fits
+    if k in ("translate_y", "translate_xy"):
+        y = (y + fn.dy % grid.ny) % grid.ny
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,14 @@ class Permutation:
             raise ConfigurationError("index map is not a bijection of the mesh")
 
     def __call__(self, c: Coord) -> Coord:
-        return self.grid.coord(self.forward[self.grid.index(c)])
+        return self.images[self.grid.index(c)]
+
+    @cached_property
+    def images(self) -> tuple[Coord, ...]:
+        """The image Coord of every block, row-major: the Coord -> Coord
+        table, built once."""
+        cells = tuple(self.grid.cells())
+        return tuple(cells[i] for i in self.forward)
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.forward)
@@ -167,7 +179,9 @@ class Permutation:
 
 def as_permutation(fn: MigrationFunction, grid: GridSpec) -> Permutation:
     """The whole-plane permutation, pointwise equal to :func:`apply`."""
-    return Permutation(grid, tuple(grid.index(apply(fn, c, grid)) for c in grid.cells()))
+    y, x = np.divmod(np.arange(grid.n_cells), grid.nx)
+    x, y = _image(fn, x, y, grid)
+    return Permutation(grid, tuple((y * grid.nx + x).tolist()))
 
 
 def fixed_points(fn: MigrationFunction, grid: GridSpec) -> set[Coord]:

@@ -128,9 +128,21 @@ seed = 11
     ("downtime_fixed_us = 1.744", "downtime_fixed_us = nan"),   # nan downtime
     ("state_bits = 8192", "state_bits = inf"),                  # infinite state blob
     ("seed = 7", "seed = 7\nplacement = auto\nanneal_t_start = inf"),  # infinite temperature
+    ("[thermal]", "[thermal]\nc_v_j_per_m3_k = 1e-320"),       # block capacitance underflows to 0
+    ("[thermal]", "[thermal]\nk_si_w_per_m_k = 1e308\ndie_thickness_mm = 1e10"),  # g_lat overflows
+    ("[thermal]", "[thermal]\nr_vertical_k_per_w = 1e-320"),   # 1 / r overflows
 ])
 def test_broken_scenarios_raise_configuration_error(tmp_path, old, new):
     with pytest.raises(ConfigurationError):
+        load_scenario(write(tmp_path, FULL_SCENARIO.replace(old, new)))
+
+
+@pytest.mark.parametrize("old,new,keys", [
+    ("[thermal]", "[thermal]\nc_v_j_per_m3_k = 1e-320", "c_v_j_per_m3_k"),
+    ("[thermal]", "[thermal]\nk_si_w_per_m_k = 1e308\ndie_thickness_mm = 1e10", "k_si_w_per_m_k"),
+])
+def test_derived_thermal_scalars_name_their_scenario_keys(tmp_path, old, new, keys):
+    with pytest.raises(ConfigurationError, match=keys):
         load_scenario(write(tmp_path, FULL_SCENARIO.replace(old, new)))
 
 

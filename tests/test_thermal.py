@@ -1,14 +1,18 @@
 import csv
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hotmesh import thermal
 from hotmesh.errors import ConfigurationError, ModelError
 from hotmesh.grid import Coord, generate_warm_band, make_grid, power_vector
+from hotmesh.scenario import load_scenario
+from hotmesh.sim import run
 from hotmesh.thermal import (ThermalNetwork, ThermalParams, TransientSolver,
                              build_network, peak, spatial_spread, steady_state,
                              write_trace_csv)
@@ -399,3 +403,72 @@ def test_trace_csv_matches_csv_writer_bytes(tmp_path):
         _csv_writer_reference(times, temps, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert b"-0.000000" in (tmp_path / "ref.csv").read_bytes()
+
+
+def _count_template_blocks(monkeypatch):
+    """Row counts of the blocks write_trace_csv hands to the exact %-template."""
+    blocks = []
+    template = thermal._template_rows
+
+    def counted(block, decimals):
+        blocks.append(len(block))
+        return template(block, decimals)
+
+    monkeypatch.setattr(thermal, "_template_rows", counted)
+    return blocks
+
+
+def _kernel_cases():
+    """(name, times, temps) traces of one block each whose every column keeps
+    one sign and one integer-digit count, so the fixed-point kernel takes them."""
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.uniform(0.0, 2e-6, 300))
+    times[0] = 0.0
+    for digits in (1, 2, 3, 4):
+        lo = 0.0 if digits == 1 else 10.0 ** (digits - 1)
+        yield f"{digits} integer digits", times, rng.uniform(lo, 0.999 * 10.0 ** digits, (300, 5))
+    yield "all negative", times, -rng.uniform(10.0, 99.0, (300, 5))
+    ties = rng.uniform(41.0, 49.0, (300, 5))
+    # exact binary ties of the 6th decimal (j + 1/2) / 128 and decimal near-ties
+    ties[10, :] = [40.0078125, 40.0234375, 41.0390625, 42.5000005, 43.0000015]
+    tie_times = times.copy()
+    tie_times[20:24] = [1 / 1024, 3 / 1024, 5 / 1024, 0.0000000005]  # ties of the 9th decimal
+    yield "ties", tie_times, ties
+    carry = np.column_stack((rng.uniform(10.0, 99.0, 300), rng.uniform(100.0, 999.0, 300)))
+    carry[7] = [9.9999996, 99.9999996]  # round up into the column's digit count
+    yield "carry", times, carry
+    zeros = -rng.uniform(0.0, 9.0, (300, 2))
+    zeros[3] = [-0.0, -1e-9]
+    yield "negative zero", times, zeros
+
+
+def test_trace_csv_kernel_matches_csv_writer_bytes(tmp_path, monkeypatch):
+    template_blocks = _count_template_blocks(monkeypatch)
+    for name, times, temps in _kernel_cases():
+        write_trace_csv(times, temps, tmp_path / "fast.csv")
+        _csv_writer_reference(times, temps, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+    assert b"-0.000000," in (tmp_path / "ref.csv").read_bytes()
+    assert template_blocks == []  # a kernel that fell back would pass the comparison alone
+
+
+def test_shipped_traces_take_the_trace_csv_kernel(tmp_path, monkeypatch):
+    template_blocks = _count_template_blocks(monkeypatch)
+    for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.ini")):
+        _, trace = run(load_scenario(path))
+        write_trace_csv(trace.times, trace.temps, tmp_path / "fast.csv")
+        _csv_writer_reference(trace.times, trace.temps, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), path
+    assert template_blocks == []
+
+
+def test_trace_csv_template_takes_blocks_the_kernel_cannot(tmp_path, monkeypatch):
+    template_blocks = _count_template_blocks(monkeypatch)
+    times = np.array([0.0, 1e-6, 2e-6])
+    for column in ([9.5, 10.5, 11.5], [-1.0, 0.0, 1.0], [1.0, math.inf, 2.0],
+                   [1.0, math.nan, 2.0], [1.0, 1e300, 2.0]):
+        temps = np.column_stack((np.full(3, 45.0), column))
+        write_trace_csv(times, temps, tmp_path / "fast.csv")
+        _csv_writer_reference(times, temps, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert template_blocks == [3] * 5

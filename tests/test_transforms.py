@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hotmesh.errors import BoundsError, ConfigurationError, UnsupportedFunctionError
 from hotmesh.grid import Coord, make_grid
-from hotmesh.transforms import (IDENTITY, MIRROR_X, MIRROR_XY, MIRROR_Y, ROTATION,
+from hotmesh.transforms import (IDENTITY, KINDS, MIRROR_X, MIRROR_XY, MIRROR_Y, ROTATION,
                                 CumulativeTransform, MigrationFunction, Permutation,
                                 apply, as_permutation, compose, external_address,
                                 fixed_points, internal_address, parse_function,
@@ -188,3 +190,59 @@ def test_labels_round_trip_through_parse():
     for fn in (IDENTITY, ROTATION, MIRROR_X, MIRROR_XY, translate_x(3),
                translate_y(-1), translate_xy(2, 5)):
         assert parse_function(fn.label()) == fn
+
+
+meshes = st.builds(make_grid, st.integers(1, 12), st.integers(1, 12))
+square_meshes = st.integers(1, 12).map(lambda n: make_grid(n, n))
+offsets = st.integers(-30, 30)
+functions = st.builds(MigrationFunction, st.sampled_from(KINDS), offsets, offsets)
+
+
+@given(square_meshes)
+def test_rotation_to_the_fourth_is_the_identity(g):
+    r = as_permutation(ROTATION, g)
+    assert r.after(r).after(r).after(r) == Permutation.identity(g)
+
+
+@given(meshes)
+def test_mirrors_are_involutions(g):
+    for fn in (MIRROR_X, MIRROR_Y, MIRROR_XY):
+        m = as_permutation(fn, g)
+        assert m.after(m) == Permutation.identity(g)
+
+
+@given(meshes, offsets, offsets, offsets, offsets)
+def test_translations_compose_by_adding_offsets(g, a, b, c, d):
+    lhs = as_permutation(translate_xy(a, b), g).after(as_permutation(translate_xy(c, d), g))
+    assert lhs == as_permutation(translate_xy((a + c) % g.nx, (b + d) % g.ny), g)
+    assert lhs == as_permutation(translate_xy(a + c, b + d), g)
+
+
+def reference_image(fn, c, g):
+    """The transform table of the module docstring, one cell at a time."""
+    nx, ny, dx, dy = g.nx, g.ny, fn.dx, fn.dy
+    return {
+        "identity": c,
+        "rotation": Coord(nx - 1 - c.y, c.x),
+        "mirror_x": Coord(nx - 1 - c.x, c.y),
+        "mirror_y": Coord(c.x, ny - 1 - c.y),
+        "mirror_xy": Coord(nx - 1 - c.x, ny - 1 - c.y),
+        "translate_x": Coord((c.x + dx) % nx, c.y),
+        "translate_y": Coord(c.x, (c.y + dy) % ny),
+        "translate_xy": Coord((c.x + dx) % nx, (c.y + dy) % ny),
+    }[fn.kind]
+
+
+@given(meshes, functions)
+def test_as_permutation_equals_pointwise_apply(g, fn):
+    """The index-arithmetic permutation against the per-cell walk it replaced
+    and against the transform table."""
+    if fn.kind == "rotation" and g.nx != g.ny:
+        with pytest.raises(UnsupportedFunctionError):
+            as_permutation(fn, g)
+        with pytest.raises(UnsupportedFunctionError):
+            apply(fn, Coord(0, 0), g)
+        return
+    perm = as_permutation(fn, g)
+    assert perm.forward == tuple(g.index(apply(fn, c, g)) for c in g.cells())
+    assert all(perm(c) == apply(fn, c, g) == reference_image(fn, c, g) for c in g.cells())
