@@ -18,5 +18,5 @@ class BoundsError(HotmeshError):
 
 
 class ModelError(HotmeshError):
-    """Thermal network cannot be solved: a conductance or capacitance that is
-    not positive and finite, or a singular system."""
+    """Thermal network the model cannot solve: a conductance or capacitance
+    that is not positive and finite, or a non-finite ambient."""

@@ -41,8 +41,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError(f"mesh dimensions must be >= 1, got {self.nx}x{self.ny}")
-        if self.cell_area <= 0:
-            raise ConfigurationError(f"cell_area must be positive, got {self.cell_area}")
+        if not 0 < self.cell_area < math.inf:
+            raise ConfigurationError(f"cell_area must be in (0, inf), got {self.cell_area}")
 
     @property
     def n_cells(self) -> int:
@@ -140,9 +140,10 @@ class PowerProfile:
 
 def power_vector(mapping: Mapping, profile: PowerProfile) -> np.ndarray:
     """Dissipated watts per block, indexed row-major."""
+    nx = mapping.grid.nx
     v = np.empty(mapping.grid.n_cells)
-    for w, c in mapping.assignment.items():
-        v[mapping.grid.index(c)] = profile.power_of(w)
+    for w, c in mapping.assignment.items():  # a Mapping holds only in-bounds cells
+        v[c.y * nx + c.x] = profile.power_of(w)
     return v
 
 

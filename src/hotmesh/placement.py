@@ -2,12 +2,12 @@
 
 The objective is the steady-state peak block temperature. Steady state is
 linear, so the block temperatures are T - T_amb = R p, where R holds the
-block rows and columns of G^-1 (see :mod:`hotmesh.thermal`). anneal()
-computes R once and keeps the placement as a block index per workload plus
-the power vector it induces: a swap exchanges two entries of each, and a
-move costs one matvec instead of a dense solve. The same p gives the same
-R p, so equal-power swaps stay exact ties. A sweep anneals once and hands
-the placement to every cell.
+block rows and columns of G^-1, read off the modal basis without a solve
+(see :mod:`hotmesh.thermal`). anneal() computes R once and keeps the
+placement as a block index per workload plus the power vector it induces:
+a swap exchanges two entries of each, and a move costs one matvec instead
+of a solve. The same p gives the same R p, so equal-power swaps stay exact
+ties. A sweep anneals once and hands the placement to every cell.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelError
+from .errors import ConfigurationError
 from .grid import Coord, GridSpec, Mapping, PowerProfile, identity_mapping, power_vector
 from .thermal import ThermalNetwork, peak, steady_state
 
@@ -56,12 +56,10 @@ def evaluate(mapping: Mapping, profile: PowerProfile, net: ThermalNetwork) -> fl
 
 
 def _block_response(net: ThermalNetwork) -> np.ndarray:
-    """R with T_blocks - T_amb = R p: the block rows and columns of G^-1."""
-    n = net.n_blocks
-    try:
-        return np.linalg.solve(net.conductance, np.eye(n + 1, n))[:n]
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(f"thermal system is singular: {exc}") from None
+    """R with T_blocks - T_amb = R p: row i of the product is steady_state()
+    of one watt on block i, so R[j, i] is block j's rise per watt on block i."""
+    n, m = net.n_blocks, net.modes
+    return ((m.to_modal[:n] / net.c_b / m.mu) @ m.from_modal[:, :n]).T
 
 
 def anneal(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,

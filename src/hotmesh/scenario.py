@@ -19,7 +19,7 @@ Sections and keys (units are part of the key names):
             anneal_iterations, anneal_t_start, anneal_t_end
 
 Only [grid] and [profile] are mandatory; every other key falls back to the
-library defaults.
+library defaults. A section or key outside this table is an error.
 """
 
 from __future__ import annotations
@@ -111,6 +111,21 @@ _SCALAR_KEYS = {
     "c_b": "[thermal] c_v_j_per_m3_k * die_thickness_mm * [grid] cell_area_mm2",
     "c_s": "[thermal] c_sink_j_per_k",
 }
+# The keys of each section, as the table in the module docstring lists
+# them; [profile] also takes the keys of its kind.
+_SECTION_KEYS = {
+    "grid": "nx ny cell_area_mm2",
+    "profile": "kind idle_power_w",
+    "migration": "fn dx dy state_bits e_bit_hop_j downtime_fixed_us t_bit_hop_s detailed_timing",
+    "thermal": "k_si_w_per_m_k c_v_j_per_m3_k die_thickness_mm r_vertical_k_per_w "
+               "r_sink_k_per_w c_sink_j_per_k ambient_c",
+    "sim": "period_us duration_us dt_us warmup_us seed placement deposit_migration_energy "
+           "anneal_iterations anneal_t_start anneal_t_end",
+}
+_PROFILE_KEYS = {"warm_band": "base_power_w band_power_w band_row",
+                 "center_hotspot": "base_power_w hot_power_w",
+                 "explicit": ""}  # and workload_<id>_w
+_WORKLOAD_KEY = re.compile(r"workload_(\d+)_w")
 _DEF_COST = MigrationCostParams()
 _DEF_THERMAL = ThermalParams()
 _DEF_ANNEAL = AnnealConfig()
@@ -118,7 +133,9 @@ _DEF_ANNEAL = AnnealConfig()
 
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate one scenario file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no section name is empty, so [DEFAULT] is an ordinary (unknown) section
+    # instead of keys that every section would inherit
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     if not parser.read(path):
         raise ConfigurationError(f"cannot read scenario file {path}")
     try:
@@ -135,7 +152,19 @@ def _need(section, key: str, getter):
     return getter(key)
 
 
+def _reject_unknown_keys(section, allowed: str, pattern=None) -> None:
+    for key in section:
+        if key not in allowed.split() and not (pattern and pattern.fullmatch(key)):
+            raise ConfigurationError(f"[{section.name}] has unknown key {key!r}")
+
+
 def _build(p: configparser.ConfigParser, name: str) -> ScenarioConfig:
+    # a misspelled section or key would otherwise fall back to a default silently
+    for section in p.sections():
+        if section not in _SECTION_KEYS:
+            raise ConfigurationError(f"scenario has unknown section [{section}]")
+        if section != "profile":  # its keys depend on its kind: _parse_profile
+            _reject_unknown_keys(p[section], _SECTION_KEYS[section])
     for required in ("grid", "profile"):
         if not p.has_section(required):
             raise ConfigurationError(f"scenario needs a [{required}] section")
@@ -219,6 +248,10 @@ def _build(p: configparser.ConfigParser, name: str) -> ScenarioConfig:
 
 def _parse_profile(s, grid: GridSpec) -> tuple[PowerProfile, Mapping]:
     kind = _need(s, "kind", s.get)
+    if kind not in _PROFILE_KEYS:
+        raise ConfigurationError(f"unknown profile kind {kind!r}")
+    _reject_unknown_keys(s, f"{_SECTION_KEYS['profile']} {_PROFILE_KEYS[kind]}",
+                         _WORKLOAD_KEY if kind == "explicit" else None)
     idle = s.getfloat("idle_power_w", fallback=None)
     if kind == "warm_band":
         profile, mapping = generate_warm_band(
@@ -228,17 +261,15 @@ def _parse_profile(s, grid: GridSpec) -> tuple[PowerProfile, Mapping]:
         profile, mapping = generate_center_hotspot(
             grid, _need(s, "base_power_w", s.getfloat),
             _need(s, "hot_power_w", s.getfloat))
-    elif kind == "explicit":
+    else:  # explicit
         powers = {}
         for key, value in s.items():
-            m = re.fullmatch(r"workload_(\d+)_w", key)
+            m = _WORKLOAD_KEY.fullmatch(key)
             if m:
                 powers[int(m.group(1))] = float(value)
         if not powers:
             raise ConfigurationError("explicit profile lists no workload_<id>_w keys")
         return PowerProfile(powers, idle), identity_mapping(grid)
-    else:
-        raise ConfigurationError(f"unknown profile kind {kind!r}")
     if idle is not None:
         profile = PowerProfile(profile.workload_power, idle)
     return profile, mapping

@@ -15,18 +15,20 @@ follows HotSpot (Huang et al., IEEE TVLSI 14(5), 2006).
 The blocks are identical: GridSpec has one cell_area and ThermalParams is
 global, so the network is its scalars: conductances g_lat between mesh
 neighbors, g_vert from each block to the sink and g_amb from the sink to
-ambient, capacitances c_b per block and c_s of the sink. G and C are
-derived from them where they are read. The block part of G is
-g_lat L + g_vert I, with L the 4-neighbor grid Laplacian with adiabatic
-(Neumann) edges. The 2-D DCT-II diagonalizes L exactly (Strang, SIAM
-Review 41, 1999), so S = C^-1/2 G C^-1/2 = Q diag(mu) Q^T is closed form:
+ambient, capacitances c_b per block and c_s of the sink. G is the
+model's math and is never assembled: every quantity is read off one
+closed-form modal basis of it. The block part of G is g_lat L + g_vert I,
+with L the 4-neighbor grid Laplacian with adiabatic (Neumann) edges. The
+2-D DCT-II diagonalizes L exactly (Strang, SIAM Review 41, 1999), so
+S = C^-1/2 G C^-1/2 = Q diag(mu) Q^T is closed form:
 
     Q  = kron(DCT_y, DCT_x) over the blocks, mode k = (ky, kx) row-major,
     mu = (g_lat (4 sin^2(pi kx / 2nx) + 4 sin^2(pi ky / 2ny)) + g_vert) / c_b,
 
 except that the sink couples only to the uniform mode k = 0: one 2x2
 rotation mixes that mode with the sink node and gives the last two
-eigenvalues. The basis is built once per network and serves both solvers:
+eigenvalues. The basis is built once per network and serves both solvers
+(placement's block response is the steady state of each unit power):
 
     steady state:  x = C^-1/2 Q diag(1/mu) Q^T C^-1/2 P
 
@@ -101,7 +103,7 @@ class ModalBasis:
 @dataclass(frozen=True)
 class ThermalNetwork:
     """RC network over n identical block nodes plus the sink node at index n,
-    kept as its scalars; G and C are derived from them on each read."""
+    kept as its scalars; every solve reads its modal basis (modes)."""
 
     grid: GridSpec
     g_lat: float    # W/K, between mesh-adjacent blocks
@@ -125,34 +127,6 @@ class ThermalNetwork:
     @property
     def n_nodes(self) -> int:
         return self.grid.n_cells + 1
-
-    @property
-    def capacitance(self) -> np.ndarray:
-        """(n+1,), J/K: c_b on every block, c_s on the sink."""
-        return np.append(np.full(self.n_blocks, self.c_b), self.c_s)
-
-    @property
-    def ambient_coupling(self) -> np.ndarray:
-        """(n+1,), W/K: only the sink couples to ambient."""
-        return np.append(np.zeros(self.n_blocks), self.g_amb)
-
-    @property
-    def conductance(self) -> np.ndarray:
-        """(n+1, n+1), W/K: the dense G, assembled on each read. Its entries
-        are the sums a link-by-link assembly makes in float64: a block's
-        diagonal adds g_lat once per neighbor and then g_vert."""
-        nx, ny, n = self.grid.nx, self.grid.ny, self.n_blocks
-        g = np.zeros((n + 1, n + 1))
-        x, y = np.arange(n) % nx, np.arange(n) // nx
-        right, down = np.flatnonzero(x < nx - 1), np.flatnonzero(y < ny - 1)
-        for i, j in ((right, right + 1), (down, down + nx)):
-            g[i, j] = g[j, i] = -self.g_lat
-        g[:n, n] = g[n, :n] = -self.g_vert
-        lateral = np.add.accumulate([0.0] + [self.g_lat] * 4)  # 0, g, g+g, (g+g)+g, ...
-        degree = (x > 0).astype(int) + (x < nx - 1) + (y > 0) + (y < ny - 1)
-        g[np.arange(n), np.arange(n)] = lateral[degree] + self.g_vert
-        g[n, n] = _sink_diagonal(self)
-        return g
 
     @cached_property
     def modes(self) -> ModalBasis:
@@ -188,19 +162,10 @@ def build_network(grid: GridSpec, params: ThermalParams) -> ThermalNetwork:
 
 
 def _sink_diagonal(net: ThermalNetwork) -> float:
-    """G[n, n] as a link-by-link assembly sums it in float64: the n vertical
-    links one at a time (accumulate adds left to right), then the ambient
-    link. The modal basis reads this rounded sum, not n g_vert + g_amb."""
+    """G[n, n] as the tests' link-by-link assembly of G sums it in float64:
+    the n vertical links one at a time (accumulate adds left to right), then
+    the ambient link. The modal basis reads this sum, not n g_vert + g_amb."""
     return float(np.add.accumulate(np.full(net.n_blocks, net.g_vert))[-1]) + net.g_amb
-
-
-def _extended_power(net: ThermalNetwork, power) -> np.ndarray:
-    power = np.asarray(power, dtype=float)
-    if power.shape != (net.n_blocks,):
-        raise ValueError(f"power vector must have shape ({net.n_blocks},), got {power.shape}")
-    p = np.zeros(net.n_nodes)
-    p[:net.n_blocks] = power
-    return p
 
 
 def _dct2(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +204,7 @@ def _modal_basis(net: ThermalNetwork) -> ModalBasis:
     cos, sin = math.cos(theta), math.sin(theta)
     q[:n, 0], q[n, 0] = cos / math.sqrt(n), sin
     q[:n, n], q[n, n] = -sin / math.sqrt(n), cos
-    c_half = np.sqrt(net.capacitance)[:, None]
+    c_half = np.sqrt(np.append(np.full(n, c_b), c_s))[:, None]
     to_modal = c_half * q
     q /= c_half  # in place: Q itself is not kept
     for arr in (mu, to_modal, q):
@@ -250,9 +215,12 @@ def _modal_basis(net: ThermalNetwork) -> ModalBasis:
 def steady_state(net: ThermalNetwork, power) -> ThermalState:
     """Equilibrium temperatures for a constant per-block power vector:
     x = C^-1/2 Q diag(1/mu) Q^T C^-1/2 p on the network's modal basis."""
-    p = _extended_power(net, power)
+    power = np.asarray(power, dtype=float)
+    if power.shape != (net.n_blocks,):
+        raise ValueError(f"power vector must have shape ({net.n_blocks},), got {power.shape}")
     m = net.modes
-    x = ((p / net.capacitance) @ m.to_modal / m.mu) @ m.from_modal
+    # C^-1 p over all nodes: the sink dissipates nothing
+    x = ((np.append(power, 0.0) / net.c_b) @ m.to_modal / m.mu) @ m.from_modal
     return ThermalState(temps=x + net.ambient)
 
 

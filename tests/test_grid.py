@@ -21,6 +21,7 @@ def test_make_grid_single_cell():
 
 @pytest.mark.parametrize("nx,ny,area", [
     (0, 4, 4.36), (4, 0, 4.36), (-1, 4, 4.36), (4, 4, 0.0), (4, 4, -2.0),
+    (2, 2, math.nan), (2, 2, math.inf),
 ])
 def test_make_grid_rejects_bad_arguments(nx, ny, area):
     with pytest.raises(ConfigurationError):

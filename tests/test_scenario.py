@@ -131,10 +131,45 @@ seed = 11
     ("[thermal]", "[thermal]\nc_v_j_per_m3_k = 1e-320"),       # block capacitance underflows to 0
     ("[thermal]", "[thermal]\nk_si_w_per_m_k = 1e308\ndie_thickness_mm = 1e10"),  # g_lat overflows
     ("[thermal]", "[thermal]\nr_vertical_k_per_w = 1e-320"),   # 1 / r overflows
+    ("period_us = 109", "perod_us = 50"),                       # misspelled key
+    ("[thermal]", "[thermals]"),                                # misspelled section
 ])
 def test_broken_scenarios_raise_configuration_error(tmp_path, old, new):
     with pytest.raises(ConfigurationError):
         load_scenario(write(tmp_path, FULL_SCENARIO.replace(old, new)))
+
+
+@pytest.mark.parametrize("old,new,name", [
+    ("period_us = 109", "perod_us = 50", r"\[sim\] has unknown key 'perod_us'"),
+    ("[thermal]", "[thermals]", r"unknown section \[thermals\]"),
+    ("[grid]", "[DEFAULT]\nseed = 3\n[grid]", r"unknown section \[DEFAULT\]"),
+    ("band_row = 1", "band_row = 1\nhot_power_w = 3.0", "hot_power_w"),
+    ("kind = warm_band", "kind = explicit\nworkload_3_w = 1.0", "base_power_w"),
+])
+def test_unknown_sections_and_keys_are_named(tmp_path, old, new, name):
+    with pytest.raises(ConfigurationError, match=name):
+        load_scenario(write(tmp_path, FULL_SCENARIO.replace(old, new)))
+
+
+EXPLICIT_4X4 = """
+[grid]
+nx = 4
+ny = 4
+
+[profile]
+kind = explicit
+workload_0_w = 1.0
+"""
+
+
+@pytest.mark.parametrize("line,message", [
+    ("workload_3_w = inf", "workload 3 needs a finite power"),
+    ("workload_3_w = nan", "workload 3 needs a finite power"),
+    ("workload_99_w = 1.0", r"workloads \[99\] have a power entry but no PE"),
+])
+def test_explicit_profile_powers_are_checked(tmp_path, line, message):
+    with pytest.raises(ConfigurationError, match=message):
+        load_scenario(write(tmp_path, EXPLICIT_4X4 + line + "\n"))
 
 
 @pytest.mark.parametrize("old,new,keys", [

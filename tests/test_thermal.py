@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hotmesh import thermal
 from hotmesh.errors import ConfigurationError, ModelError
-from hotmesh.grid import Coord, generate_warm_band, make_grid, power_vector
+from hotmesh.grid import generate_warm_band, make_grid, power_vector
+from hotmesh.placement import _block_response
 from hotmesh.scenario import load_scenario
 from hotmesh.sim import run
 from hotmesh.thermal import (ThermalNetwork, ThermalParams, TransientSolver,
@@ -18,65 +19,47 @@ from hotmesh.thermal import (ThermalNetwork, ThermalParams, TransientSolver,
                              write_trace_csv)
 from hotmesh.transforms import MIRROR_X, MIRROR_Y, ROTATION, as_permutation
 
-
-def reference_conductance(grid, params):
-    """G assembled link by link with a per-cell loop: the oracle that
-    ThermalNetwork.conductance must match bit for bit, since placement's
-    response operator is solved from it."""
-    n = grid.n_cells
-    g = np.zeros((n + 1, n + 1))
-    g_lat = params.k_si * params.die_thickness
-    for c in grid.cells():
-        i = grid.index(c)
-        for nb in (Coord(c.x + 1, c.y), Coord(c.x, c.y + 1)):
-            if grid.in_bounds(nb):
-                j = grid.index(nb)
-                g[i, j] -= g_lat
-                g[j, i] -= g_lat
-                g[i, i] += g_lat
-                g[j, j] += g_lat
-    g_vert = 1.0 / params.r_vertical
-    for i in range(n):
-        g[i, n] -= g_vert
-        g[n, i] -= g_vert
-        g[i, i] += g_vert
-        g[n, n] += g_vert
-    g[n, n] += 1.0 / params.r_sink
-    return g
+from dense_oracle import reference_capacitance, reference_conductance
 
 
-def lateral_link_count(net):
-    off_diag = np.count_nonzero(net.conductance[:net.n_blocks, :net.n_blocks]) \
-        - np.count_nonzero(np.diag(net.conductance)[:net.n_blocks])
-    return off_diag // 2
+def lateral_link_count(g):
+    blocks = g[:-1, :-1]
+    return (np.count_nonzero(blocks) - np.count_nonzero(np.diag(blocks))) // 2
 
 
 def test_network_shape_and_link_counts():
     params = ThermalParams()
     net1 = build_network(make_grid(1, 1), params)
     assert net1.n_nodes == 2
-    assert lateral_link_count(net1) == 0
+    assert lateral_link_count(reference_conductance(net1.grid, params)) == 0
     net4 = build_network(make_grid(4, 4), params)
     assert net4.n_nodes == 17
-    assert lateral_link_count(net4) == 24  # 2 * 4 * 3 mesh edges
+    # 2 * 4 * 3 mesh edges
+    assert lateral_link_count(reference_conductance(net4.grid, params)) == 24
     net5 = build_network(make_grid(5, 5), params)
     assert net5.n_nodes == 26
-    assert lateral_link_count(net5) == 40  # 2 * 5 * 4
+    # 2 * 5 * 4
+    assert lateral_link_count(reference_conductance(net5.grid, params)) == 40
 
 
 def test_network_matrix_structure():
-    net = build_network(make_grid(3, 4), ThermalParams())
-    g = net.conductance
+    p = ThermalParams()
+    net = build_network(make_grid(3, 4), p)
+    g = reference_conductance(net.grid, p)
     assert np.allclose(g, g.T)
     off = g - np.diag(np.diag(g))
     assert np.all(off <= 0)
-    # every row sums to the node's conductance to ambient
-    assert np.allclose(g.sum(axis=1), net.ambient_coupling, atol=1e-12)
+    # every row sums to the node's conductance to ambient: only the sink's is not 0
+    assert np.allclose(g.sum(axis=1), np.append(np.zeros(net.n_blocks), net.g_amb),
+                       atol=1e-12)
+    # the network's scalars are the links of the assembled G
+    assert (-g[0, 1], -g[0, -1]) == (net.g_lat, net.g_vert)
     # lateral conductance between adjacent square blocks is k_si * thickness
-    p = ThermalParams()
     assert g[0, 1] == pytest.approx(-p.k_si * p.die_thickness)
-    assert net.capacitance[0] == pytest.approx(p.c_v * 4.36e-6 * p.die_thickness)
-    assert net.capacitance[-1] == pytest.approx(p.c_sink)
+    c = reference_capacitance(net.grid, p)
+    assert (net.c_b, net.c_s) == (c[0], c[-1])
+    assert net.c_b == pytest.approx(p.c_v * 4.36e-6 * p.die_thickness)
+    assert net.c_s == pytest.approx(p.c_sink)
 
 
 def test_thermal_params_validation():
@@ -124,7 +107,7 @@ def test_steady_state_energy_conservation():
     rng = np.random.default_rng(11)
     p = rng.uniform(0.0, 3.0, 25)
     st = steady_state(net, p)
-    flow_to_ambient = float(net.ambient_coupling @ (st.temps - 40.0))
+    flow_to_ambient = net.g_amb * float(st.temps[-1] - 40.0)
     assert flow_to_ambient == pytest.approx(p.sum(), rel=1e-9)
 
 
@@ -203,18 +186,32 @@ def thermal_cases(draw):
 def test_closed_form_basis_matches_the_dense_operator(case):
     grid, params, seed = case
     net = build_network(grid, params)
-    assert np.array_equal(net.conductance, reference_conductance(grid, params))
+    g = reference_conductance(grid, params)
+    # the basis reads the sink diagonal as the link-by-link sum rounds it
+    assert thermal._sink_diagonal(net) == g[-1, -1]
     modes = net.modes
-    c_half = np.sqrt(net.capacitance)
+    c_half = np.sqrt(reference_capacitance(grid, params))
     q = modes.to_modal / c_half[:, None]
-    s = net.conductance / np.outer(c_half, c_half)
+    s = g / np.outer(c_half, c_half)
     assert np.max(np.abs(modes.from_modal * c_half - q.T)) <= 1e-12
     assert np.max(np.abs(q.T @ q - np.eye(net.n_nodes))) <= 1e-12
     assert np.max(np.abs(s @ q - q * modes.mu)) <= 1e-12 * np.max(np.abs(s))
     assert np.all(modes.mu > 0)
     p = np.random.default_rng(seed).uniform(0.0, 2.0, net.n_blocks)
-    dense = np.linalg.solve(net.conductance, np.append(p, 0.0)) + net.ambient
+    dense = np.linalg.solve(g, np.append(p, 0.0)) + net.ambient
     assert np.max(np.abs(steady_state(net, p).temps - dense)) <= 1e-9
+
+
+@given(thermal_cases())
+@example((make_grid(1, 1), ThermalParams(), 0))
+@example((make_grid(12, 12), ThermalParams(), 0))
+def test_placement_block_response_matches_a_dense_solve(case):
+    # R[j, i], the rise of block j per watt on block i, read off the basis
+    grid, params, _ = case
+    net = build_network(grid, params)
+    n = net.n_blocks
+    dense = np.linalg.solve(reference_conductance(grid, params), np.eye(n + 1, n))[:n]
+    assert np.max(np.abs(_block_response(net) - dense)) <= 1e-9
 
 
 def test_power_vector_shape_checked():
@@ -277,14 +274,17 @@ def test_transient_converges_monotonically_to_steady_state():
 
 
 def test_transient_solver_matches_dense_backward_euler():
-    net = build_network(make_grid(3, 2), ThermalParams())
+    params = ThermalParams()
+    net = build_network(make_grid(3, 2), params)
+    g = reference_conductance(net.grid, params)
+    c = reference_capacitance(net.grid, params)
     solver = TransientSolver(net, 1e-6)
     rng = np.random.default_rng(5)
     p = rng.uniform(0.0, 1.0, 6)
 
     def oracle(temps, dt):
-        c_over_dt = net.capacitance / dt
-        x = np.linalg.solve(net.conductance + np.diag(c_over_dt),
+        c_over_dt = c / dt
+        x = np.linalg.solve(g + np.diag(c_over_dt),
                             np.append(p, 0.0) + c_over_dt * (temps - net.ambient))
         return x + net.ambient
 
@@ -311,12 +311,13 @@ def march_cases(draw):
 @given(march_cases())
 def test_march_matches_sequential_dense_backward_euler(case):
     nx, ny, dt, count, seed = case
-    net = build_network(make_grid(nx, ny), ThermalParams())
+    params = ThermalParams()
+    net = build_network(make_grid(nx, ny), params)
     rng = np.random.default_rng(seed)
     p0, p1 = rng.uniform(0.0, 2.0, (2, net.n_blocks))
     start = steady_state(net, p0).temps + rng.uniform(-1.0, 1.0, net.n_nodes)
-    c_over_dt = net.capacitance / dt
-    system = net.conductance + np.diag(c_over_dt)
+    c_over_dt = reference_capacitance(net.grid, params) / dt
+    system = reference_conductance(net.grid, params) + np.diag(c_over_dt)
     x, exact = start - net.ambient, []
     for _ in range(count):
         x = np.linalg.solve(system, np.append(p1, 0.0) + c_over_dt * x)
@@ -340,7 +341,7 @@ def test_transient_step_conserves_energy():
         p0, p1 = rng.uniform(0.0, 2.0, (2, n * n))
         solver = TransientSolver(net, 1e-6)
         for dt in (1e-6, 2.5e-7):
-            c_over_dt = net.capacitance / dt
+            c_over_dt = reference_capacitance(net.grid, ThermalParams()) / dt
             start = steady_state(net, p0).temps
             stepped = [start]
             for _ in range(100):
@@ -349,7 +350,7 @@ def test_transient_step_conserves_energy():
             for rows in (np.array(stepped), marched):
                 for old, new in zip(rows[:-1], rows[1:]):
                     balance = (c_over_dt * (new - old)).sum() \
-                        + net.ambient_coupling @ (new - net.ambient)
+                        + net.g_amb * (new[-1] - net.ambient)
                     rounding = (c_over_dt * np.spacing(new)).sum()
                     assert abs(balance - p1.sum()) <= 1e-9 * p1.sum() + rounding, (n, dt)
 
