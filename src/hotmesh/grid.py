@@ -9,8 +9,10 @@ entry) so the placement is always a total bijection of the mesh.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator
 
 import numpy as np
@@ -84,12 +86,14 @@ def make_grid(nx: int, ny: int, cell_area: float = 4.36) -> GridSpec:
 
 @dataclass(frozen=True)
 class Mapping:
-    """Bijection from workload id to mesh coordinate."""
+    """Bijection from workload id to mesh coordinate. The assignment is
+    checked once and kept as a read-only copy, so it stays a bijection."""
 
     grid: GridSpec
-    assignment: dict[int, Coord]
+    assignment: abc.Mapping[int, Coord]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
         if len(self.assignment) != self.grid.n_cells:
             raise ConfigurationError(
                 f"mapping places {len(self.assignment)} workloads on a mesh of "

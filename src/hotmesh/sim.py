@@ -7,11 +7,20 @@ migrated run is one backward-Euler march with one event per period: the
 plan's downtime stalls every PE at idle power, the transfer energy lands
 as a one-timestep heat pulse on the source PEs, and the placement
 permutes. Between events, stall end and pulse end the power is constant,
-so the schedule is laid out once as runs of equal steps, each marched in
-one product by TransientSolver.march. Statistics are taken over the
-window after warm-up so they describe settled behavior rather than the
-decay of the initial condition; they are accumulated run by run, so a
-sweep cell keeps no trace.
+so the schedule is laid out once as runs of equal steps: a head up to the
+first event, which stays at the baseline and is never marched, one period
+from event to event, and a tail cut at the run's end.
+
+Every full period repeats the same runs, so it is marched from one period
+template (TransientSolver.template) in modal coordinates, diagonal in the
+modes: the state at each event follows z_{k+1} = D z_k + f + B z_act(k),
+O(n) per event, with z_act(k) the steady state of the power the k-th
+event's placement dissipates. Node rows are formed only where they are
+read, in blocks of whole periods: all of them into a run's trace, and for
+a sweep cell, which keeps no trace, only those after warm-up. The tail is
+marched run by run. Statistics are taken over the window after warm-up so
+they describe settled behavior rather than the decay of the initial
+condition; they are accumulated block by block.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,9 +44,12 @@ from .transforms import MigrationFunction
 # the drift accumulated over any realistic step count.
 _TIME_EPS = 1e-9
 
-# Bound on the rows x nodes of one solver.march call, so a long run at
-# constant power (all of an identity run) is marched in pieces.
-_MARCH_ELEMENTS = 1 << 18
+# Bound on the rows x nodes of one solver.march call or one block of node
+# rows formed from the period template.
+_MARCH_ELEMENTS = 1 << 16
+
+# Bound on the steps x nodes of a traced run: 1 GiB of float64.
+_TRACE_VALUES = 1 << 27
 
 CSV_COLUMNS = (
     "scenario", "fn", "period_us", "peak_c", "baseline_peak_c",
@@ -66,6 +78,20 @@ class Trace:
 
     times: np.ndarray   # (m,) sample instants, s; first sample is t = 0
     temps: np.ndarray   # (m, n_blocks + 1) deg C
+
+
+class _Schedule(NamedTuple):
+    """The steps of a migrated run. Step i ends at times[i + 1]; steps from
+    index window on end after warm-up. head, body and tail are runs (see
+    _segment): up to the first event, of every event-to-event period, and
+    after the last of the events."""
+
+    times: np.ndarray
+    window: int
+    events: int
+    head: list
+    body: list
+    tail: list
 
 
 @dataclass(frozen=True)
@@ -104,14 +130,13 @@ def _segment(length: float, dt: float, stall: float, pulse: float, event: bool,
     return runs, np.array(ends)
 
 
-def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None):
-    """Steps of the migrated run, laid out once: (times, runs, window, events).
+def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
+    """Steps of the migrated run, laid out once (see _Schedule).
 
     A head up to the first event, one template per event-to-event period and
     a tail after the last event; events fire at t = k*period strictly inside
-    the run. Step i ends at times[i + 1]; the runs (see _segment) cover the
-    steps in order, each short enough that its rows stay within
-    _MARCH_ELEMENTS; steps from index window on end after warm-up.
+    the run. The runs (see _segment) are short enough that their rows stay
+    within _MARCH_ELEMENTS.
     """
     period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
     max_rows = max(1, _MARCH_ELEMENTS // (cfg.grid.n_cells + 1))
@@ -119,45 +144,114 @@ def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None):
     if mplan is not None:
         while (events + 1) * period < duration - _TIME_EPS:
             events += 1
-    runs, ends = _segment(period if events else duration, dt, 0.0, 0.0, False, max_rows)
+    head, ends = _segment(period if events else duration, dt, 0.0, 0.0, False, max_rows)
     parts = [ends]
+    body, tail = [], []
     if events:
         pulse = dt if cfg.deposit_migration_energy else 0.0
         body, body_ends = _segment(period, dt, mplan.downtime, pulse, True, max_rows)
         tail, tail_ends = _segment(duration - events * period, dt, mplan.downtime,
                                    pulse, True, max_rows)
-        runs = runs + body * (events - 1) + tail
-        parts += [k * period + body_ends for k in range(1, events)]
+        parts.append((np.arange(1, events)[:, None] * period + body_ends).ravel())
         parts.append(events * period + tail_ends)
     times = np.concatenate([[0.0], *parts])
     window = int(np.searchsorted(times[1:], cfg.effective_warmup + _TIME_EPS, side="right"))
     if window == len(times) - 1:
         raise ConfigurationError("warmup leaves no step to take statistics over")
-    return times, runs, window, events
+    return _Schedule(times, window, events, head, body, tail)
+
+
+class _Window:
+    """Peak, largest spread and time-weighted mean of the block temperatures
+    over the steps from index start on, taken block of rows by block. The
+    mean sums one term per step in a single sum over the window, so it does
+    not depend on how the rows are grouped (a sweep cell's blocks are not a
+    run's)."""
+
+    def __init__(self, times: np.ndarray, start: int, n_blocks: int):
+        self.weights = np.diff(times)
+        self.start, self.n_blocks = start, n_blocks
+        self.peak = self.spread = -math.inf
+        self.terms: list[np.ndarray] = []
+
+    def add(self, first: int, rows: np.ndarray) -> None:
+        """Take in the node rows of steps first, first + 1, ..."""
+        lo = max(self.start - first, 0)  # rows that end before warm-up
+        if lo >= len(rows):
+            return
+        blocks = rows[lo:, :self.n_blocks]
+        row_max = blocks.max(axis=1)
+        self.peak = max(self.peak, float(row_max.max()))
+        self.spread = max(self.spread, float((row_max - blocks.min(axis=1)).max()))
+        self.terms.append(blocks.mean(axis=1) * self.weights[first + lo:first + len(rows)])
+
+    def result(self) -> tuple[float, float, float]:
+        """(peak, time-weighted mean, largest spread)."""
+        mean = np.concatenate(self.terms).sum() / self.weights[self.start:].sum()
+        return self.peak, float(mean), self.spread
 
 
 def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
-           temps0: np.ndarray, mplan: MigrationPlan | None, runs, times: np.ndarray,
-           window: int, trace: np.ndarray | None):
-    """Backward-Euler march over the runs from temps0; the window statistics.
+           temps0: np.ndarray, mplan: MigrationPlan | None, sched: _Schedule,
+           trace: np.ndarray | None) -> tuple[float, float, float]:
+    """Backward-Euler march of the migrated run from the baseline temps0;
+    its window statistics (see _Window). trace, if given, receives the node
+    temps at every step end.
 
-    A run of equal steps at constant power is one solver.march, a lone step
-    one solver.step. Peak, time-weighted mean and largest spread of the
-    block temperatures over the steps from index window on are accumulated
-    per run. trace, if given, receives the node temps at every step end.
+    The periods are marched from one template over the idle and pulse
+    powers and the active power of each event's placement, in modal
+    deviations from the baseline; the tail by solver.march, a lone step by
+    solver.step. Each event executes the plan once.
     """
-    n_blocks = cfg.grid.n_cells
-    active = power_vector(mapping, cfg.profile)
+    n_blocks, n_nodes = cfg.grid.n_cells, cfg.grid.n_cells + 1
+    stats = _Window(sched.times, sched.window, n_blocks)
+    i = sum(run[4] for run in sched.head)
+    stats.add(0, np.broadcast_to(temps0, (i, n_nodes)))
+    if trace is not None:
+        trace[1:1 + i] = temps0
+    if not sched.events:
+        return stats.result()
     stalled = idle_vector(cfg.profile, cfg.grid)
     pulse = np.zeros(n_blocks)
-    if mplan is not None:
-        src_idx = [cfg.grid.index(c) for c in mplan.source_cells()]
-        pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
-    weights = np.diff(times)
-    peak_c = spread = -math.inf
-    mean_terms = []
-    x, i = temps0, 0
-    for length, idle, pulsed, fires, count in runs:
+    src_idx = [cfg.grid.index(c) for c in mplan.source_cells()]
+    pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
+    x, periods = temps0, sched.events - 1
+    if periods:
+        # modal deviations from the baseline, the steady state of mapping's
+        # power: small, so rounding stays small
+        z0 = solver.modal_steady(power_vector(mapping, cfg.profile))
+        z_idle = solver.modal_steady(stalled) - z0
+        z_pulse = solver.modal_steady(pulse)
+        template = solver.template(
+            [(count, cfg.dt if length is None else length,
+              (z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0), not idle)
+             for length, idle, pulsed, _, count in sched.body])
+        actives = np.empty((periods, n_nodes))
+        for k in range(periods):
+            mapping = execute(mapping, mplan)
+            actives[k] = solver.modal_steady(power_vector(mapping, cfg.profile))
+        actives -= z0
+        starts = template.starts(np.zeros(n_nodes), actives)
+        # blocks of whole periods, or of one period's steps when a period is
+        # longer than a block; a sweep cell starts at warm-up's period, and
+        # its node rows need an array of their own, so its blocks are halved
+        steps = template.steps
+        values = _MARCH_ELEMENTS if trace is not None else _MARCH_ELEMENTS // 2
+        span = min(steps, max(1, values // n_nodes))
+        per = max(1, values // (steps * n_nodes))
+        k_first = 0 if trace is not None else max(sched.window - i, 0) // steps
+        for k0 in range(k_first, periods, per):
+            k1 = min(k0 + per, periods)
+            for s0 in range(0, steps, span):
+                s1 = min(s0 + span, steps)
+                z = template.rows(starts[k0:k1], actives[k0:k1], s0, s1).reshape(-1, n_nodes)
+                lo = i + k0 * steps + s0
+                out = None if trace is None else trace[1 + lo:1 + lo + len(z)]
+                stats.add(lo, solver.nodes(z, temps0, out))
+                del z  # else it lives on while the next block is formed
+        x = solver.nodes(starts[-1], temps0)
+        i += periods * steps
+    for length, idle, pulsed, fires, count in sched.tail:
         if fires:
             mapping = execute(mapping, mplan)
             active = power_vector(mapping, cfg.profile)
@@ -170,16 +264,10 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
             rows = solver.march(x, p, count, length)
         if trace is not None:
             trace[i + 1:i + 1 + count] = rows
+        stats.add(i, rows)
         x = rows[-1]
-        lo = max(window - i, 0)  # rows of this run that end before warm-up
-        if lo < count:
-            blocks = rows[lo:, :n_blocks]
-            row_max = blocks.max(axis=1)
-            peak_c = max(peak_c, float(row_max.max()))
-            spread = max(spread, float((row_max - blocks.min(axis=1)).max()))
-            mean_terms.append(float((blocks.mean(axis=1) * weights[i + lo:i + count]).sum()))
         i += count
-    return peak_c, math.fsum(mean_terms) / weights[window:].sum(), spread
+    return stats.result()
 
 
 def _start(cfg: ScenarioConfig, net):
@@ -212,13 +300,14 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
               baseline: ThermalState, solver: TransientSolver,
               keep_trace: bool) -> tuple[RunSummary, Trace | None]:
     """The migrated run of a validated cfg against its static baseline."""
-    times, runs, window, events = _schedule(cfg, mplan)
+    sched = _schedule(cfg, mplan)
+    events, times = sched.events, sched.times
     temps = None
     if keep_trace:
         temps = np.empty((len(times), solver.net.n_nodes))
         temps[0] = baseline.temps
     mig_peak, time_avg, spread = _march(solver, cfg, mapping0, baseline.temps, mplan,
-                                        runs, times, window, temps)
+                                        sched, temps)
     base_peak = peak(baseline)
 
     penalty = 0.0 if mplan is None else mplan.downtime / cfg.period
@@ -236,9 +325,21 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
     return summary, (Trace(times=times, temps=temps) if keep_trace else None)
 
 
+def _check_trace_size(cfg: ScenarioConfig) -> None:
+    """Refuse a traced run whose steps x nodes exceed _TRACE_VALUES, from
+    sim_duration / dt alone: before anything is built or laid out."""
+    steps, nodes = cfg.sim_duration / cfg.dt, cfg.grid.n_cells + 1
+    if steps * nodes > _TRACE_VALUES:
+        raise ConfigurationError(
+            f"a traced run of {steps:.0f} steps x {nodes} nodes exceeds the limit of "
+            f"{_TRACE_VALUES} values (1 GiB of float64); shorten duration_us, raise "
+            f"dt_us or run a sweep, which keeps no trace")
+
+
 def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
     """Simulate one scenario (migrated run against the static baseline)."""
     cfg.validate()
+    _check_trace_size(cfg)
     return _simulate(cfg, _plan(cfg), *_start(cfg, build_network(cfg.grid, cfg.thermal)),
                      True)
 

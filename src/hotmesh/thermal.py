@@ -37,10 +37,16 @@ deviation from the steady state x_ss of the step's power by
 lambda(h) = 1 / (1 + h mu), k equal steps at constant power are one
 matrix product,
 
-    x_j = x_ss + C^-1/2 Q (lambda^j * Q^T C^1/2 (x_0 - x_ss)),  j = 1..k.
+    x_j = x_0 - C^-1/2 Q ((1 - lambda^j) * Q^T C^1/2 (x_0 - x_ss)),  j = 1..k.
 
-A steady state stays fixed bit for bit: x_ss is the steady_state() solve
-of that power, so a start at it has zero deviation.
+The step is taken as the change from x_0, with 1 - lambda^j computed by
+expm1 and log1p: in the slow modes (the sink's) it is tiny, and x_ss plus
+the decayed deviation would lose the digits of a large x_ss, such as a
+heat pulse's. A steady state stays fixed bit for bit: x_ss is the
+steady_state() solve of that power, so a start at it has zero deviation.
+In modal coordinates z = Q^T C^1/2 (x - x_ref) each such run is diagonal,
+so a sequence of runs that repeats (one migration period, PeriodTemplate)
+maps its start to its end by one diagonal affine map.
 """
 
 from __future__ import annotations
@@ -229,9 +235,11 @@ class TransientSolver:
 
     The network's modal basis serves every step length: march() returns
     the k rows of k equal steps at constant power in one (k x n)(n x n)
-    product, and step() is its one-row case. The steady state of each
-    distinct power vector is solved once (steady()) and kept for the
-    solver's life.
+    product, and step() is its one-row case. template() lays out a
+    repeating sequence of such runs in modal coordinates (PeriodTemplate),
+    and nodes() turns its modal rows into node temperatures. The steady
+    state of each distinct power vector is solved once (steady(),
+    modal_steady()) and kept for the solver's life.
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
@@ -243,6 +251,7 @@ class TransientSolver:
         self._to_modal = modes.to_modal
         self._from_modal = modes.from_modal
         self._steady_by_power: dict[bytes, ThermalState] = {}
+        self._modal_by_power: dict[bytes, np.ndarray] = {}
 
     def steady(self, power) -> ThermalState:
         """steady_state() of a power vector, solved once per distinct vector."""
@@ -262,12 +271,110 @@ class TransientSolver:
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
         x_ss = self.steady(power).temps
-        decay = (1.0 + dt * self._mu) ** -np.arange(1, count + 1)[:, None]
-        return x_ss + (decay * ((temps - x_ss) @ self._to_modal)) @ self._from_modal
+        approach = self._approach(dt, count)
+        return temps - (approach * ((temps - x_ss) @ self._to_modal)) @ self._from_modal
+
+    def _approach(self, dt: float, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """1 - lambda(dt)^j for j = 1..count, (count, n_nodes): the share of
+        each mode's way to the steady state after j steps, as
+        -expm1(-j log1p(dt mu)), exact also where lambda is close to 1."""
+        out = np.multiply(np.arange(-1, -count - 1, -1)[:, None], np.log1p(dt * self._mu),
+                          out=out)
+        return np.negative(np.expm1(out, out=out), out=out)
 
     def step(self, temps: np.ndarray, power, dt: float | None = None) -> np.ndarray:
         """Advance node temperatures by dt (defaults to the solver's own)."""
         return self.march(temps, power, 1, dt)[0]
+
+    def modal_steady(self, power) -> np.ndarray:
+        """Modal coordinates z = (x - ambient) @ to_modal of the steady state
+        of a power vector, (C^-1 p) @ to_modal / mu: nodes(z, ambient) is
+        steady(power).temps bit for bit. Solved once per distinct vector."""
+        power = np.asarray(power, dtype=float)
+        key = power.tobytes()
+        z = self._modal_by_power.get(key)
+        if z is None:
+            z = self._modal_by_power[key] = \
+                (np.append(power, 0.0) / self.net.c_b) @ self._to_modal / self._mu
+        return z
+
+    def nodes(self, z: np.ndarray, origin: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Node temperatures origin + z @ from_modal of modal rows z taken
+        relative to the node temperatures origin, into out if given."""
+        out = np.matmul(z, self._from_modal, out=out)
+        out += origin
+        return out
+
+    def template(self, runs) -> PeriodTemplate:
+        """The PeriodTemplate of consecutive runs of equal steps, each run
+        (count, dt, fixed, varies): count steps of length dt towards the
+        modal steady state fixed, plus the varying source if varies."""
+        n = self.net.n_nodes
+        bounds = (0, *np.cumsum([run[0] for run in runs]).tolist())
+        approach = np.empty((bounds[-1], n))
+        decay, offset, gain = np.ones(n), np.zeros(n), np.zeros(n)
+        for (count, dt, fixed, varies), start in zip(runs, bounds):
+            _check_dt(dt)
+            w = self._approach(dt, count, out=approach[start:start + count])
+            decay = decay - w[-1] * decay
+            offset = offset - w[-1] * (offset - fixed)
+            gain = gain - w[-1] * (gain - float(varies))
+        fixed = np.array([np.broadcast_to(run[2], n) for run in runs])
+        return PeriodTemplate(bounds, approach, fixed, tuple(bool(run[3]) for run in runs),
+                              decay, offset, gain)
+
+
+@dataclass(frozen=True)
+class PeriodTemplate:
+    """One event-to-event period in modal coordinates, diagonal in the modes.
+
+    Run r takes steps bounds[r]..bounds[r + 1] - 1 towards the modal steady
+    state fixed[r], plus the period's varying source z_var if varies[r].
+    Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss), as in
+    march(), so a period maps its start z0 to its end decay * z0 + offset
+    + gain * z_var.
+    """
+
+    bounds: tuple[int, ...]
+    approach: np.ndarray      # (steps, n): 1 - lambda^j of step j = 1.. of its run
+    fixed: np.ndarray         # (runs, n)
+    varies: tuple[bool, ...]
+    # the period's map z0 -> D z0 + f + B z_var, each (n,)
+    decay: np.ndarray         # D
+    offset: np.ndarray        # f
+    gain: np.ndarray          # B
+
+    @property
+    def steps(self) -> int:
+        return self.bounds[-1]
+
+    def starts(self, z0: np.ndarray, z_var: np.ndarray) -> np.ndarray:
+        """z0 and the start of every later period, z_{k+1} = D z_k + f + B
+        z_var[k]: O(n) per period, (len(z_var) + 1, n)."""
+        z = np.empty((len(z_var) + 1, len(z0)))
+        z[0] = z0
+        z[1:] = self.gain * z_var + self.offset
+        for k in range(len(z_var)):
+            z[k + 1] += self.decay * z[k]
+        return z
+
+    def rows(self, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int) -> np.ndarray:
+        """Modal states after steps s0..s1 - 1 of the periods started at
+        z0[k] under z_var[k], both (periods, n): (periods, s1 - s0, n)."""
+        out = np.empty((len(z0), s1 - s0, z0.shape[1]))
+        z = z0
+        for a, b, fixed, varies in zip(self.bounds, self.bounds[1:], self.fixed, self.varies):
+            if a >= s1:
+                break
+            dev = z - (fixed + z_var if varies else fixed)
+            lo, hi = max(a, s0), min(b, s1)
+            if lo < hi:
+                block = out[:, lo - s0:hi - s0]
+                np.multiply(self.approach[lo:hi], dev[:, None], out=block)
+                np.subtract(z[:, None], block, out=block)
+            z = z - self.approach[b - 1] * dev
+        return out
 
 
 def _check_dt(dt: float) -> None:

@@ -74,6 +74,14 @@ def test_run_rejects_invalid_scenario(tmp_path, capsys):
     assert "band_row" in capsys.readouterr().err
 
 
+def test_run_refuses_a_trace_over_the_memory_limit(tmp_path, capsys):
+    bad = tmp_path / "fine.ini"
+    bad.write_text(SCENARIO.replace("duration_us = 1000", "duration_us = 32000\ndt_us = 0.001"))
+    rc = main(["run", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 def test_sweep_subcommand(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["sweep", str(scenario_file), "--functions", "translate_xy",

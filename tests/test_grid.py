@@ -56,6 +56,23 @@ def test_mapping_rejects_non_bijection():
         Mapping(g, {0: Coord(0, 0), 1: Coord(1, 0), 2: Coord(0, 1), 3: Coord(2, 1)})
 
 
+def test_mapping_keeps_a_read_only_copy_of_its_assignment():
+    # a validated mapping cannot be edited into a non-bijection afterwards
+    g = make_grid(4, 4)
+    given = {i: g.coord(i) for i in range(16)}
+    m = Mapping(g, given)
+    with pytest.raises(TypeError):
+        m.assignment[0] = Coord(9, 0)
+    with pytest.raises(TypeError):
+        del m.assignment[0]
+    given[0], given[1] = given[1], given[0]
+    given[2] = Coord(9, 0)
+    assert m == identity_mapping(g)
+    assert m.location(0) == Coord(0, 0) and m.location(2) == Coord(2, 0)
+    profile = PowerProfile({w: float(w) for w in range(16)})
+    assert power_vector(m, profile).tolist() == [float(w) for w in range(16)]
+
+
 def test_warm_band_profile():
     g = make_grid(4, 4)
     profile, mapping = generate_warm_band(g, 0.5, 2.0, band_row=1)

@@ -2,14 +2,17 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hotmesh.errors import ConfigurationError
+from hotmesh.errors import ConfigurationError, UnsupportedFunctionError
 from hotmesh.grid import Coord, generate_warm_band, identity_mapping, make_grid
 from hotmesh.migration import (MigrationCostParams, MigrationPlan, Transfer, execute,
                                format_plan, migration_downtime, migration_energy, plan,
                                xy_route)
-from hotmesh.transforms import (IDENTITY, MIRROR_X, MIRROR_XY, MIRROR_Y, ROTATION, apply,
-                                as_permutation, parse_function, translate_x, translate_xy)
+from hotmesh.transforms import (IDENTITY, KINDS, MIRROR_X, MIRROR_XY, MIRROR_Y, ROTATION,
+                                MigrationFunction, apply, as_permutation, parse_function,
+                                translate_x, translate_xy)
 
 PARAMS = MigrationCostParams()
 
@@ -94,6 +97,31 @@ def test_phases_are_congestion_free_and_cover_all_moves():
                     assert len(links) == len(set(links))  # pairwise disjoint
                 non_fixed = {c for c in grid.cells() if apply(fn, c, grid) != c}
                 assert moved == non_fixed
+
+
+meshes = st.builds(make_grid, st.integers(1, 10), st.integers(1, 10))
+offsets = st.integers(-12, 12)
+functions = st.builds(MigrationFunction, st.sampled_from(KINDS), offsets, offsets)
+
+
+@given(meshes, functions)
+def test_random_plans_are_congestion_free_and_move_each_cell_once(grid, fn):
+    if fn.kind == "rotation" and grid.nx != grid.ny:
+        with pytest.raises(UnsupportedFunctionError):
+            plan(fn, grid, PARAMS)
+        return
+    p = plan(fn, grid, PARAMS)
+    for phase in p.phases:
+        links = [link for t in phase for link in t.route]
+        assert len(links) == len(set(links))  # no directed link used twice in a phase
+    transfers = p.transfers()
+    for t in transfers:
+        assert t.dst == apply(fn, t.src, grid) != t.src
+        assert t.route == xy_route(t.src, t.dst)
+    moved = {c for c in grid.cells() if apply(fn, c, grid) != c}
+    sources = [t.src for t in transfers]
+    assert len(sources) == len(set(sources)) and set(sources) == moved
+    assert p.total_hops == sum(t.hops for t in transfers)
 
 
 def coordinate_plan(fn, grid, params):
@@ -184,6 +212,7 @@ def test_execute_applies_the_permutation():
 
     ident = plan(IDENTITY, grid, PARAMS)
     assert execute(mapping, ident).assignment == mapping.assignment
+    assert execute(mapping, ident) == mapping
 
 
 def test_execute_moves_the_warm_band():

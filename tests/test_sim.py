@@ -1,19 +1,29 @@
+import math
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hotmesh.placement
 import hotmesh.sim
 import hotmesh.thermal
+from dense_oracle import reference_capacitance
 from hotmesh.errors import ConfigurationError, ModelError
-from hotmesh.grid import generate_warm_band, make_grid, power_vector
-from hotmesh.migration import MigrationCostParams
+from hotmesh.grid import (PowerProfile, generate_warm_band, idle_vector, identity_mapping,
+                          make_grid, power_vector)
+from hotmesh.migration import MigrationCostParams, execute, plan
 from hotmesh.placement import AnnealConfig
 from hotmesh.scenario import ScenarioConfig
 from hotmesh.sim import RunSummary, SweepCell, report, run, summarize, sweep
 from hotmesh.thermal import (ThermalNetwork, build_network, peak,
                              spatial_spread, steady_state)
-from hotmesh.transforms import IDENTITY, MIRROR_XY, ROTATION, translate_x, translate_xy
+from hotmesh.transforms import (IDENTITY, KINDS, MIRROR_XY, ROTATION, MigrationFunction,
+                                translate_x, translate_xy)
 from dataclasses import replace
+from sequential_oracle import sequential_run
 
 
 def band_cfg(**overrides):
@@ -337,3 +347,135 @@ def test_summarize_names_best_function():
     rows = [SweepCell("s", translate_x(1), 109e-6, mk(0.1), None),
             SweepCell("s", translate_xy(1, 1), 109e-6, mk(1.4), None)]
     assert "best fn=translate_xy:1:1" in summarize(rows)
+
+
+@st.composite
+def template_cases(draw):
+    """Small random runs: any function on a 2-6 mesh, periods and downtimes
+    off the dt grid, deposit on or off, warm-ups anywhere (also mid-period)
+    and durations whose tail cuts a step; a small block bound splits the
+    node rows of one period as well as batching many."""
+    grid = make_grid(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    fn = MigrationFunction(draw(st.sampled_from(KINDS)), draw(st.integers(-3, 3)),
+                           draw(st.integers(-3, 3)))
+    if fn.kind == "rotation" and grid.nx != grid.ny:
+        fn = MIRROR_XY
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    powers = dict(enumerate(rng.uniform(0.0, 2.0, grid.n_cells).round(3)))
+    dt = draw(st.sampled_from([1e-6, 0.7e-6]))
+    period = draw(st.floats(2.5, 40.0)) * dt
+    duration = period * draw(st.floats(1.0, 12.0))
+    cfg = ScenarioConfig(
+        name="random", grid=grid, profile=PowerProfile(powers),
+        initial_mapping=identity_mapping(grid), migration_fn=fn, period=period,
+        sim_duration=duration, dt=dt, warmup=duration * draw(st.floats(0.0, 0.9)),
+        deposit_migration_energy=draw(st.booleans()),
+        cost=MigrationCostParams(e_bit_hop=1e-9,
+                                 downtime_fixed=draw(st.floats(0.0, 3.0)) * dt))
+    return cfg, draw(st.sampled_from([1 << 6, 1 << 9, hotmesh.sim._MARCH_ELEMENTS]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(template_cases())
+def test_template_march_matches_the_sequential_march(case):
+    cfg, block = case
+    try:
+        expected, oracle_trace = sequential_run(cfg)
+    except ConfigurationError:  # a warm-up within the layout tolerance of the end
+        with pytest.raises(ConfigurationError):
+            run(cfg)
+        return
+    with mock.patch.object(hotmesh.sim, "_MARCH_ELEMENTS", block):
+        summary, trace = run(cfg)
+        (cell,) = sweep(cfg, [cfg.migration_fn], [cfg.period])
+    assert np.array_equal(trace.times, oracle_trace.times)
+    assert np.abs(trace.temps - oracle_trace.temps).max() <= 1e-9
+    assert cell.summary == summary  # however differently their rows are grouped
+    assert summary.migration_count == expected.migration_count
+    assert np.allclose(astuple(summary), astuple(expected), rtol=0.0, atol=1e-9)
+    if expected.migration_count == 0:
+        assert summary.peak_reduction == 0.0
+
+
+def test_migrated_trace_conserves_energy_row_to_row():
+    # Per step of a migrated run: sum C (T' - T) / h + heat to ambient =
+    # sum P of the step's power: stalled at idle, plus the pulse on the
+    # source PEs in its first dt, else the active power after the k-th
+    # event. The allowance of test_transient_step_conserves_energy, one ulp
+    # per node weighted by C / h, is charged for both stored rows: a trace
+    # row is rounded on its own, not the exact start of the next step.
+    for fn, period in ((translate_xy(1, 1), 109e-6), (ROTATION, 37.3e-6), (MIRROR_XY, 50e-6)):
+        cfg = band_cfg(migration_fn=fn, period=period, sim_duration=1.5e-3, warmup=0.5e-3,
+                       cost=MigrationCostParams(e_bit_hop=1e-9))
+        summary, trace = run(cfg)
+        mplan = plan(cfg.migration_fn, cfg.grid, cfg.cost)
+        net = build_network(cfg.grid, cfg.thermal)
+        c = reference_capacitance(cfg.grid, cfg.thermal)
+        stalled = idle_vector(cfg.profile, cfg.grid)
+        pulse = np.zeros(cfg.grid.n_cells)
+        sources = [cfg.grid.index(s) for s in mplan.source_cells()]
+        pulse[sources] = mplan.energy / (len(sources) * cfg.dt)
+        mapping, actives = cfg.initial_mapping, [power_vector(cfg.initial_mapping, cfg.profile)]
+        for _ in range(summary.migration_count):
+            mapping = execute(mapping, mplan)
+            actives.append(power_vector(mapping, cfg.profile))
+        assert summary.migration_count >= 13
+        for old, new, t0, t1 in zip(trace.temps[:-1], trace.temps[1:],
+                                    trace.times[:-1], trace.times[1:]):
+            k = math.floor((t0 + 1e-12) / period)  # events fired by the step's start
+            since = t0 - k * period
+            p = stalled if k and since < mplan.downtime - 1e-12 else actives[k]
+            if k and since < cfg.dt - 1e-12:
+                p = p + pulse
+            h = t1 - t0
+            balance = (c / h * (new - old)).sum() + net.g_amb * (new[-1] - net.ambient)
+            rounding = (c / h * (np.spacing(old) + np.spacing(new))).sum()
+            assert abs(balance - p.sum()) <= 1e-9 * p.sum() + rounding, (fn, t0)
+
+
+def test_node_rows_are_formed_in_bounded_blocks(monkeypatch):
+    # no modal copy of the whole trace: every block of rows turned into node
+    # temperatures holds at most _MARCH_ELEMENTS values
+    sizes = []
+    real_nodes = hotmesh.thermal.TransientSolver.nodes
+
+    def recorded(self, z, origin, out=None):
+        sizes.append(np.size(z))
+        return real_nodes(self, z, origin, out)
+
+    monkeypatch.setattr(hotmesh.thermal.TransientSolver, "nodes", recorded)
+    monkeypatch.setattr(hotmesh.sim, "_MARCH_ELEMENTS", 1 << 10)
+    cfg = band_cfg(sim_duration=2e-3, warmup=1e-3)
+    summary, trace = run(cfg)
+    (cell,) = sweep(cfg, [cfg.migration_fn], [cfg.period])
+    assert cell.summary == summary
+    assert len(sizes) > 2 * trace.temps.size // (1 << 10)
+    assert max(sizes) <= 1 << 10
+
+
+def test_traced_runs_over_the_memory_limit_are_refused(monkeypatch):
+    # steps x nodes from sim_duration / dt alone: nothing is built or laid
+    # out, so a 128x128 mesh or a 1 ns step allocates and loops over nothing
+    def forbidden(*args):
+        raise AssertionError("built or laid out before the size check")
+
+    monkeypatch.setattr(hotmesh.sim, "build_network", forbidden)
+    monkeypatch.setattr(hotmesh.sim, "_schedule", forbidden)
+    big = make_grid(128, 128)
+    profile, mapping = generate_warm_band(big, 0.5, 2.0, 1)
+    wide = ScenarioConfig(name="big", grid=big, profile=profile, initial_mapping=mapping,
+                          migration_fn=translate_xy(1, 1), period=109e-6,
+                          sim_duration=32e-3, warmup=16e-3)
+    fine = band_cfg(dt=1e-9, sim_duration=32e-3, warmup=16e-3)
+    for cfg, text in ((wide, "32000 steps x 16385 nodes"), (fine, "32000000 steps x 17 nodes")):
+        with pytest.raises(ConfigurationError, match=f"{text} exceeds the limit of 134217728"):
+            run(cfg)
+    # sweeps keep no trace and are not limited; the largest benchmark trace
+    # (32x32 for 2 ms, 2019 x 1025 values) is within the limit
+    with pytest.raises(AssertionError, match="built or laid out"):
+        sweep(fine, [fine.migration_fn], [fine.period])
+    grid = make_grid(32, 32)
+    profile, mapping = generate_warm_band(grid, 0.5, 2.0, 1)
+    hotmesh.sim._check_trace_size(ScenarioConfig(
+        name="mesh", grid=grid, profile=profile, initial_mapping=mapping,
+        migration_fn=ROTATION, period=109e-6, sim_duration=2e-3))

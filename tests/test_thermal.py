@@ -244,6 +244,47 @@ def test_transient_fixed_point_and_cooling():
             solver.march(ss.temps, p, count)
 
 
+def test_modal_steady_state_is_the_steady_state_in_modal_coordinates():
+    net = build_network(make_grid(3, 5), ThermalParams())
+    solver = TransientSolver(net, 1e-6)
+    for p in np.random.default_rng(5).uniform(0.0, 2.0, (4, 15)):
+        z = solver.modal_steady(p)
+        assert np.array_equal(solver.nodes(z, net.ambient), steady_state(net, p).temps)
+        assert solver.modal_steady(p.copy()) is z  # solved once per distinct vector
+
+
+def test_period_template_matches_march_run_by_run():
+    # runs of one period: a stalled and pulsed step, a short stalled step,
+    # active steps, a short active step; the active power varies by period
+    net = build_network(make_grid(3, 4), ThermalParams())
+    solver = TransientSolver(net, 1e-6)
+    rng = np.random.default_rng(11)
+    idle, pulse = np.full(12, 0.1), rng.uniform(0.0, 3.0, 12)
+    actives = rng.uniform(0.0, 2.0, (6, 12))
+    layout = [(1, 1e-6, idle + pulse, False), (1, 7.44e-7, idle, False),
+              (9, 1e-6, 0.0, True), (1, 3e-7, 0.0, True)]
+    template = solver.template([(count, dt, solver.modal_steady(np.broadcast_to(p, 12)),
+                                 varies) for count, dt, p, varies in layout])
+    assert template.steps == 12
+    z_var = np.array([solver.modal_steady(a) for a in actives])
+    starts = template.starts(solver.modal_steady(actives[0]), z_var)
+    x = steady_state(net, actives[0]).temps
+    for k, active in enumerate(actives):
+        marched = []
+        for count, dt, p, varies in layout:
+            rows = solver.march(x, p + active if varies else np.broadcast_to(p, 12), count, dt)
+            marched.extend(rows)
+            x = rows[-1]
+        rows = solver.nodes(template.rows(starts[k:k + 1], z_var[k:k + 1], 0, 12)[0],
+                            net.ambient)
+        assert np.abs(rows - np.array(marched)).max() <= 1e-10
+        assert np.abs(solver.nodes(starts[k + 1], net.ambient) - x).max() <= 1e-10
+        # any slice of the period: the same rows
+        for s0, s1 in ((0, 1), (1, 2), (2, 7), (5, 12), (11, 12)):
+            part = template.rows(starts[k:k + 1], z_var[k:k + 1], s0, s1)[0]
+            assert np.abs(solver.nodes(part, net.ambient) - rows[s0:s1]).max() <= 1e-12
+
+
 def test_march_holds_a_steady_state_bit_for_bit():
     net = build_network(make_grid(4, 4), ThermalParams())
     p = np.linspace(0.2, 1.7, 16)
@@ -348,6 +389,29 @@ def test_transient_step_conserves_energy():
                 stepped.append(solver.step(stepped[-1], p1, dt))
             marched = np.vstack([start, solver.march(start, p1, 100, dt)])
             for rows in (np.array(stepped), marched):
+                for old, new in zip(rows[:-1], rows[1:]):
+                    balance = (c_over_dt * (new - old)).sum() \
+                        + net.g_amb * (new[-1] - net.ambient)
+                    rounding = (c_over_dt * np.spacing(new)).sum()
+                    assert abs(balance - p1.sum()) <= 1e-9 * p1.sum() + rounding, (n, dt)
+
+
+def test_march_conserves_energy_under_a_large_heat_pulse():
+    # A migration's heat pulse is a large power for one step. Its steady
+    # state is hundreds of degrees, so x_ss plus the decayed deviation would
+    # lose the digits of the slow sink mode; march() takes the step as the
+    # change from the start, and the allowance of the test above holds.
+    for n in (3, 4, 5, 6):
+        net = build_network(make_grid(n, n), ThermalParams())
+        rng = np.random.default_rng(n)
+        p0 = rng.uniform(0.0, 2.0, n * n)
+        solver = TransientSolver(net, 1e-6)
+        for scale in (1e2, 1e3):
+            p1 = p0 + scale * (rng.uniform(0.0, 1.0, n * n) < 0.5)
+            for dt in (1e-6, 2.5e-7):
+                c_over_dt = reference_capacitance(net.grid, ThermalParams()) / dt
+                start = steady_state(net, p0).temps
+                rows = np.vstack([start, solver.march(start, p1, 3, dt)])
                 for old, new in zip(rows[:-1], rows[1:]):
                     balance = (c_over_dt * (new - old)).sum() \
                         + net.g_amb * (new[-1] - net.ambient)
