@@ -109,6 +109,18 @@ class Mapping:
     def location(self, workload: int) -> Coord:
         return self.assignment[workload]
 
+    def _moved(self, images: tuple[Coord, ...]) -> Mapping:
+        """The placement after every workload moves from block i to
+        images[i], where images is the image of every block under a
+        bijection of the blocks (Permutation.images). A bijection composed
+        with a bijection is one, so the result is not checked again."""
+        nx = self.grid.nx
+        moved = object.__new__(Mapping)
+        object.__setattr__(moved, "grid", self.grid)
+        object.__setattr__(moved, "assignment", MappingProxyType(
+            {w: images[c.y * nx + c.x] for w, c in self.assignment.items()}))
+        return moved
+
 
 def identity_mapping(grid: GridSpec) -> Mapping:
     """Workload i on block i, row-major."""

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Coord, GridSpec, Mapping
@@ -87,6 +90,16 @@ class MigrationPlan:
     def source_cells(self) -> list[Coord]:
         return [t.src for ph in self.phases for t in ph]
 
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """Per block, the block whose workload the event moves onto it (the
+        inverse permutation's index array): p[sources] is the power vector
+        after the event of a placement whose power vector is p."""
+        sources = np.empty(self.grid.n_cells, dtype=np.intp)
+        sources[list(self.permutation.forward)] = np.arange(self.grid.n_cells)
+        sources.setflags(write=False)
+        return sources
+
 
 def _xy_path(src: int, dst: int, nx: int) -> list[int]:
     """Block indices along the XY route src -> dst, both ends included."""
@@ -159,12 +172,11 @@ def migration_downtime(plan_: MigrationPlan, params: MigrationCostParams) -> flo
 def execute(mapping: Mapping, plan_: MigrationPlan) -> Mapping:
     """Apply the plan's permutation to a placement: one table lookup per
     workload, at the row-major index of its cell (in bounds, since the
-    mapping was validated)."""
+    mapping was validated). The permutation is a bijection of the blocks,
+    so the placement it yields is one too and is not validated again."""
     if mapping.grid != plan_.grid:
         raise ConfigurationError("plan was built for a different mesh")
-    images, nx = plan_.permutation.images, mapping.grid.nx
-    return Mapping(mapping.grid,
-                   {w: images[c.y * nx + c.x] for w, c in mapping.assignment.items()})
+    return mapping._moved(plan_.permutation.images)
 
 
 def format_plan(plan_: MigrationPlan) -> str:

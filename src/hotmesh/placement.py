@@ -59,7 +59,9 @@ def _block_response(net: ThermalNetwork) -> np.ndarray:
     """R with T_blocks - T_amb = R p: row i of the product is steady_state()
     of one watt on block i, so R[j, i] is block j's rise per watt on block i."""
     n, m = net.n_blocks, net.modes
-    return ((m.to_modal[:n] / net.c_b / m.mu) @ m.from_modal[:, :n]).T
+    z = m.to_modal(np.eye(n, n + 1) / net.c_b)
+    z /= m.mu
+    return m.from_modal(z, out=z)[:, :n].T
 
 
 def anneal(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,

@@ -45,8 +45,9 @@ from .transforms import MigrationFunction
 _TIME_EPS = 1e-9
 
 # Bound on the rows x nodes of one solver.march call or one block of node
-# rows formed from the period template.
-_MARCH_ELEMENTS = 1 << 16
+# rows formed from the period template. A block's modal rows and the
+# basis's y-pass of them are two such arrays in flight.
+_MARCH_ELEMENTS = 1 << 15
 
 # Bound on the steps x nodes of a traced run: 1 GiB of float64.
 _TRACE_VALUES = 1 << 27
@@ -111,23 +112,50 @@ def _segment(length: float, dt: float, stall: float, pulse: float, event: bool,
     ends: dt steps, cut where the stall (PEs idle before it) or the heat pulse
     ends. A run is (length or None for dt, stalled, pulsed, fires, count):
     count equal steps, at most max_rows, of which only the first may fire."""
-    runs, ends = [], []
+    ends = _step_ends(length, dt, (stall, pulse))
+    if not len(ends):
+        return [], ends
+    starts = np.append(0.0, ends[:-1])
+    h = ends - starts
+    is_dt = np.abs(h - dt) < _TIME_EPS
+    stalled, pulsed = starts < stall - _TIME_EPS, starts < pulse - _TIME_EPS
+    # a run opens at the first step and at every step whose key differs from the last one's
+    keys = np.stack([np.where(is_dt, -1.0, h), stalled, pulsed])
+    opens = np.flatnonzero(np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))).tolist()
+    runs = []
+    for lo, hi in zip(opens, [*opens[1:], len(ends)]):
+        key = (None if is_dt[lo] else float(h[lo]), bool(stalled[lo]), bool(pulsed[lo]))
+        for r0 in range(lo, hi, max_rows):
+            runs.append((*key, event and not runs, min(max_rows, hi - r0)))
+    return runs, ends
+
+
+def _step_ends(length: float, dt: float, breaks) -> np.ndarray:
+    """The ends of the steps over [0, length]: each dt after the last, as the
+    float sum t + dt (np.add.accumulate adds left to right), except a step
+    ending past length or past a break, which ends there instead; the sum
+    restarts at the break. Ends within _TIME_EPS of length or of a break
+    absorb it."""
+    parts = []
     t = 0.0
     while t < length - _TIME_EPS:
-        t_next = min(t + dt, length)
-        for brk in (stall, pulse):
-            if t + _TIME_EPS < brk < t_next - _TIME_EPS:
+        e = np.add.accumulate(np.append(t, np.full(math.ceil((length - t) / dt) + 1, dt)))
+        steps = int(np.searchsorted(e, length - _TIME_EPS))  # starts before the end
+        starts, ends = e[:steps], np.minimum(e[1:steps + 1], length)
+        cut = np.zeros(steps, dtype=bool)
+        for brk in breaks:
+            cut |= (starts + _TIME_EPS < brk) & (brk < ends - _TIME_EPS)
+        if not cut.any():
+            parts.append(ends)
+            break
+        j = int(cut.argmax())
+        t_next = float(ends[j])
+        for brk in breaks:  # the first break inside step j
+            if float(starts[j]) + _TIME_EPS < brk < t_next - _TIME_EPS:
                 t_next = brk
-        h = t_next - t
-        key = (None if abs(h - dt) < _TIME_EPS else h,
-               t < stall - _TIME_EPS, t < pulse - _TIME_EPS)
-        if runs and runs[-1][:3] == key and runs[-1][4] < max_rows:
-            runs[-1] = (*key, runs[-1][3], runs[-1][4] + 1)
-        else:
-            runs.append((*key, event and not runs, 1))
-        ends.append(t_next)
+        parts += [ends[:j], [t_next]]
         t = t_next
-    return runs, np.array(ends)
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
@@ -201,7 +229,9 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     The periods are marched from one template over the idle and pulse
     powers and the active power of each event's placement, in modal
     deviations from the baseline; the tail by solver.march, a lone step by
-    solver.step. Each event executes the plan once.
+    solver.step. Each event executes the plan once; its active power is the
+    previous one gathered through the plan's inverse permutation
+    (MigrationPlan.sources), exactly power_vector of the executed mapping.
     """
     n_blocks, n_nodes = cfg.grid.n_cells, cfg.grid.n_cells + 1
     stats = _Window(sched.times, sched.window, n_blocks)
@@ -215,11 +245,12 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     pulse = np.zeros(n_blocks)
     src_idx = [cfg.grid.index(c) for c in mplan.source_cells()]
     pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
+    active = power_vector(mapping, cfg.profile)
     x, periods = temps0, sched.events - 1
     if periods:
         # modal deviations from the baseline, the steady state of mapping's
         # power: small, so rounding stays small
-        z0 = solver.modal_steady(power_vector(mapping, cfg.profile))
+        z0 = solver.modal_steady(active)
         z_idle = solver.modal_steady(stalled) - z0
         z_pulse = solver.modal_steady(pulse)
         template = solver.template(
@@ -229,7 +260,8 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
         actives = np.empty((periods, n_nodes))
         for k in range(periods):
             mapping = execute(mapping, mplan)
-            actives[k] = solver.modal_steady(power_vector(mapping, cfg.profile))
+            active = active[mplan.sources]
+            actives[k] = solver.modal_steady(active)
         actives -= z0
         starts = template.starts(np.zeros(n_nodes), actives)
         # blocks of whole periods, or of one period's steps when a period is
@@ -254,7 +286,7 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     for length, idle, pulsed, fires, count in sched.tail:
         if fires:
             mapping = execute(mapping, mplan)
-            active = power_vector(mapping, cfg.profile)
+            active = active[mplan.sources]
         p = stalled if idle else active
         if pulsed:
             p = p + pulse

@@ -27,7 +27,10 @@ S = C^-1/2 G C^-1/2 = Q diag(mu) Q^T is closed form:
 
 except that the sink couples only to the uniform mode k = 0: one 2x2
 rotation mixes that mode with the sink node and gives the last two
-eigenvalues. The basis is built once per network and serves both solvers
+eigenvalues. Q is never formed either: ModalBasis keeps the two 1-D DCT
+matrices, the rotation and C^1/2, and applies Q to a stack of rows as one
+DCT product along y, one along x and the rotation of two columns, O(nx +
+ny) per value. The basis is built once per network and serves both solvers
 (placement's block response is the steady state of each unit power):
 
     steady state:  x = C^-1/2 Q diag(1/mu) Q^T C^-1/2 P
@@ -35,7 +38,7 @@ eigenvalues. The basis is built once per network and serves both solvers
 and, since a backward-Euler step of any length h scales each modal
 deviation from the steady state x_ss of the step's power by
 lambda(h) = 1 / (1 + h mu), k equal steps at constant power are one
-matrix product,
+batched application of the basis,
 
     x_j = x_0 - C^-1/2 Q ((1 - lambda^j) * Q^T C^1/2 (x_0 - x_ss)),  j = 1..k.
 
@@ -97,13 +100,90 @@ class ThermalParams:
 
 @dataclass(frozen=True)
 class ModalBasis:
-    """S = C^-1/2 G C^-1/2 = Q diag(mu) Q^T of one network, kept as the two
-    products the solvers apply to row vectors: x @ to_modal = (Q^T C^1/2 x)^T
-    and y @ from_modal = (C^-1/2 Q y)^T."""
+    """S = C^-1/2 G C^-1/2 = Q diag(mu) Q^T of one network, kept as its
+    factors: Q is kron(DCT_y, DCT_x) over the blocks with one 2x2 rotation
+    of (mode 0, sink), so it is never formed.
 
-    mu: np.ndarray          # (n+1,), 1/s, all positive
-    to_modal: np.ndarray    # (n+1, n+1), C^1/2 Q
-    from_modal: np.ndarray  # (n+1, n+1), Q^T C^-1/2
+    to_modal(x) = (Q^T C^1/2 x^T)^T and from_modal(z) = (C^-1/2 Q z^T)^T act
+    on the last axis of any stack of rows. Each reads the rows as columns,
+    one per mode or node (no copy when the rows are stored column by column,
+    as PeriodTemplate.rows forms them), applies one DCT product along y to
+    all of them, then one along x for each row of the mesh, written
+    straight into the output rows, and the rotation to the two columns it
+    mixes: O(n (nx + ny)) work per row, from O(nx^2 + ny^2 + n) values.
+    """
+
+    mu: np.ndarray   # (n+1,), 1/s, all positive
+    dx: np.ndarray   # (nx, nx), orthonormal DCT-II, row kx is frequency kx
+    dy: np.ndarray   # (ny, ny)
+    cos: float       # the rotation: mode 0 is cos (uniform blocks) + sin (sink)
+    sin: float
+    sqrt_cb: float   # C^1/2 of a block and of the sink
+    sqrt_cs: float
+
+    def to_modal(self, x) -> np.ndarray:
+        """Modal coordinates of node rows x (deviations from ambient)."""
+        x = np.asarray(x, dtype=float)
+        ny, nx = len(self.dy), len(self.dx)
+        n = nx * ny
+        rows, z, flat = _rows(x, n + 1, None)
+        cols = np.ascontiguousarray(rows.T)  # node by node
+        r = cols.shape[1]
+        sink = self.sqrt_cs * cols[n]
+        v = self._to_y @ cols[:n].reshape(ny, nx * r)
+        np.matmul(self.dx, v.reshape(ny, nx, r), out=flat[:, :n].T.reshape(ny, nx, r))
+        w0 = flat[:, 0].copy()  # the uniform block mode
+        np.add(self.cos * w0, self.sin * sink, out=flat[:, 0])
+        np.subtract(self.cos * sink, self.sin * w0, out=flat[:, n])
+        return z
+
+    def from_modal(self, z, out: np.ndarray | None = None) -> np.ndarray:
+        """Node rows (deviations from ambient) of modal rows z."""
+        z = np.asarray(z, dtype=float)
+        ny, nx = len(self.dy), len(self.dx)
+        n = nx * ny
+        rows, out, flat = _rows(z, n + 1, out)
+        cols = np.ascontiguousarray(rows.T)  # mode by mode
+        r = cols.shape[1]
+        sink = (self.sin * cols[0] + self.cos * cols[n]) / self.sqrt_cs
+        grid = cols[:n].reshape(ny, nx * r)  # by ky, then kx and row
+        # the kx = 0 part, with mode 0 rotated back out of the sink: a copy,
+        # as the columns may be z itself
+        first = grid[:, :r].copy()
+        np.subtract(self.cos * cols[0], self.sin * cols[n], out=first[0])
+        v = np.empty((ny, nx * r))
+        np.matmul(self.dy.T, first, out=v[:, :r])
+        np.matmul(self.dy.T, grid[:, r:], out=v[:, r:])
+        np.matmul(self._from_x, v.reshape(ny, nx, r), out=flat[:, :n].T.reshape(ny, nx, r))
+        flat[:, n] = sink
+        if not np.may_share_memory(flat, out):
+            out[...] = flat.reshape(out.shape)
+        return out
+
+    # the DCT factors with the blocks' C^1/2 and C^-1/2 folded in
+    @cached_property
+    def _to_y(self) -> np.ndarray:
+        return self.sqrt_cb * self.dy
+
+    @cached_property
+    def _from_x(self) -> np.ndarray:
+        return self.dx.T / self.sqrt_cb
+
+
+def _rows(a: np.ndarray, width: int, out: np.ndarray | None):
+    """(a, out, flat) with a and flat as (rows, width): flat is a view of out,
+    or a fresh array when out's leading axes do not merge into one (then the
+    caller copies it into out)."""
+    if a.shape[-1:] != (width,):
+        raise ValueError(f"rows must have {width} values, got shape {a.shape}")
+    if out is None:
+        out = np.empty(a.shape)
+    elif out.shape != a.shape:
+        raise ValueError(f"out must have shape {a.shape}, got {out.shape}")
+    flat = out.reshape(-1, width)
+    if not np.may_share_memory(flat, out):
+        flat = np.empty(flat.shape)
+    return a.reshape(-1, width), out, flat
 
 
 @dataclass(frozen=True)
@@ -189,12 +269,7 @@ def _modal_basis(net: ThermalNetwork) -> ModalBasis:
     g_lat, g_vert, c_b, c_s = net.g_lat, net.g_vert, net.c_b, net.c_s
 
     dx, lx = _dct2(nx)
-    dy, ly = _dct2(ny)
-    q = np.zeros((n + 1, n + 1))
-    # kron(DCT_y, DCT_x)^T written in place: block (y, x) by mode (ky, kx),
-    # both row-major; the reshape of the block corner is a view of q
-    np.multiply(dy.T[:, None, :, None], dx.T[None, :, None, :],
-                out=q[:n, :n].reshape(ny, nx, ny, nx))
+    dy, ly = (dx, lx) if ny == nx else _dct2(ny)
     mu = np.empty(n + 1)
     mu[:n] = ((g_lat * (ly[:, None] + lx[None, :]) + g_vert) / c_b).ravel()
     # The sink couples to the uniform mode 0 alone: S on (mode 0, sink) is
@@ -207,15 +282,10 @@ def _modal_basis(net: ThermalNetwork) -> ModalBasis:
     mu[0] = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
     mu[n] = g_vert * g_amb_row / (c_b * c_s) / mu[0]
     theta = 0.5 * math.atan2(2.0 * b, a - d)  # (cos, sin) belongs to the larger mu
-    cos, sin = math.cos(theta), math.sin(theta)
-    q[:n, 0], q[n, 0] = cos / math.sqrt(n), sin
-    q[:n, n], q[n, n] = -sin / math.sqrt(n), cos
-    c_half = np.sqrt(np.append(np.full(n, c_b), c_s))[:, None]
-    to_modal = c_half * q
-    q /= c_half  # in place: Q itself is not kept
-    for arr in (mu, to_modal, q):
+    for arr in (mu, dx, dy):
         arr.setflags(write=False)
-    return ModalBasis(mu=mu, to_modal=to_modal, from_modal=q.T)
+    return ModalBasis(mu=mu, dx=dx, dy=dy, cos=math.cos(theta), sin=math.sin(theta),
+                      sqrt_cb=math.sqrt(c_b), sqrt_cs=math.sqrt(c_s))
 
 
 def steady_state(net: ThermalNetwork, power) -> ThermalState:
@@ -226,7 +296,7 @@ def steady_state(net: ThermalNetwork, power) -> ThermalState:
         raise ValueError(f"power vector must have shape ({net.n_blocks},), got {power.shape}")
     m = net.modes
     # C^-1 p over all nodes: the sink dissipates nothing
-    x = ((np.append(power, 0.0) / net.c_b) @ m.to_modal / m.mu) @ m.from_modal
+    x = m.from_modal(m.to_modal(np.append(power, 0.0) / net.c_b) / m.mu)
     return ThermalState(temps=x + net.ambient)
 
 
@@ -234,22 +304,20 @@ class TransientSolver:
     """Backward-Euler stepper over one network, dt being its default step.
 
     The network's modal basis serves every step length: march() returns
-    the k rows of k equal steps at constant power in one (k x n)(n x n)
-    product, and step() is its one-row case. template() lays out a
-    repeating sequence of such runs in modal coordinates (PeriodTemplate),
-    and nodes() turns its modal rows into node temperatures. The steady
-    state of each distinct power vector is solved once (steady(),
-    modal_steady()) and kept for the solver's life.
+    the k rows of k equal steps at constant power from one batched
+    to_modal and from_modal of the basis, and step() is its one-row case.
+    template() lays out a repeating sequence of such runs in modal
+    coordinates (PeriodTemplate), and nodes() turns its modal rows into
+    node temperatures. The steady state of each distinct power vector is
+    solved once (steady(), modal_steady()) and kept for the solver's life.
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
         _check_dt(dt)
         self.net = net
         self.dt = dt
-        modes = net.modes
-        self._mu = modes.mu
-        self._to_modal = modes.to_modal
-        self._from_modal = modes.from_modal
+        self._modes = net.modes
+        self._mu = net.modes.mu
         self._steady_by_power: dict[bytes, ThermalState] = {}
         self._modal_by_power: dict[bytes, np.ndarray] = {}
 
@@ -272,7 +340,8 @@ class TransientSolver:
             raise ValueError(f"count must be at least 1, got {count}")
         x_ss = self.steady(power).temps
         approach = self._approach(dt, count)
-        return temps - (approach * ((temps - x_ss) @ self._to_modal)) @ self._from_modal
+        modes = self._modes
+        return temps - modes.from_modal(approach * modes.to_modal(temps - x_ss))
 
     def _approach(self, dt: float, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """1 - lambda(dt)^j for j = 1..count, (count, n_nodes): the share of
@@ -287,22 +356,23 @@ class TransientSolver:
         return self.march(temps, power, 1, dt)[0]
 
     def modal_steady(self, power) -> np.ndarray:
-        """Modal coordinates z = (x - ambient) @ to_modal of the steady state
-        of a power vector, (C^-1 p) @ to_modal / mu: nodes(z, ambient) is
+        """Modal coordinates z = to_modal(x - ambient) of the steady state x
+        of a power vector, to_modal(C^-1 p) / mu: nodes(z, ambient) is
         steady(power).temps bit for bit. Solved once per distinct vector."""
         power = np.asarray(power, dtype=float)
         key = power.tobytes()
         z = self._modal_by_power.get(key)
         if z is None:
             z = self._modal_by_power[key] = \
-                (np.append(power, 0.0) / self.net.c_b) @ self._to_modal / self._mu
+                self._modes.to_modal(np.append(power, 0.0) / self.net.c_b) / self._mu
         return z
 
     def nodes(self, z: np.ndarray, origin: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-        """Node temperatures origin + z @ from_modal of modal rows z taken
-        relative to the node temperatures origin, into out if given."""
-        out = np.matmul(z, self._from_modal, out=out)
+        """Node temperatures origin + from_modal(z) of modal rows z taken
+        relative to the node temperatures origin, into out if given (a
+        slice of a trace, say): the basis writes them there directly."""
+        out = self._modes.from_modal(z, out=out)
         out += origin
         return out
 
@@ -312,7 +382,7 @@ class TransientSolver:
         modal steady state fixed, plus the varying source if varies."""
         n = self.net.n_nodes
         bounds = (0, *np.cumsum([run[0] for run in runs]).tolist())
-        approach = np.empty((bounds[-1], n))
+        approach = np.empty((n, bounds[-1])).T  # mode-major, as rows() forms its rows
         decay, offset, gain = np.ones(n), np.zeros(n), np.zeros(n)
         for (count, dt, fixed, varies), start in zip(runs, bounds):
             _check_dt(dt)
@@ -337,7 +407,7 @@ class PeriodTemplate:
     """
 
     bounds: tuple[int, ...]
-    approach: np.ndarray      # (steps, n): 1 - lambda^j of step j = 1.. of its run
+    approach: np.ndarray      # (steps, n), mode-major: 1 - lambda^j of step j = 1.. of its run
     fixed: np.ndarray         # (runs, n)
     varies: tuple[bool, ...]
     # the period's map z0 -> D z0 + f + B z_var, each (n,)
@@ -361,8 +431,9 @@ class PeriodTemplate:
 
     def rows(self, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int) -> np.ndarray:
         """Modal states after steps s0..s1 - 1 of the periods started at
-        z0[k] under z_var[k], both (periods, n): (periods, s1 - s0, n)."""
-        out = np.empty((len(z0), s1 - s0, z0.shape[1]))
+        z0[k] under z_var[k], both (periods, n): (periods, s1 - s0, n),
+        stored mode by mode, which from_modal reads without a copy."""
+        out = np.empty((z0.shape[1], len(z0), s1 - s0)).transpose(1, 2, 0)
         z = z0
         for a, b, fixed, varies in zip(self.bounds, self.bounds[1:], self.fixed, self.varies):
             if a >= s1:

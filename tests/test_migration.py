@@ -1,12 +1,14 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hotmesh.errors import ConfigurationError, UnsupportedFunctionError
-from hotmesh.grid import Coord, generate_warm_band, identity_mapping, make_grid
+from hotmesh.grid import (Coord, Mapping, PowerProfile, generate_warm_band, identity_mapping,
+                          make_grid, power_vector)
 from hotmesh.migration import (MigrationCostParams, MigrationPlan, Transfer, execute,
                                format_plan, migration_downtime, migration_energy, plan,
                                xy_route)
@@ -213,6 +215,12 @@ def test_execute_applies_the_permutation():
     ident = plan(IDENTITY, grid, PARAMS)
     assert execute(mapping, ident).assignment == mapping.assignment
     assert execute(mapping, ident) == mapping
+    # an executed placement is not validated again: it is a bijection, which
+    # a validated copy of it confirms, and it is read-only like any other
+    moved = execute(mapping, rot)
+    assert Mapping(grid, dict(moved.assignment)) == moved != mapping
+    with pytest.raises(TypeError):
+        moved.assignment[0] = Coord(0, 0)
 
 
 def test_execute_moves_the_warm_band():
@@ -224,6 +232,29 @@ def test_execute_moves_the_warm_band():
         assert new == Coord((old.x + 1) % 4, (old.y + 1) % 4)
         if p == 2.0:
             assert new.y == 2  # band advanced one row
+
+
+def test_gathered_power_equals_the_power_of_the_executed_mapping():
+    # over two full orbits of every function kind, on a square and a
+    # rectangular mesh, with a distinct power per workload (fillers at idle)
+    for grid in (make_grid(5, 5), make_grid(4, 3)):
+        rng = np.random.default_rng(grid.n_cells)
+        profile = PowerProfile(dict(enumerate(rng.uniform(0.1, 2.0, grid.n_cells - 2))))
+        for kind in KINDS:
+            if kind == "rotation" and grid.nx != grid.ny:
+                continue
+            mplan = plan(MigrationFunction(kind, 2, 1), grid, PARAMS)
+            start = mapping = identity_mapping(grid)
+            power = power_vector(mapping, profile)
+            orbit = 0
+            while orbit == 0 or mapping != start:  # the events of one orbit
+                mapping = execute(mapping, mplan)
+                orbit += 1
+            for _ in range(2 * orbit):
+                mapping = execute(mapping, mplan)
+                power = power[mplan.sources]
+                assert power.tobytes() == power_vector(mapping, profile).tobytes(), kind
+            assert mapping == start
 
 
 def test_execute_rejects_mismatched_grid():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hotmesh.placement
@@ -23,7 +23,7 @@ from hotmesh.thermal import (ThermalNetwork, build_network, peak,
 from hotmesh.transforms import (IDENTITY, KINDS, MIRROR_XY, ROTATION, MigrationFunction,
                                 translate_x, translate_xy)
 from dataclasses import replace
-from sequential_oracle import sequential_run
+from sequential_oracle import sequential_run, walk_segment
 
 
 def band_cfg(**overrides):
@@ -92,6 +92,26 @@ def test_trace_steps_end_on_every_breakpoint():
         event = k * cfg.period
         for instant in (event, event + downtime, event + cfg.dt):
             assert np.min(np.abs(trace.times - instant)) <= 1e-12, (k, instant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 60.0), st.sampled_from([1e-6, 0.7e-6, 1.3e-7]), st.floats(0.0, 5.0),
+       st.sampled_from([0.0, 1.0, 2.5]), st.booleans(), st.integers(1, 40))
+@example(32000.0, 1e-6, 0.0, 0.0, False, 3855)  # an identity run of a shipped scenario
+@example(109.0, 1e-6, 1.744, 1.0, True, 3855)   # a shipped period
+@example(40.0, 1e-6, 3.0, 1.0, True, 7)          # stall end on the accumulated grid
+@example(40.0, 1e-6, 1.0005, 1.0, True, 7)       # stall end 0.5 ns after the pulse end
+@example(17.0000004, 1e-6, 2.0, 1.0, False, 40)  # an end 0.4 ns past the grid
+@example(0.0000004, 1e-6, 0.0, 0.0, False, 40)  # no step at all
+def test_segment_layout_matches_the_step_by_step_walk(length, dt, stall, pulse, event, rows):
+    # durations, downtimes and pulse ends off the dt grid, on it, and within
+    # the layout tolerance of it: the same runs and the same step ends, bit
+    # for bit, as the walk that adds dt one step at a time
+    args = (length * dt, dt, stall * dt, pulse * dt, event, rows)
+    runs, ends = hotmesh.sim._segment(*args)
+    want_runs, want_ends = walk_segment(*args)
+    assert runs == want_runs
+    assert ends.tobytes() == want_ends.tobytes()
 
 
 def test_online_window_statistics_match_the_full_trace():

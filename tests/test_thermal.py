@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -191,15 +192,67 @@ def test_closed_form_basis_matches_the_dense_operator(case):
     assert thermal._sink_diagonal(net) == g[-1, -1]
     modes = net.modes
     c_half = np.sqrt(reference_capacitance(grid, params))
-    q = modes.to_modal / c_half[:, None]
+    # the dense Q, formed by applying the factored transforms to the identity:
+    # row i of to_modal(I) is (Q^T C^1/2 e_i)^T, row k of from_modal(I) is (C^-1/2 Q e_k)^T
+    eye = np.eye(net.n_nodes)
+    q = modes.to_modal(eye) / c_half[:, None]
     s = g / np.outer(c_half, c_half)
-    assert np.max(np.abs(modes.from_modal * c_half - q.T)) <= 1e-12
+    assert np.max(np.abs(modes.from_modal(eye) * c_half - q.T)) <= 1e-12
     assert np.max(np.abs(q.T @ q - np.eye(net.n_nodes))) <= 1e-12
     assert np.max(np.abs(s @ q - q * modes.mu)) <= 1e-12 * np.max(np.abs(s))
     assert np.all(modes.mu > 0)
     p = np.random.default_rng(seed).uniform(0.0, 2.0, net.n_blocks)
     dense = np.linalg.solve(g, np.append(p, 0.0)) + net.ambient
     assert np.max(np.abs(steady_state(net, p).temps - dense)) <= 1e-9
+
+
+@given(thermal_cases())
+@example((make_grid(1, 1), ThermalParams(), 0))
+@example((make_grid(1, 9), ThermalParams(), 1))
+@example((make_grid(12, 1), ThermalParams(), 2))
+def test_factored_transforms_agree_however_applied_and_invert_each_other(case):
+    # a stack of rows at once, row by row and stored column by column (as
+    # the period template forms them), and from_modal into strided outs:
+    # the same values; to_modal and from_modal undo each other
+    grid, params, seed = case
+    modes = build_network(grid, params).modes
+    x = np.random.default_rng(seed).uniform(-5.0, 5.0, (2, 3, grid.n_cells + 1))
+    for apply in (modes.to_modal, modes.from_modal):
+        batched = apply(x)
+        tol = 1e-12 * np.abs(batched).max()
+        assert np.abs(np.array([[apply(row) for row in rows] for rows in x])
+                      - batched).max() <= tol
+        by_column = apply(np.asfortranarray(x.reshape(6, -1)))
+        assert np.abs(by_column.reshape(x.shape) - batched).max() <= tol
+    nodes = modes.from_modal(x)
+    tol = 1e-12 * np.abs(nodes).max()
+    for strided in (np.zeros((2, 3, x.shape[-1] + 2))[..., 1:-1],  # a slice of wider rows
+                    np.zeros((3, 2, x.shape[-1])).transpose(1, 0, 2)):  # axes that do not merge
+        assert modes.from_modal(x, out=strided) is strided
+        assert np.abs(strided - nodes).max() <= tol
+    scale = np.abs(x).max()
+    assert np.abs(modes.from_modal(modes.to_modal(x)) - x).max() <= 1e-12 * scale
+    assert np.abs(modes.to_modal(modes.from_modal(x)) - x).max() <= 1e-12 * scale
+
+
+def test_the_basis_of_a_128x128_mesh_holds_no_dense_array():
+    # the factors only: no array over max(nx, ny)^2 + n + 1 values, where a
+    # dense Q would be (n + 1)^2 = 268 468 225 values (2.1 GB), and applying
+    # it to a row allocates a few rows' worth
+    grid = make_grid(128, 128)
+    n = grid.n_cells
+    tracemalloc.start()
+    try:
+        net = build_network(grid, ThermalParams())
+        state = steady_state(net, np.linspace(0.0, 1.0, n))
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 16 * 8 * (n + 1)
+    held = [v for obj in (net, net.modes) for v in vars(obj).values()
+            if isinstance(v, np.ndarray)]
+    assert held and max(a.size for a in held) <= 128 ** 2 + n + 1
+    assert np.all(np.isfinite(state.temps))
 
 
 @given(thermal_cases())
