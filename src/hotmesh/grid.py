@@ -75,6 +75,19 @@ class GridSpec:
         return tuple(Coord(i % self.nx, i // self.nx) for i in range(self.n_cells))
 
     @cached_property
+    def _links(self) -> tuple[tuple[Coord, Coord], ...]:
+        """Every directed link between neighbouring blocks, built once and
+        listed so that a straight run of links is one slice: per row, its
+        nx - 1 east-going links from the west end, then its west-going ones
+        from the east end; after the rows, per column, its south-going links
+        from the top, then its north-going ones from the bottom."""
+        c, nx, links = self._coords, self.nx, []
+        for line in [c[i:i + nx] for i in range(0, len(c), nx)] + [c[x::nx] for x in range(nx)]:
+            ahead = list(zip(line, line[1:]))
+            links += ahead + [(b, a) for a, b in ahead[::-1]]
+        return tuple(links)
+
+    @cached_property
     def _cell_set(self) -> frozenset[Coord]:
         return frozenset(self._coords)
 

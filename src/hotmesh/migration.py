@@ -4,14 +4,16 @@ Every workload whose PE changes sends one state blob along its XY
 (dimension-ordered, X first) route. Transfers are packed greedily into
 phases in row-major source order: each joins the earliest phase whose
 directed links it does not reuse, so within a phase no two transfers share
-a directed mesh link and the movement is congestion free.
+a directed mesh link and the movement is congestion free. Each link keeps
+a bitmask of the phases using it, so a transfer costs O(hops).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from operator import or_
 
 import numpy as np
 
@@ -58,19 +60,10 @@ class Transfer:
 
 def xy_route(src: Coord, dst: Coord) -> tuple[Link, ...]:
     """Directed links of the XY dimension-ordered path src -> dst."""
-    links = []
-    cur = src
-    step_x = 1 if dst.x > src.x else -1
-    while cur.x != dst.x:
-        nxt = Coord(cur.x + step_x, cur.y)
-        links.append((cur, nxt))
-        cur = nxt
-    step_y = 1 if dst.y > src.y else -1
-    while cur.y != dst.y:
-        nxt = Coord(cur.x, cur.y + step_y)
-        links.append((cur, nxt))
-        cur = nxt
-    return tuple(links)
+    sx, sy = (1 if dst.x > src.x else -1), (1 if dst.y > src.y else -1)
+    path = [*(Coord(x, src.y) for x in range(src.x, dst.x, sx)),
+            *(Coord(dst.x, y) for y in range(src.y, dst.y, sy)), dst]
+    return tuple(zip(path, path[1:]))
 
 
 @dataclass(frozen=True)
@@ -101,52 +94,46 @@ class MigrationPlan:
         return sources
 
 
-def _xy_path(src: int, dst: int, nx: int) -> list[int]:
-    """Block indices along the XY route src -> dst, both ends included."""
-    (y0, x0), x1 = divmod(src, nx), dst % nx
-    turn = y0 * nx + x1
-    return [*range(src, turn, 1 if x1 > x0 else -1),
-            *range(turn, dst, nx if dst > turn else -nx), dst]
-
-
 def plan(fn: MigrationFunction, grid: GridSpec,
          params: MigrationCostParams) -> MigrationPlan:
     """Deterministic congestion-free schedule for one migration event.
 
-    Routes are walked on block indices and phases packed on integer link
-    ids (a directed link a -> b is a * n + b); the Coords of the transfers
-    come from one per-cell list.
+    An XY route is at most two straight legs, a row's then a column's, each
+    one slice of the mesh's link table (GridSpec._links). Per link an int
+    has bit k set when phase k uses the link, so a transfer's phase is the
+    lowest bit clear in the OR over its legs, and joining it is one slice
+    update per leg: O(hops) per transfer, with no cap on the phase count.
     """
     perm = as_permutation(fn, grid)
-    n = grid.n_cells
-    coords = list(grid.cells())
+    nx, ny, coords, links = grid.nx, grid.ny, grid._coords, grid._links
+    masks = [0] * len(links)
+    row_len, col_len = 2 * (nx - 1), 2 * (ny - 1)
     phases: list[list[Transfer]] = []
-    busy: list[set[int]] = []
     total_hops = 0
     for src, dst in enumerate(perm.forward):
         if src == dst:
             continue
-        path = _xy_path(src, dst, grid.nx)
-        hops = list(zip(path, path[1:]))
-        total_hops += len(hops)
-        t = Transfer(src=coords[src], dst=coords[dst],
-                     route=tuple((coords[a], coords[b]) for a, b in hops))
-        links = {a * n + b for a, b in hops}
-        for i, used in enumerate(busy):
-            if not used & links:
-                phases[i].append(t)
-                used |= links
-                break
-        else:
-            phases.append([t])
-            busy.append(links)
-    phases_t = tuple(tuple(ph) for ph in phases)
-    draft = MigrationPlan(grid=grid, permutation=perm, phases=phases_t,
+        (y0, x0), (y1, x1) = divmod(src, nx), divmod(dst, nx)
+        r = row_len * y0
+        h = (slice(r + x0, r + x1) if x1 >= x0
+             else slice(r + row_len - x0, r + row_len - x1))
+        c = row_len * ny + col_len * x1
+        v = (slice(c + y0, c + y1) if y1 >= y0
+             else slice(c + col_len - y0, c + col_len - y1))
+        row, col = masks[h], masks[v]
+        used = reduce(or_, row + col, 0)
+        bit = (used + 1) & ~used
+        masks[h] = [m | bit for m in row]
+        masks[v] = [m | bit for m in col]
+        t = Transfer(src=coords[src], dst=coords[dst], route=links[h] + links[v])
+        total_hops += t.hops
+        if bit >> len(phases):
+            phases.append([])
+        phases[bit.bit_length() - 1].append(t)
+    draft = MigrationPlan(grid=grid, permutation=perm, phases=tuple(map(tuple, phases)),
                           total_hops=total_hops, energy=0.0, downtime=0.0)
-    return MigrationPlan(grid=grid, permutation=perm, phases=phases_t,
-                         total_hops=total_hops,
-                         energy=migration_energy(draft, params),
-                         downtime=migration_downtime(draft, params))
+    return replace(draft, energy=migration_energy(draft, params),
+                   downtime=migration_downtime(draft, params))
 
 
 def migration_energy(plan_: MigrationPlan, params: MigrationCostParams) -> float:
@@ -181,8 +168,5 @@ def execute(mapping: Mapping, plan_: MigrationPlan) -> Mapping:
 
 def format_plan(plan_: MigrationPlan) -> str:
     """One line per transfer: phase,src_x,src_y,dst_x,dst_y,hops."""
-    lines = []
-    for i, ph in enumerate(plan_.phases):
-        for t in ph:
-            lines.append(f"{i},{t.src.x},{t.src.y},{t.dst.x},{t.dst.y},{t.hops}")
-    return "\n".join(lines)
+    return "\n".join(f"{i},{t.src.x},{t.src.y},{t.dst.x},{t.dst.y},{t.hops}"
+                     for i, ph in enumerate(plan_.phases) for t in ph)

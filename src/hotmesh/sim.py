@@ -243,7 +243,7 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
         return stats.result()
     stalled = idle_vector(cfg.profile, cfg.grid)
     pulse = np.zeros(n_blocks)
-    src_idx = [cfg.grid.index(c) for c in mplan.source_cells()]
+    src_idx = np.flatnonzero(mplan.sources != np.arange(n_blocks))
     pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
     active = power_vector(mapping, cfg.profile)
     x, periods = temps0, sched.events - 1

@@ -89,6 +89,8 @@ def parse_function(tag: str, dx: int | None = None, dy: int | None = None) -> Mi
         if args or dx is not None or dy is not None:
             raise ConfigurationError(f"{name} takes no offsets")
         return MigrationFunction(name)
+    if name == "translate_x" and dy is not None or name == "translate_y" and dx is not None:
+        raise ConfigurationError(f"{name} moves along one axis and takes no offset on the other")
     try:
         offsets = [int(a) for a in args]
     except ValueError:

@@ -110,6 +110,17 @@ def test_plan_subcommand_rejects_bad_function(capsys):
     assert "square" in captured.err
 
 
+@pytest.mark.parametrize("args", [["translate_x", "4", "4", "--dy", "3"],
+                                  ["translate_y", "4", "4", "--dx", "3"]])
+def test_plan_subcommand_rejects_an_offset_on_the_axis_not_moved(args, capsys):
+    rc = main(["plan", *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "no offset on the other" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_place_subcommand(tmp_path, capsys):
     scenario = tmp_path / "hot.ini"
     scenario.write_text("""

@@ -166,6 +166,25 @@ def test_plan_equals_the_coordinate_reference():
         assert plan(fn, big, detailed) == coordinate_plan(fn, big, detailed)
 
 
+@given(meshes, functions, st.booleans())
+def test_plan_equals_the_coordinate_reference_on_random_cases(grid, fn, detailed):
+    if fn.kind == "rotation":
+        grid = make_grid(grid.nx, grid.nx)
+    params = MigrationCostParams(detailed_timing=detailed)
+    assert plan(fn, grid, params) == coordinate_plan(fn, grid, params)
+
+
+def test_phase_count_has_no_cap():
+    # rotation of an N x N mesh needs N - 1 phases: past 64 at 66 x 66
+    p = plan(ROTATION, make_grid(66, 66), PARAMS)
+    assert len(p.phases) == 65
+    for phase in p.phases:
+        links = [link for t in phase for link in t.route]
+        assert len(links) == len(set(links))
+    assert all(t.route == xy_route(t.src, t.dst) for t in p.transfers())
+    assert p.total_hops == manhattan_total(ROTATION, make_grid(66, 66))
+
+
 def test_plan_is_deterministic():
     grid = make_grid(5, 5)
     assert plan(ROTATION, grid, PARAMS) == plan(ROTATION, grid, PARAMS)

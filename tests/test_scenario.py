@@ -114,6 +114,8 @@ seed = 11
     ("ny = 4\n", ""),                               # missing mandatory key
     ("kind = warm_band", "kind = volcano"),         # unknown profile kind
     ("fn = translate_xy", "fn = sideways"),         # unknown migration tag
+    ("fn = translate_xy", "fn = translate_x"),      # dy for a shift along x
+    ("fn = translate_xy", "fn = translate_y"),      # dx for a shift along y
     ("period_us = 109", "period_us = -5"),          # invalid period
     ("period_us = 109", "period_us = nan"),         # non-finite period
     ("dt_us = 1.0", "dt_us = inf"),                 # non-finite step

@@ -186,6 +186,16 @@ def test_parse_function_rejects_garbage():
         MigrationFunction("sideways")
 
 
+def test_parse_function_rejects_an_offset_on_the_axis_not_moved():
+    for tag, offsets in (("translate_x", {"dy": 3}), ("translate_x:2", {"dy": 0}),
+                         ("translate_x", {"dx": 1, "dy": 1}), ("translate_y", {"dx": 3}),
+                         ("translate_y:-1", {"dx": 0})):
+        with pytest.raises(ConfigurationError, match="no offset on the other"):
+            parse_function(tag, **offsets)
+    assert parse_function("translate_x", dx=3) == translate_x(3)
+    assert parse_function("translate_y", dy=-2) == translate_y(-2)
+
+
 def test_labels_round_trip_through_parse():
     for fn in (IDENTITY, ROTATION, MIRROR_X, MIRROR_XY, translate_x(3),
                translate_y(-1), translate_xy(2, 5)):
