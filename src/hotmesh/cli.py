@@ -10,7 +10,7 @@ from pathlib import Path
 from .errors import HotmeshError
 from .grid import identity_mapping, make_grid
 from .migration import MigrationCostParams, format_plan, plan
-from .placement import AnnealConfig, anneal, evaluate, write_mapping_csv
+from .placement import anneal, evaluate, write_mapping_csv
 from .scenario import ScenarioConfig, load_scenario
 from .sim import SweepCell, format_run, report, run, sweep
 from .thermal import build_network, write_trace_csv
@@ -76,8 +76,7 @@ def _common(p: argparse.ArgumentParser) -> None:
 def _load(args) -> ScenarioConfig:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
-        anneal = replace(cfg.anneal, seed=args.seed) if cfg.anneal is not None else None
-        cfg = replace(cfg, seed=args.seed, anneal=anneal)
+        cfg = replace(cfg, seed=args.seed, anneal=replace(cfg.annealing, seed=args.seed))
     return cfg
 
 
@@ -132,8 +131,7 @@ def _cmd_plan(args) -> int:
 def _cmd_place(args) -> int:
     cfg = _load(args)
     net = build_network(cfg.grid, cfg.thermal)
-    anneal_cfg = cfg.anneal if cfg.anneal is not None else AnnealConfig(seed=cfg.seed)
-    result = anneal(cfg.profile, cfg.grid, net, anneal_cfg)
+    result = anneal(cfg.profile, cfg.grid, net, cfg.annealing)
     out = _ensure_out(args)
     write_mapping_csv(result.mapping, out / "mapping.csv")
     before = evaluate(identity_mapping(cfg.grid), cfg.profile, net)

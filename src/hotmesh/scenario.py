@@ -65,6 +65,11 @@ class ScenarioConfig:
     seed: int = 0
 
     @property
+    def annealing(self) -> AnnealConfig:
+        """The placement's schedule: anneal, by default AnnealConfig(seed=seed)."""
+        return self.anneal if self.anneal is not None else AnnealConfig(seed=self.seed)
+
+    @property
     def effective_warmup(self) -> float:
         return self.sim_duration / 2 if self.warmup is None else self.warmup
 
@@ -223,13 +228,12 @@ def _build(p: configparser.ConfigParser, name: str) -> ScenarioConfig:
         seed = s.getint("seed", fallback=0)
         placement = s.get("placement", fallback="identity")
         deposit = s.getboolean("deposit_migration_energy", fallback=True)
-        if placement == "auto":
-            anneal = AnnealConfig(
-                iterations=s.getint("anneal_iterations", fallback=_DEF_ANNEAL.iterations),
-                t_start=s.getfloat("anneal_t_start", fallback=_DEF_ANNEAL.t_start),
-                t_end=s.getfloat("anneal_t_end", fallback=_DEF_ANNEAL.t_end),
-                seed=seed,
-            )
+        anneal = AnnealConfig(
+            iterations=s.getint("anneal_iterations", fallback=_DEF_ANNEAL.iterations),
+            t_start=s.getfloat("anneal_t_start", fallback=_DEF_ANNEAL.t_start),
+            t_end=s.getfloat("anneal_t_end", fallback=_DEF_ANNEAL.t_end),
+            seed=seed,
+        )
 
     if placement == "identity":
         initial: Mapping | str = mapping

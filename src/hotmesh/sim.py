@@ -8,19 +8,21 @@ plan's downtime stalls every PE at idle power, the transfer energy lands
 as a one-timestep heat pulse on the source PEs, and the placement
 permutes. Between events, stall end and pulse end the power is constant,
 so the schedule is laid out once as runs of equal steps: a head up to the
-first event, which stays at the baseline and is never marched, one period
-from event to event, and a tail cut at the run's end.
+first event, which stays at the baseline and is never marched, and one
+period from event to event. The tail after the last event takes the
+period's steps up to the run's end, whose last one the end may cut short.
 
-Every full period repeats the same runs, so it is marched from one period
-template (TransientSolver.template) in modal coordinates, diagonal in the
-modes: the state at each event follows z_{k+1} = D z_k + f + B z_act(k),
-O(n) per event, with z_act(k) the steady state of the power the k-th
-event's placement dissipates. Node rows are formed only where they are
-read, in blocks of whole periods: all of them into a run's trace, and for
-a sweep cell, which keeps no trace, only those after warm-up. The tail is
-marched run by run. Statistics are taken over the window after warm-up so
-they describe settled behavior rather than the decay of the initial
-condition; they are accumulated block by block.
+Every period, and the tail as the start of one more, is marched from one
+period template (TransientSolver.template) in modal coordinates, diagonal
+in the modes: the state at each event follows z_{k+1} = D z_k + f + B
+z_act(k), O(n) per event, with z_act(k) the steady state of the power the
+k-th event's placement dissipates. Node rows are formed only where they
+are read, in blocks of whole periods: all of them into a run's trace, and
+for a sweep cell, which keeps no trace, only those after warm-up. A step
+cut short by the run's end is the run's one lone step. Statistics are
+taken over the window after warm-up so they describe settled behavior
+rather than the decay of the initial condition; they are accumulated block
+by block.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import ConfigurationError, HotmeshError
 from .grid import Mapping, identity_mapping, idle_vector, power_vector
 from .migration import MigrationPlan, execute, plan
-from .placement import AnnealConfig, place
+from .placement import place
 from .scenario import ScenarioConfig
 from .thermal import ThermalState, TransientSolver, build_network, peak
 from .transforms import MigrationFunction
@@ -44,9 +46,9 @@ from .transforms import MigrationFunction
 # the drift accumulated over any realistic step count.
 _TIME_EPS = 1e-9
 
-# Bound on the rows x nodes of one solver.march call or one block of node
-# rows formed from the period template. A block's modal rows and the
-# basis's y-pass of them are two such arrays in flight.
+# Bound on the rows x nodes of one block of node rows formed from the
+# period template. A block's modal rows and the basis's y-pass of them are
+# two such arrays in flight.
 _MARCH_ELEMENTS = 1 << 15
 
 # Bound on the steps x nodes of a traced run: 1 GiB of float64.
@@ -83,16 +85,19 @@ class Trace:
 
 class _Schedule(NamedTuple):
     """The steps of a migrated run. Step i ends at times[i + 1]; steps from
-    index window on end after warm-up. head, body and tail are runs (see
-    _segment): up to the first event, of every event-to-event period, and
-    after the last of the events."""
+    index window on end after warm-up. head steps lead up to the first
+    event and body is the runs (see _segment) of every event-to-event
+    period. After the last event come the period's first tail steps, then,
+    unless cut is None, one step cut short by the run's end: cut is its
+    (length or None for dt, stalled, pulsed)."""
 
     times: np.ndarray
     window: int
     events: int
-    head: list
+    head: int
     body: list
-    tail: list
+    tail: int
+    cut: tuple | None
 
 
 @dataclass(frozen=True)
@@ -106,12 +111,11 @@ class SweepCell:
     error: str | None
 
 
-def _segment(length: float, dt: float, stall: float, pulse: float, event: bool,
-             max_rows: int):
-    """Runs of steps over [0, length] after an event (or t = 0), and the step
-    ends: dt steps, cut where the stall (PEs idle before it) or the heat pulse
-    ends. A run is (length or None for dt, stalled, pulsed, fires, count):
-    count equal steps, at most max_rows, of which only the first may fire."""
+def _segment(length: float, dt: float, stall: float, pulse: float):
+    """Runs of steps over [0, length] after an event, and the step ends: dt
+    steps, cut where the stall (PEs idle before it) or the heat pulse ends.
+    A run is (length or None for dt, stalled, pulsed, count): count equal
+    steps."""
     ends = _step_ends(length, dt, (stall, pulse))
     if not len(ends):
         return [], ends
@@ -122,11 +126,8 @@ def _segment(length: float, dt: float, stall: float, pulse: float, event: bool,
     # a run opens at the first step and at every step whose key differs from the last one's
     keys = np.stack([np.where(is_dt, -1.0, h), stalled, pulsed])
     opens = np.flatnonzero(np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))).tolist()
-    runs = []
-    for lo, hi in zip(opens, [*opens[1:], len(ends)]):
-        key = (None if is_dt[lo] else float(h[lo]), bool(stalled[lo]), bool(pulsed[lo]))
-        for r0 in range(lo, hi, max_rows):
-            runs.append((*key, event and not runs, min(max_rows, hi - r0)))
+    runs = [(None if is_dt[lo] else float(h[lo]), bool(stalled[lo]), bool(pulsed[lo]), hi - lo)
+            for lo, hi in zip(opens, [*opens[1:], len(ends)])]
     return runs, ends
 
 
@@ -163,30 +164,34 @@ def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
 
     A head up to the first event, one template per event-to-event period and
     a tail after the last event; events fire at t = k*period strictly inside
-    the run. The runs (see _segment) are short enough that their rows stay
-    within _MARCH_ELEMENTS.
+    the run. The tail's steps end where the period's do, but for a last
+    step that the run's end cuts short.
     """
     period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
-    max_rows = max(1, _MARCH_ELEMENTS // (cfg.grid.n_cells + 1))
+    if mplan is not None and mplan.downtime >= period:
+        raise ConfigurationError(
+            f"the migration downtime of {mplan.downtime * 1e6:.3f} us is not shorter than "
+            f"the period of {period * 1e6:.3f} us: the PEs would never compute")
     events = 0
     if mplan is not None:
         while (events + 1) * period < duration - _TIME_EPS:
             events += 1
-    head, ends = _segment(period if events else duration, dt, 0.0, 0.0, False, max_rows)
-    parts = [ends]
-    body, tail = [], []
+    parts = [_step_ends(period if events else duration, dt, ())]
+    body, tail, cut = [], 0, None
     if events:
         pulse = dt if cfg.deposit_migration_energy else 0.0
-        body, body_ends = _segment(period, dt, mplan.downtime, pulse, True, max_rows)
-        tail, tail_ends = _segment(duration - events * period, dt, mplan.downtime,
-                                   pulse, True, max_rows)
+        body, body_ends = _segment(period, dt, mplan.downtime, pulse)
+        tail_runs, tail_ends = _segment(duration - events * period, dt, mplan.downtime, pulse)
+        tail = len(tail_ends)
+        if tail and (tail > len(body_ends) or tail_ends[-1] != body_ends[tail - 1]):
+            tail, cut = tail - 1, tail_runs[-1][:3]
         parts.append((np.arange(1, events)[:, None] * period + body_ends).ravel())
         parts.append(events * period + tail_ends)
     times = np.concatenate([[0.0], *parts])
     window = int(np.searchsorted(times[1:], cfg.effective_warmup + _TIME_EPS, side="right"))
     if window == len(times) - 1:
         raise ConfigurationError("warmup leaves no step to take statistics over")
-    return _Schedule(times, window, events, head, body, tail)
+    return _Schedule(times, window, events, len(parts[0]), body, tail, cut)
 
 
 class _Window:
@@ -226,16 +231,17 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     its window statistics (see _Window). trace, if given, receives the node
     temps at every step end.
 
-    The periods are marched from one template over the idle and pulse
-    powers and the active power of each event's placement, in modal
-    deviations from the baseline; the tail by solver.march, a lone step by
-    solver.step. Each event executes the plan once; its active power is the
-    previous one gathered through the plan's inverse permutation
-    (MigrationPlan.sources), exactly power_vector of the executed mapping.
+    Every period, and the tail as the first steps of one more, is marched
+    from one template over the idle and pulse powers and the active power
+    of each event's placement, in modal deviations from the baseline; a
+    last step cut short by the run's end is one solver.step. Each event
+    executes the plan once; its active power is the previous one gathered
+    through the plan's inverse permutation (MigrationPlan.sources), exactly
+    power_vector of the executed mapping.
     """
     n_blocks, n_nodes = cfg.grid.n_cells, cfg.grid.n_cells + 1
     stats = _Window(sched.times, sched.window, n_blocks)
-    i = sum(run[4] for run in sched.head)
+    i = sched.head
     stats.add(0, np.broadcast_to(temps0, (i, n_nodes)))
     if trace is not None:
         trace[1:1 + i] = temps0
@@ -246,66 +252,57 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     src_idx = np.flatnonzero(mplan.sources != np.arange(n_blocks))
     pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
     active = power_vector(mapping, cfg.profile)
-    x, periods = temps0, sched.events - 1
-    if periods:
-        # modal deviations from the baseline, the steady state of mapping's
-        # power: small, so rounding stays small
-        z0 = solver.modal_steady(active)
-        z_idle = solver.modal_steady(stalled) - z0
-        z_pulse = solver.modal_steady(pulse)
-        template = solver.template(
-            [(count, cfg.dt if length is None else length,
-              (z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0), not idle)
-             for length, idle, pulsed, _, count in sched.body])
-        actives = np.empty((periods, n_nodes))
-        for k in range(periods):
-            mapping = execute(mapping, mplan)
-            active = active[mplan.sources]
-            actives[k] = solver.modal_steady(active)
-        actives -= z0
-        starts = template.starts(np.zeros(n_nodes), actives)
-        # blocks of whole periods, or of one period's steps when a period is
-        # longer than a block; a sweep cell starts at warm-up's period, and
-        # its node rows need an array of their own, so its blocks are halved
-        steps = template.steps
-        values = _MARCH_ELEMENTS if trace is not None else _MARCH_ELEMENTS // 2
-        span = min(steps, max(1, values // n_nodes))
-        per = max(1, values // (steps * n_nodes))
-        k_first = 0 if trace is not None else max(sched.window - i, 0) // steps
-        for k0 in range(k_first, periods, per):
-            k1 = min(k0 + per, periods)
-            for s0 in range(0, steps, span):
-                s1 = min(s0 + span, steps)
-                z = template.rows(starts[k0:k1], actives[k0:k1], s0, s1).reshape(-1, n_nodes)
-                lo = i + k0 * steps + s0
-                out = None if trace is None else trace[1 + lo:1 + lo + len(z)]
-                stats.add(lo, solver.nodes(z, temps0, out))
-                del z  # else it lives on while the next block is formed
-        x = solver.nodes(starts[-1], temps0)
-        i += periods * steps
-    for length, idle, pulsed, fires, count in sched.tail:
-        if fires:
-            mapping = execute(mapping, mplan)
-            active = active[mplan.sources]
+    # modal deviations from the baseline, the steady state of mapping's
+    # power: small, so rounding stays small
+    z0 = solver.modal_steady(active)
+    z_idle = solver.modal_steady(stalled) - z0
+    z_pulse = solver.modal_steady(pulse)
+    template = solver.template(
+        [(count, cfg.dt if length is None else length,
+          (z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0), not idle)
+         for length, idle, pulsed, count in sched.body])
+    actives = np.empty((sched.events, n_nodes))
+    for k in range(sched.events):
+        mapping = execute(mapping, mplan)
+        active = active[mplan.sources]
+        actives[k] = solver.modal_steady(active)
+    actives -= z0
+    # period k runs from event k + 1 on, from starts[k]; the last is the tail
+    starts = template.starts(np.zeros(n_nodes), actives[:-1])
+    # blocks of whole periods, or of one period's steps when a period is
+    # longer than a block; a sweep cell starts at warm-up's period, and
+    # its node rows need an array of their own, so its blocks are halved
+    steps, periods = template.steps, sched.events - 1
+    values = _MARCH_ELEMENTS if trace is not None else _MARCH_ELEMENTS // 2
+    span = min(steps, max(1, values // n_nodes))
+    per = max(1, values // (steps * n_nodes))
+    k_first = 0 if trace is not None else max(sched.window - i, 0) // steps
+    blocks = [(k0, min(k0 + per, periods), steps) for k0 in range(k_first, periods, per)]
+    for k0, k1, stop in blocks + [(periods, periods + 1, sched.tail)]:
+        for s0 in range(0, stop, span):
+            s1 = min(s0 + span, stop)
+            z = template.rows(starts[k0:k1], actives[k0:k1], s0, s1).reshape(-1, n_nodes)
+            lo = i + k0 * steps + s0
+            out = None if trace is None else trace[1 + lo:1 + lo + len(z)]
+            rows = solver.nodes(z, temps0, out)
+            stats.add(lo, rows)
+            del z  # else it lives on while the next block is formed
+    if sched.cut is not None:
+        length, idle, pulsed = sched.cut
+        i += periods * steps + sched.tail
+        x = rows[-1] if sched.tail else solver.nodes(starts[-1], temps0)
         p = stalled if idle else active
-        if pulsed:
-            p = p + pulse
-        if count == 1:
-            rows = solver.step(x, p, length)[None]
-        else:
-            rows = solver.march(x, p, count, length)
+        rows = solver.step(x, p + pulse if pulsed else p, length)[None]
         if trace is not None:
-            trace[i + 1:i + 1 + count] = rows
+            trace[i + 1] = rows[0]
         stats.add(i, rows)
-        x = rows[-1]
-        i += count
     return stats.result()
 
 
 def _start(cfg: ScenarioConfig, net):
     """(initial placement, its steady state, solver): what every run of one
     configuration starts from. The steady state is the static baseline,
-    solved once by the solver, whose march holds it as that power's x_ss."""
+    solved once by the solver, in the modal form _march starts from."""
     mapping = _resolve_initial_mapping(cfg, net)
     solver = TransientSolver(net, cfg.dt)
     return mapping, solver.steady(power_vector(mapping, cfg.profile)), solver
@@ -316,8 +313,7 @@ def _resolve_initial_mapping(cfg: ScenarioConfig, net) -> Mapping:
         return cfg.initial_mapping
     if cfg.initial_mapping == "identity":
         return identity_mapping(cfg.grid)
-    anneal_cfg = cfg.anneal if cfg.anneal is not None else AnnealConfig(seed=cfg.seed)
-    return place(cfg.profile, cfg.grid, net, anneal_cfg)
+    return place(cfg.profile, cfg.grid, net, cfg.annealing)
 
 
 def _plan(cfg: ScenarioConfig) -> MigrationPlan | None:

@@ -291,25 +291,28 @@ def _modal_basis(net: ThermalNetwork) -> ModalBasis:
 def steady_state(net: ThermalNetwork, power) -> ThermalState:
     """Equilibrium temperatures for a constant per-block power vector:
     x = C^-1/2 Q diag(1/mu) Q^T C^-1/2 p on the network's modal basis."""
+    return ThermalState(temps=net.modes.from_modal(_modal_steady_state(net, power)) + net.ambient)
+
+
+def _modal_steady_state(net: ThermalNetwork, power) -> np.ndarray:
+    """The steady-state solve, in modal coordinates: z = Q^T C^1/2 x =
+    to_modal(C^-1 p) / mu over all nodes, the sink dissipating nothing."""
     power = np.asarray(power, dtype=float)
     if power.shape != (net.n_blocks,):
         raise ValueError(f"power vector must have shape ({net.n_blocks},), got {power.shape}")
-    m = net.modes
-    # C^-1 p over all nodes: the sink dissipates nothing
-    x = m.from_modal(m.to_modal(np.append(power, 0.0) / net.c_b) / m.mu)
-    return ThermalState(temps=x + net.ambient)
+    return net.modes.to_modal(np.append(power, 0.0) / net.c_b) / net.modes.mu
 
 
 class TransientSolver:
     """Backward-Euler stepper over one network, dt being its default step.
 
-    The network's modal basis serves every step length: march() returns
-    the k rows of k equal steps at constant power from one batched
-    to_modal and from_modal of the basis, and step() is its one-row case.
-    template() lays out a repeating sequence of such runs in modal
-    coordinates (PeriodTemplate), and nodes() turns its modal rows into
-    node temperatures. The steady state of each distinct power vector is
-    solved once (steady(), modal_steady()) and kept for the solver's life.
+    Every step is taken by a PeriodTemplate, whose rows() is the one
+    stepping formula: template() lays out a repeating sequence of runs of
+    equal steps in modal coordinates, nodes() turns its modal rows into
+    node temperatures, and march() is the template of a single run taken
+    relative to its start (step() its one-row case). The steady state of
+    each distinct power vector is solved once, in modal coordinates
+    (modal_steady()), and kept for the solver's life.
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
@@ -318,38 +321,35 @@ class TransientSolver:
         self.dt = dt
         self._modes = net.modes
         self._mu = net.modes.mu
-        self._steady_by_power: dict[bytes, ThermalState] = {}
         self._modal_by_power: dict[bytes, np.ndarray] = {}
 
     def steady(self, power) -> ThermalState:
-        """steady_state() of a power vector, solved once per distinct vector."""
-        power = np.asarray(power, dtype=float)
-        key = power.tobytes()
-        state = self._steady_by_power.get(key)
-        if state is None:
-            state = self._steady_by_power[key] = steady_state(self.net, power)
-        return state
+        """steady_state() of a power vector, bit for bit, from modal_steady()."""
+        return ThermalState(temps=self.nodes(self.modal_steady(power), self.net.ambient))
 
     def march(self, temps: np.ndarray, power, count: int, dt: float | None = None) -> np.ndarray:
         """Node temperatures after each of count steps of length dt at constant
-        power (dt defaults to the solver's own), as a (count, n_nodes) array."""
-        dt = self.dt if dt is None else dt
-        _check_dt(dt)
+        power (dt defaults to the solver's own), as a (count, n_nodes) array:
+        one run of a template in modal deviations from temps, towards the
+        steady state x_ss of the power, so a start at x_ss stays there."""
         count = operator.index(count)
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
-        x_ss = self.steady(power).temps
-        approach = self._approach(dt, count)
-        modes = self._modes
-        return temps - modes.from_modal(approach * modes.to_modal(temps - x_ss))
+        fixed = self._modes.to_modal(self.steady(power).temps - temps)
+        template = self.template([(count, self.dt if dt is None else dt, fixed, False)])
+        start = np.zeros((1, self.net.n_nodes))
+        return self.nodes(template.rows(start, start, 0, count)[0], temps)
 
     def _approach(self, dt: float, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """1 - lambda(dt)^j for j = 1..count, (count, n_nodes): the share of
         each mode's way to the steady state after j steps, as
-        -expm1(-j log1p(dt mu)), exact also where lambda is close to 1."""
+        -expm1(-j log1p(dt mu)), exact also where lambda is close to 1.
+        The sign is flipped by a product with -1, as exact as np.negative,
+        which in numpy 2.4.6 writes wrong values in place along a stride of
+        eight elements: a one-step run of an eight-step template."""
         out = np.multiply(np.arange(-1, -count - 1, -1)[:, None], np.log1p(dt * self._mu),
                           out=out)
-        return np.negative(np.expm1(out, out=out), out=out)
+        return np.multiply(np.expm1(out, out=out), -1.0, out=out)
 
     def step(self, temps: np.ndarray, power, dt: float | None = None) -> np.ndarray:
         """Advance node temperatures by dt (defaults to the solver's own)."""
@@ -357,14 +357,13 @@ class TransientSolver:
 
     def modal_steady(self, power) -> np.ndarray:
         """Modal coordinates z = to_modal(x - ambient) of the steady state x
-        of a power vector, to_modal(C^-1 p) / mu: nodes(z, ambient) is
-        steady(power).temps bit for bit. Solved once per distinct vector."""
+        of a power vector: nodes(z, ambient) is steady_state(net,
+        power).temps bit for bit. Solved once per distinct vector."""
         power = np.asarray(power, dtype=float)
         key = power.tobytes()
         z = self._modal_by_power.get(key)
         if z is None:
-            z = self._modal_by_power[key] = \
-                self._modes.to_modal(np.append(power, 0.0) / self.net.c_b) / self._mu
+            z = self._modal_by_power[key] = _modal_steady_state(self.net, power)
         return z
 
     def nodes(self, z: np.ndarray, origin: np.ndarray,
@@ -401,9 +400,9 @@ class PeriodTemplate:
 
     Run r takes steps bounds[r]..bounds[r + 1] - 1 towards the modal steady
     state fixed[r], plus the period's varying source z_var if varies[r].
-    Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss), as in
-    march(), so a period maps its start z0 to its end decay * z0 + offset
-    + gain * z_var.
+    Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss) (see the
+    module docstring), so a period maps its start z0 to its end decay * z0
+    + offset + gain * z_var.
     """
 
     bounds: tuple[int, ...]

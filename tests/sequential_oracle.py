@@ -1,27 +1,29 @@
 """The migrated run marched run by run, independently of the period template.
 
-hotmesh.sim marches every event-to-event period in modal coordinates from
-one template, and lays out the steps of each segment in closed form. This
-is the sequential march it replaced: the schedule of runs of equal steps
-(sim._schedule) with each segment walked step by step (walk_segment), from
-the same start, one TransientSolver.march or step per run, the mapping
-executed and its power vector taken at every event and the window
-statistics taken from the full trace. The tests compare run() against it.
+hotmesh.sim marches every event-to-event period, and the tail after the
+last event, in modal coordinates from one template, and lays out the steps
+of each segment in closed form. This is the sequential march it replaced,
+with a schedule of its own: the head, every period and the tail each
+walked step by step (walk_segment) into runs of equal steps, their times
+composed as k*period + the segment's step ends as sim composes them, and
+the runs marched from the same start, one TransientSolver.march or step
+per run, the mapping executed and its power vector taken at every event
+and the window statistics taken from the full trace. The tests compare
+run() against it.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 
-import hotmesh.sim
+from hotmesh.errors import ConfigurationError
 from hotmesh.grid import idle_vector, power_vector
 from hotmesh.migration import execute
-from hotmesh.sim import _TIME_EPS, RunSummary, Trace, _plan, _schedule, _start
+from hotmesh.sim import _TIME_EPS, RunSummary, Trace, _plan, _start
 from hotmesh.thermal import build_network, peak
 
 
-def walk_segment(length, dt, stall, pulse, event, max_rows):
+def walk_segment(length, dt, stall, pulse):
     """sim._segment as a walk over the steps: t advances by t + dt, cut where
     the stall or the pulse ends, and equal steps merge into runs."""
     runs, ends = [], []
@@ -34,27 +36,47 @@ def walk_segment(length, dt, stall, pulse, event, max_rows):
         h = t_next - t
         key = (None if abs(h - dt) < _TIME_EPS else h,
                t < stall - _TIME_EPS, t < pulse - _TIME_EPS)
-        if runs and runs[-1][:3] == key and runs[-1][4] < max_rows:
-            runs[-1] = (*key, runs[-1][3], runs[-1][4] + 1)
+        if runs and runs[-1][:3] == key:
+            runs[-1] = (*key, runs[-1][3] + 1)
         else:
-            runs.append((*key, event and not runs, 1))
+            runs.append((*key, 1))
         ends.append(t_next)
         t = t_next
     return runs, np.array(ends)
 
 
 def walked_schedule(cfg, mplan):
-    """sim._schedule with every segment laid out by walk_segment."""
-    with mock.patch.object(hotmesh.sim, "_segment", walk_segment):
-        return _schedule(cfg, mplan)
+    """(times, window, events, runs) of the migrated run: the head up to the
+    first event, each event-to-event period and the tail after the last
+    event walked by walk_segment. A run is (length or None for dt, stalled,
+    pulsed, fires, count); the first run after each event fires it."""
+    period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
+    events = 0
+    if mplan is not None:
+        while (events + 1) * period < duration - _TIME_EPS:
+            events += 1
+    head, ends = walk_segment(period if events else duration, dt, 0.0, 0.0)
+    runs = [(length, idle, pulsed, False, count) for length, idle, pulsed, count in head]
+    parts = [ends]
+    pulse = dt if cfg.deposit_migration_energy else 0.0
+    for k in range(1, events + 1):
+        segment, ends = walk_segment(period if k < events else duration - events * period,
+                                     dt, mplan.downtime, pulse)
+        runs += [(length, idle, pulsed, j == 0, count)
+                 for j, (length, idle, pulsed, count) in enumerate(segment)]
+        parts.append(k * period + ends)
+    times = np.concatenate([[0.0], *parts])
+    window = int(np.searchsorted(times[1:], cfg.effective_warmup + _TIME_EPS, side="right"))
+    if window == len(times) - 1:
+        raise ConfigurationError("warmup leaves no step to take statistics over")
+    return times, window, events, runs
 
 
 def sequential_run(cfg):
     """(RunSummary, Trace) of a validated cfg, marched run by run."""
     mplan = _plan(cfg)
     mapping, baseline, solver = _start(cfg, build_network(cfg.grid, cfg.thermal))
-    sched = walked_schedule(cfg, mplan)
-    runs = sched.head + sched.body * max(sched.events - 1, 0) + sched.tail
+    times, window, events, runs = walked_schedule(cfg, mplan)
     n_blocks = cfg.grid.n_cells
     active = power_vector(mapping, cfg.profile)
     stalled = idle_vector(cfg.profile, cfg.grid)
@@ -62,7 +84,7 @@ def sequential_run(cfg):
     if mplan is not None:
         src_idx = [cfg.grid.index(c) for c in mplan.source_cells()]
         pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
-    temps = np.empty((len(sched.times), n_blocks + 1))
+    temps = np.empty((len(times), n_blocks + 1))
     temps[0] = baseline.temps
     i = 0
     for length, idle, pulsed, fires, count in runs:
@@ -78,14 +100,13 @@ def sequential_run(cfg):
             rows = solver.march(temps[i], p, count, length)
         temps[i + 1:i + 1 + count] = rows
         i += count
-    assert i == len(sched.times) - 1
+    assert i == len(times) - 1
 
-    weights = np.diff(sched.times)[sched.window:]
-    blocks = temps[1 + sched.window:, :n_blocks]
+    weights = np.diff(times)[window:]
+    blocks = temps[1 + window:, :n_blocks]
     row_max = blocks.max(axis=1)
     mig_peak = float(row_max.max())
     base_peak = peak(baseline)
-    events = sched.events
     summary = RunSummary(
         peak_overall=mig_peak,
         peak_static_baseline=base_peak,
@@ -96,4 +117,4 @@ def sequential_run(cfg):
         migration_count=events,
         total_migration_energy=0.0 if mplan is None else events * mplan.energy,
     )
-    return summary, Trace(times=sched.times, temps=temps)
+    return summary, Trace(times=times, temps=temps)

@@ -7,6 +7,8 @@ import pytest
 import hotmesh
 from hotmesh.cli import main
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
 SCENARIO = """
 [grid]
 nx = 4
@@ -82,6 +84,26 @@ def test_run_refuses_a_trace_over_the_memory_limit(tmp_path, capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+def test_a_downtime_not_shorter_than_the_period_exits_2(tmp_path, capsys):
+    # a stall of 200 us every 109 us leaves the PEs no time to compute
+    bad = tmp_path / "stalled.ini"
+    bad.write_text(SCENARIO.replace("dy = 1\n", "dy = 1\ndowntime_fixed_us = 200\n"))
+    rc = main(["run", str(bad), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "downtime of 200.000 us is not shorter than the period" in captured.err
+    assert captured.err.count("\n") == 1
+    # a sweep records the error in the cells it holds for alone
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(bad), "--functions", "translate_xy:1:1", "--periods-us", "109",
+                 "218", "--out", str(out)]) == 0
+    short, long = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert short.endswith("is not shorter than the period of 109.000 us: the PEs would "
+                          "never compute")
+    assert long.endswith(",")  # no error
+
+
 def test_sweep_subcommand(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["sweep", str(scenario_file), "--functions", "translate_xy",
@@ -144,6 +166,22 @@ seed = 5
     assert rc == 0
     assert (out / "mapping.csv").exists()
     assert "annealed" in captured.out
+
+
+def test_place_reads_the_anneal_keys_whatever_the_placement(tmp_path, capsys):
+    # anneal_iterations configures `hotmesh place` also when the scenario's
+    # own runs keep the identity placement
+    text = (SCENARIOS / "warm_band_4x4.ini").read_text() + "anneal_iterations = 1\n"
+    printed = []
+    for name, extra in (("identity", ""), ("auto", "placement = auto\n")):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text + extra)
+        assert main(["place", str(path), "--out", str(tmp_path / name)]) == 0
+        printed.append(capsys.readouterr().out.splitlines()[0])
+    # one move from the identity placement finds nothing cooler
+    assert printed == ["peak 50.376 C with the identity placement, 50.376 C annealed"] * 2
+    assert ((tmp_path / "identity" / "mapping.csv").read_bytes()
+            == (tmp_path / "auto" / "mapping.csv").read_bytes())
 
 
 def test_seed_override_changes_annealer(tmp_path):

@@ -16,14 +16,17 @@ from hotmesh.grid import (PowerProfile, generate_warm_band, idle_vector, identit
                           make_grid, power_vector)
 from hotmesh.migration import MigrationCostParams, execute, plan
 from hotmesh.placement import AnnealConfig
-from hotmesh.scenario import ScenarioConfig
+from hotmesh.scenario import ScenarioConfig, load_scenario
 from hotmesh.sim import RunSummary, SweepCell, report, run, summarize, sweep
-from hotmesh.thermal import (ThermalNetwork, build_network, peak,
+from hotmesh.thermal import (ThermalNetwork, TransientSolver, build_network, peak,
                              spatial_spread, steady_state)
 from hotmesh.transforms import (IDENTITY, KINDS, MIRROR_XY, ROTATION, MigrationFunction,
                                 translate_x, translate_xy)
 from dataclasses import replace
+from pathlib import Path
 from sequential_oracle import sequential_run, walk_segment
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def band_cfg(**overrides):
@@ -63,15 +66,16 @@ def test_baseline_matches_initial_steady_state():
 
 
 def test_baseline_is_solved_once(monkeypatch):
-    # the baseline and the identity run's x_ss are one steady-state solve
+    # the baseline and the identity run's x_ss are one steady-state solve,
+    # which steady_state() and the solver's modal cache share
     calls = []
+    solve = hotmesh.thermal._modal_steady_state
 
     def counted(net, power):
         calls.append(power)
-        return steady_state(net, power)
+        return solve(net, power)
 
-    monkeypatch.setattr(hotmesh.thermal, "steady_state", counted)
-    monkeypatch.setattr(hotmesh.sim, "steady_state", counted, raising=False)
+    monkeypatch.setattr(hotmesh.thermal, "_modal_steady_state", counted)
     cfg = band_cfg(migration_fn=IDENTITY, sim_duration=1e-3, warmup=0.5e-3)
     summary, trace = run(cfg)
     assert len(calls) == 1
@@ -96,22 +100,89 @@ def test_trace_steps_end_on_every_breakpoint():
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.0, 60.0), st.sampled_from([1e-6, 0.7e-6, 1.3e-7]), st.floats(0.0, 5.0),
-       st.sampled_from([0.0, 1.0, 2.5]), st.booleans(), st.integers(1, 40))
-@example(32000.0, 1e-6, 0.0, 0.0, False, 3855)  # an identity run of a shipped scenario
-@example(109.0, 1e-6, 1.744, 1.0, True, 3855)   # a shipped period
-@example(40.0, 1e-6, 3.0, 1.0, True, 7)          # stall end on the accumulated grid
-@example(40.0, 1e-6, 1.0005, 1.0, True, 7)       # stall end 0.5 ns after the pulse end
-@example(17.0000004, 1e-6, 2.0, 1.0, False, 40)  # an end 0.4 ns past the grid
-@example(0.0000004, 1e-6, 0.0, 0.0, False, 40)  # no step at all
-def test_segment_layout_matches_the_step_by_step_walk(length, dt, stall, pulse, event, rows):
+       st.sampled_from([0.0, 1.0, 2.5]))
+@example(32000.0, 1e-6, 0.0, 0.0)    # an identity run of a shipped scenario
+@example(109.0, 1e-6, 1.744, 1.0)    # a shipped period
+@example(40.0, 1e-6, 3.0, 1.0)       # stall end on the accumulated grid
+@example(40.0, 1e-6, 1.0005, 1.0)    # stall end 0.5 ns after the pulse end
+@example(17.0000004, 1e-6, 2.0, 1.0)  # an end 0.4 ns past the grid
+@example(0.0000004, 1e-6, 0.0, 0.0)  # no step at all
+def test_segment_layout_matches_the_step_by_step_walk(length, dt, stall, pulse):
     # durations, downtimes and pulse ends off the dt grid, on it, and within
     # the layout tolerance of it: the same runs and the same step ends, bit
     # for bit, as the walk that adds dt one step at a time
-    args = (length * dt, dt, stall * dt, pulse * dt, event, rows)
+    args = (length * dt, dt, stall * dt, pulse * dt)
     runs, ends = hotmesh.sim._segment(*args)
     want_runs, want_ends = walk_segment(*args)
     assert runs == want_runs
     assert ends.tobytes() == want_ends.tobytes()
+
+
+def tail_case(period_us, duration_us, downtime_us):
+    """A template_cases case: mirror_xy on a 3x2 mesh at dt = 1 us, the heat
+    pulse deposited, statistics over the whole run."""
+    grid = make_grid(3, 2)
+    cfg = ScenarioConfig(
+        name="tail", grid=grid,
+        profile=PowerProfile(dict(enumerate(np.linspace(0.2, 1.9, 6).round(3)))),
+        initial_mapping=identity_mapping(grid), migration_fn=MIRROR_XY,
+        period=period_us * 1e-6, sim_duration=duration_us * 1e-6, dt=1e-6, warmup=0.0,
+        cost=MigrationCostParams(e_bit_hop=1e-9, downtime_fixed=downtime_us * 1e-6))
+    return cfg, hotmesh.sim._MARCH_ELEMENTS
+
+
+# (period, duration, downtime) in us: (events, tail steps taken from the
+# template, the cut step's (stalled, pulsed) or None when none is cut)
+TAIL_CASES = {
+    "shorter than dt: cut at the event": ((10.0, 30.4, 1.744), (3, 0, (True, True))),
+    "ends inside the stall": ((10.0, 32.2, 2.5), (3, 2, (True, False))),
+    "exactly one period": ((10.0, 40.0, 1.5), (3, 11, None)),
+    "a single event": ((7.3, 12.4, 1.744), (1, 5, (False, False))),
+    "0.4 ns past a step end": ((10.0, 32.7444, 1.744), (3, 3, None)),
+    "0.4 ns short of a step end": ((10.0, 32.7436, 1.744), (3, 2, (False, False))),
+}
+
+
+@pytest.mark.parametrize("times_us,want", TAIL_CASES.values(), ids=TAIL_CASES.keys())
+def test_the_tail_is_the_start_of_one_more_period(times_us, want):
+    # the tail's steps end where the period's first steps do, bit for bit,
+    # but for the step the run's end cuts short
+    cfg, _ = tail_case(*times_us)
+    sched = hotmesh.sim._schedule(cfg, hotmesh.sim._plan(cfg))
+    events, tail, cut = want
+    assert (sched.events, sched.tail) == (events, tail)
+    assert (sched.cut if sched.cut is None else sched.cut[1:]) == cut
+    _, body_ends = walk_segment(cfg.period, cfg.dt, times_us[2] * 1e-6, cfg.dt)
+    assert sum(run[3] for run in sched.body) == len(body_ends) >= tail
+    tail_ends = sched.times[len(sched.times) - tail - (cut is not None):][:tail]
+    assert np.array_equal(tail_ends, events * cfg.period + body_ends[:tail])
+    assert sched.times[-1] == pytest.approx(cfg.sim_duration, abs=1e-9)
+
+
+def test_run_marches_from_the_template_but_for_one_lone_step(monkeypatch):
+    # no second march path: a shipped run makes no march call and one
+    # step call, for the 0.256 us step its end cuts short (32000 us is 293
+    # periods of 109 us, then 63 us, against the 62.744 us of a period's
+    # steps after its 1.744 us stall)
+    calls, inside = [], []
+
+    def counted(name, real):
+        def wrapper(self, *args, **kwargs):
+            if not inside:  # step's own march is part of the step
+                calls.append(name)
+            inside.append(name)
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    for name in ("march", "step"):
+        monkeypatch.setattr(TransientSolver, name, counted(name, getattr(TransientSolver, name)))
+    for path in sorted(SCENARIOS.glob("*.ini")):
+        calls.clear()
+        run(load_scenario(path))
+        assert calls == ["step"], path.name
 
 
 def test_online_window_statistics_match_the_full_trace():
@@ -397,8 +468,22 @@ def template_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(template_cases())
+@example(tail_case(10.0, 30.4, 1.744))    # a tail shorter than dt: cut at the event
+@example(tail_case(10.0, 32.2, 2.5))      # a tail that ends inside the stall
+@example(tail_case(10.0, 40.0, 1.5))      # a tail of exactly one period: nothing cut
+@example(tail_case(7.3, 12.4, 1.744))     # a single event: no full period
+@example(tail_case(10.0, 32.7444, 1.744))  # a run end 0.4 ns past a period's step end
+@example(tail_case(10.0, 32.7436, 1.744))  # and 0.4 ns short of one
+@example(tail_case(2.0, 9.0, 2.5))        # a downtime longer than the period
 def test_template_march_matches_the_sequential_march(case):
     cfg, block = case
+    mplan = hotmesh.sim._plan(cfg)
+    if mplan is not None and mplan.downtime >= cfg.period:  # the PEs never compute
+        with pytest.raises(ConfigurationError, match="downtime"):
+            run(cfg)
+        (cell,) = sweep(cfg, [cfg.migration_fn], [cfg.period])
+        assert cell.summary is None and "downtime" in cell.error
+        return
     try:
         expected, oracle_trace = sequential_run(cfg)
     except ConfigurationError:  # a warm-up within the layout tolerance of the end

@@ -338,6 +338,22 @@ def test_period_template_matches_march_run_by_run():
             assert np.abs(solver.nodes(part, net.ambient) - rows[s0:s1]).max() <= 1e-12
 
 
+def test_template_approach_rows_hold_for_any_step_count():
+    # the template stores its approach rows mode by mode, the period's step
+    # count apart: for every step count up to 17, with a one-step run first
+    # and last, they equal _approach's own rows bit for bit
+    net = build_network(make_grid(3, 3), ThermalParams())
+    solver = TransientSolver(net, 1e-6)
+    p = np.linspace(0.1, 1.7, 9)
+    z = solver.modal_steady(p)
+    for steps in range(2, 18):
+        layout = [(1, 1e-6), (steps - 2, 7.44e-7), (1, 3e-7)] if steps > 2 else [(1, 1e-6)] * 2
+        template = solver.template([(count, dt, z, False) for count, dt in layout])
+        assert template.steps == steps
+        for (count, dt), a, b in zip(layout, template.bounds, template.bounds[1:]):
+            assert np.array_equal(template.approach[a:b], solver._approach(dt, count))
+
+
 def test_march_holds_a_steady_state_bit_for_bit():
     net = build_network(make_grid(4, 4), ThermalParams())
     p = np.linspace(0.2, 1.7, 16)
