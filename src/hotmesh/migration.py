@@ -1,17 +1,21 @@
-"""Migration events: phase-scheduled state transfers and their costs.
+"""Migration events: the state transfers of a permutation and their costs.
 
 Every workload whose PE changes sends one state blob along its XY
-(dimension-ordered, X first) route. Transfers are packed greedily into
-phases in row-major source order: each joins the earliest phase whose
-directed links it does not reuse, so within a phase no two transfers share
-a directed mesh link and the movement is congestion free. Each link keeps
-a bitmask of the phases using it, so a transfer costs O(hops).
+(dimension-ordered, X first) route of |dx| + |dy| hops, so an event's hops,
+and with them its energy, are a closed-form sum over the permutation.
+Transfers are packed greedily into phases in row-major source order: each
+joins the earliest phase whose directed links it does not reuse, so within
+a phase no two transfers share a directed mesh link and the movement is
+congestion free. Each link keeps a bitmask of the phases using it, so a
+transfer costs O(hops). The phases are packed on first read: only the
+detailed-timing downtime and the printed schedule read them, never a run
+in default timing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
@@ -68,14 +72,19 @@ def xy_route(src: Coord, dst: Coord) -> tuple[Link, ...]:
 
 @dataclass(frozen=True)
 class MigrationPlan:
-    """Executable migration event: what moves, in which phase, at what cost."""
+    """Executable migration event: what moves, at what cost and, packed on
+    first read, in which phase."""
 
     grid: GridSpec
     permutation: Permutation
-    phases: tuple[tuple[Transfer, ...], ...]
     total_hops: int
     energy: float
     downtime: float
+
+    @cached_property
+    def phases(self) -> tuple[tuple[Transfer, ...], ...]:
+        """The transfers in congestion-free phases (see _pack_phases)."""
+        return _pack_phases(self.grid, self.permutation)
 
     def transfers(self) -> list[Transfer]:
         return [t for ph in self.phases for t in ph]
@@ -96,7 +105,29 @@ class MigrationPlan:
 
 def plan(fn: MigrationFunction, grid: GridSpec,
          params: MigrationCostParams) -> MigrationPlan:
-    """Deterministic congestion-free schedule for one migration event.
+    """Deterministic congestion-free migration event and its costs.
+
+    total_hops, and with it the energy, is the sum of |dx| + |dy| from each
+    block to its image, in closed form; the default downtime is a constant.
+    So the phases are packed only when read, here only for detailed
+    timing's downtime, and then into the plan returned.
+    """
+    perm = as_permutation(fn, grid)
+    y0, x0 = np.divmod(np.arange(grid.n_cells), grid.nx)
+    y1, x1 = np.divmod(np.array(perm.forward), grid.nx)
+    hops = int(np.abs(x1 - x0).sum() + np.abs(y1 - y0).sum())
+    mplan = MigrationPlan(grid=grid, permutation=perm, total_hops=hops, energy=0.0,
+                          downtime=0.0)
+    # set on this plan rather than on a replace()d copy, which would drop
+    # the phases that detailed timing packs
+    object.__setattr__(mplan, "energy", migration_energy(mplan, params))
+    object.__setattr__(mplan, "downtime", migration_downtime(mplan, params))
+    return mplan
+
+
+def _pack_phases(grid: GridSpec, perm: Permutation) -> tuple[tuple[Transfer, ...], ...]:
+    """First-fit phases of the moved blocks' transfers, in row-major source
+    order.
 
     An XY route is at most two straight legs, a row's then a column's, each
     one slice of the mesh's link table (GridSpec._links). Per link an int
@@ -104,12 +135,10 @@ def plan(fn: MigrationFunction, grid: GridSpec,
     lowest bit clear in the OR over its legs, and joining it is one slice
     update per leg: O(hops) per transfer, with no cap on the phase count.
     """
-    perm = as_permutation(fn, grid)
     nx, ny, coords, links = grid.nx, grid.ny, grid._coords, grid._links
     masks = [0] * len(links)
     row_len, col_len = 2 * (nx - 1), 2 * (ny - 1)
     phases: list[list[Transfer]] = []
-    total_hops = 0
     for src, dst in enumerate(perm.forward):
         if src == dst:
             continue
@@ -126,14 +155,10 @@ def plan(fn: MigrationFunction, grid: GridSpec,
         masks[h] = [m | bit for m in row]
         masks[v] = [m | bit for m in col]
         t = Transfer(src=coords[src], dst=coords[dst], route=links[h] + links[v])
-        total_hops += t.hops
         if bit >> len(phases):
             phases.append([])
         phases[bit.bit_length() - 1].append(t)
-    draft = MigrationPlan(grid=grid, permutation=perm, phases=tuple(map(tuple, phases)),
-                          total_hops=total_hops, energy=0.0, downtime=0.0)
-    return replace(draft, energy=migration_energy(draft, params),
-                   downtime=migration_downtime(draft, params))
+    return tuple(map(tuple, phases))
 
 
 def migration_energy(plan_: MigrationPlan, params: MigrationCostParams) -> float:
@@ -145,8 +170,8 @@ def migration_downtime(plan_: MigrationPlan, params: MigrationCostParams) -> flo
     """Seconds the PEs stay halted for one event.
 
     Default mode is the calibrated per-event constant; detailed mode scales
-    with the phase count and the longest transfer. An empty plan halts
-    nothing and costs no time.
+    with the phase count and the longest transfer, so it packs the phases.
+    An empty plan halts nothing and costs no time.
     """
     if plan_.total_hops == 0:
         return 0.0

@@ -71,22 +71,24 @@ def anneal(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,
         raise ConfigurationError("thermal network was built for a different mesh")
     rng = random.Random(cfg.seed)
     ids = list(range(grid.n_cells))
-    block = np.arange(grid.n_cells)  # workload id -> block index
+    block = ids.copy()  # workload id -> block index
     power = power_vector(identity_mapping(grid), profile)
     best = block.copy()
     if len(ids) >= 2:
-        response = _block_response(net)
-        cur_obj = best_obj = float(np.max(response @ power)) + net.ambient
+        response, ambient = _block_response(net), net.ambient
+        rise = np.empty(len(ids))  # R p, rewritten by every move
+        cur_obj = best_obj = float(np.matmul(response, power, out=rise).max()) + ambient
         cooling = (cfg.t_end / cfg.t_start) ** (1.0 / max(cfg.iterations - 1, 1))
         temp = cfg.t_start
+        sample, uniform, exp = rng.sample, rng.random, math.exp
         for _ in range(cfg.iterations):
-            a, b = rng.sample(ids, 2)
+            a, b = sample(ids, 2)
             i, j = block[a], block[b]
             block[a], block[b] = j, i
             power[i], power[j] = power[j], power[i]
-            obj = float(np.max(response @ power)) + net.ambient
+            obj = float(np.matmul(response, power, out=rise).max()) + ambient
             delta = obj - cur_obj
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+            if delta <= 0 or uniform() < exp(-delta / temp):
                 cur_obj = obj
                 if obj < best_obj:
                     best_obj = obj
@@ -95,7 +97,7 @@ def anneal(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,
                 block[a], block[b] = i, j
                 power[i], power[j] = power[j], power[i]
             temp *= cooling
-    mapping = Mapping(grid, {w: grid.coord(int(i)) for w, i in enumerate(best)})
+    mapping = Mapping(grid, {w: grid.coord(i) for w, i in enumerate(best)})
     return PlacementResult(mapping=mapping, peak_c=evaluate(mapping, profile, net))
 
 
@@ -105,20 +107,39 @@ def place(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,
     return anneal(profile, grid, net, cfg).mapping
 
 
+_MAPPING_COLUMNS = ("workload_id", "x", "y")
+
+
 def write_mapping_csv(mapping: Mapping, path) -> None:
     """CSV rows: workload_id,x,y."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["workload_id", "x", "y"])
+        w.writerow(_MAPPING_COLUMNS)
         for wid in sorted(mapping.assignment):
             c = mapping.assignment[wid]
             w.writerow([wid, c.x, c.y])
 
 
 def read_mapping_csv(path, grid: GridSpec) -> Mapping:
-    """Load a placement written by write_mapping_csv."""
+    """Load a placement written by write_mapping_csv. A missing column, a
+    row that is not three integers and a workload placed twice are
+    configuration errors naming the file line."""
     assignment = {}
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            assignment[int(row["workload_id"])] = Coord(int(row["x"]), int(row["y"]))
+        reader = csv.DictReader(f)
+        missing = [k for k in _MAPPING_COLUMNS if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigurationError(f"{path}:1: no {', '.join(missing)} column in the header")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in row or None in row.values():  # more or fewer fields than the header
+                raise ConfigurationError(
+                    f"{where}: expected the header's {len(reader.fieldnames)} fields")
+            try:
+                wid, x, y = (int(row[k]) for k in _MAPPING_COLUMNS)
+            except ValueError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from None
+            if wid in assignment:
+                raise ConfigurationError(f"{where}: workload {wid} is placed twice")
+            assignment[wid] = Coord(x, y)
     return Mapping(grid, assignment)

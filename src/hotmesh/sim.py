@@ -6,11 +6,14 @@ constant power, so it stays at this steady state and needs no march. The
 migrated run is one backward-Euler march with one event per period: the
 plan's downtime stalls every PE at idle power, the transfer energy lands
 as a one-timestep heat pulse on the source PEs, and the placement
-permutes. Between events, stall end and pulse end the power is constant,
-so the schedule is laid out once as runs of equal steps: a head up to the
-first event, which stays at the baseline and is never marched, and one
-period from event to event. The tail after the last event takes the
-period's steps up to the run's end, whose last one the end may cut short.
+permutes. Of the plan a run reads only the closed-form hops and energy,
+the downtime and the inverse permutation, so in default timing its
+phases are never packed. Between events, stall end and pulse end the
+power is constant, so the schedule is laid out once as runs of equal
+steps: a head up to the first event, which stays at the baseline and is
+never marched, and one period from event to event. The tail after the
+last event takes the period's steps up to the run's end, whose last one
+the end may cut short.
 
 Every period, and the tail as the start of one more, is marched from one
 period template (TransientSolver.template) in modal coordinates, diagonal

@@ -382,16 +382,11 @@ class TransientSolver:
         n = self.net.n_nodes
         bounds = (0, *np.cumsum([run[0] for run in runs]).tolist())
         approach = np.empty((n, bounds[-1])).T  # mode-major, as rows() forms its rows
-        decay, offset, gain = np.ones(n), np.zeros(n), np.zeros(n)
-        for (count, dt, fixed, varies), start in zip(runs, bounds):
+        for (count, dt, _, _), start in zip(runs, bounds):
             _check_dt(dt)
-            w = self._approach(dt, count, out=approach[start:start + count])
-            decay = decay - w[-1] * decay
-            offset = offset - w[-1] * (offset - fixed)
-            gain = gain - w[-1] * (gain - float(varies))
+            self._approach(dt, count, out=approach[start:start + count])
         fixed = np.array([np.broadcast_to(run[2], n) for run in runs])
-        return PeriodTemplate(bounds, approach, fixed, tuple(bool(run[3]) for run in runs),
-                              decay, offset, gain)
+        return PeriodTemplate(bounds, approach, fixed, tuple(bool(run[3]) for run in runs))
 
 
 @dataclass(frozen=True)
@@ -401,31 +396,42 @@ class PeriodTemplate:
     Run r takes steps bounds[r]..bounds[r + 1] - 1 towards the modal steady
     state fixed[r], plus the period's varying source z_var if varies[r].
     Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss) (see the
-    module docstring), so a period maps its start z0 to its end decay * z0
-    + offset + gain * z_var.
+    module docstring), so a period maps its start z0 to its end D z0 + f +
+    B z_var (period_map).
     """
 
     bounds: tuple[int, ...]
     approach: np.ndarray      # (steps, n), mode-major: 1 - lambda^j of step j = 1.. of its run
     fixed: np.ndarray         # (runs, n)
     varies: tuple[bool, ...]
-    # the period's map z0 -> D z0 + f + B z_var, each (n,)
-    decay: np.ndarray         # D
-    offset: np.ndarray        # f
-    gain: np.ndarray          # B
 
     @property
     def steps(self) -> int:
         return self.bounds[-1]
 
+    @cached_property
+    def period_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(D, f, B), each (n,), composed run by run from the last approach
+        row of each: built on first use by starts(), which a one-run march
+        never makes."""
+        n = self.approach.shape[1]
+        decay, offset, gain = np.ones(n), np.zeros(n), np.zeros(n)
+        for end, fixed, varies in zip(self.bounds[1:], self.fixed, self.varies):
+            w = self.approach[end - 1]
+            decay = decay - w * decay
+            offset = offset - w * (offset - fixed)
+            gain = gain - w * (gain - float(varies))
+        return decay, offset, gain
+
     def starts(self, z0: np.ndarray, z_var: np.ndarray) -> np.ndarray:
         """z0 and the start of every later period, z_{k+1} = D z_k + f + B
         z_var[k]: O(n) per period, (len(z_var) + 1, n)."""
+        decay, offset, gain = self.period_map
         z = np.empty((len(z_var) + 1, len(z0)))
         z[0] = z0
-        z[1:] = self.gain * z_var + self.offset
+        z[1:] = gain * z_var + offset
         for k in range(len(z_var)):
-            z[k + 1] += self.decay * z[k]
+            z[k + 1] += decay * z[k]
         return z
 
     def rows(self, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int) -> np.ndarray:

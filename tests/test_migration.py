@@ -1,15 +1,15 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hotmesh import migration
 from hotmesh.errors import ConfigurationError, UnsupportedFunctionError
 from hotmesh.grid import (Coord, Mapping, PowerProfile, generate_warm_band, identity_mapping,
                           make_grid, power_vector)
-from hotmesh.migration import (MigrationCostParams, MigrationPlan, Transfer, execute,
+from hotmesh.migration import (MigrationCostParams, Transfer, execute,
                                format_plan, migration_downtime, migration_energy, plan,
                                xy_route)
 from hotmesh.transforms import (IDENTITY, KINDS, MIRROR_X, MIRROR_XY, MIRROR_Y, ROTATION,
@@ -127,7 +127,8 @@ def test_random_plans_are_congestion_free_and_move_each_cell_once(grid, fn):
 
 
 def coordinate_plan(fn, grid, params):
-    """Reference packer on Coord routes and Coord-pair link sets."""
+    """Reference packer on Coord routes and Coord-pair link sets: the
+    (phases, total_hops, energy, downtime) a plan must have."""
     perm = as_permutation(fn, grid)
     phases, busy = [], []
     for c in grid.cells():
@@ -142,12 +143,19 @@ def coordinate_plan(fn, grid, params):
         else:
             phases.append([t])
             busy.append(set(t.route))
-    draft = MigrationPlan(grid=grid, permutation=perm,
-                          phases=tuple(tuple(ph) for ph in phases),
-                          total_hops=sum(t.hops for ph in phases for t in ph),
-                          energy=0.0, downtime=0.0)
-    return replace(draft, energy=migration_energy(draft, params),
-                   downtime=migration_downtime(draft, params))
+    hops = sum(t.hops for ph in phases for t in ph)
+    downtime = 0.0
+    if hops:
+        downtime = params.downtime_fixed
+        if params.detailed_timing:
+            max_hops = max(t.hops for ph in phases for t in ph)
+            downtime = len(phases) * params.state_bits * params.t_bit_hop * max_hops
+    return (tuple(tuple(ph) for ph in phases), hops,
+            hops * params.state_bits * params.e_bit_hop, downtime)
+
+
+def plan_values(p):
+    return p.phases, p.total_hops, p.energy, p.downtime
 
 
 def test_plan_equals_the_coordinate_reference():
@@ -159,11 +167,11 @@ def test_plan_equals_the_coordinate_reference():
         for fn in fns:
             if fn != ROTATION or nx == ny:
                 for params in (PARAMS, detailed):
-                    assert plan(fn, grid, params) == coordinate_plan(fn, grid, params), \
-                        (nx, ny, fn)
+                    assert plan_values(plan(fn, grid, params)) == \
+                        coordinate_plan(fn, grid, params), (nx, ny, fn)
     big = make_grid(32, 32)
     for fn in (ROTATION, translate_xy(1, 1)):
-        assert plan(fn, big, detailed) == coordinate_plan(fn, big, detailed)
+        assert plan_values(plan(fn, big, detailed)) == coordinate_plan(fn, big, detailed)
 
 
 @given(meshes, functions, st.booleans())
@@ -171,7 +179,30 @@ def test_plan_equals_the_coordinate_reference_on_random_cases(grid, fn, detailed
     if fn.kind == "rotation":
         grid = make_grid(grid.nx, grid.nx)
     params = MigrationCostParams(detailed_timing=detailed)
-    assert plan(fn, grid, params) == coordinate_plan(fn, grid, params)
+    p = plan(fn, grid, params)
+    phases, total_hops, energy, downtime = coordinate_plan(fn, grid, params)
+    # the closed-form hops first, before anything reads the phases
+    assert p.total_hops == total_hops
+    assert p.energy == energy
+    assert p.downtime == downtime
+    assert p.phases == phases
+    assert p.total_hops == sum(t.hops for ph in p.phases for t in ph)
+
+
+def test_a_plan_packs_its_phases_once_and_only_for_detailed_timing(monkeypatch):
+    calls = []
+    pack = migration._pack_phases
+    monkeypatch.setattr(migration, "_pack_phases", lambda *a: calls.append(a) or pack(*a))
+    grid = make_grid(6, 6)
+    p = plan(ROTATION, grid, PARAMS)
+    assert (p.total_hops, p.downtime) == (manhattan_total(ROTATION, grid), 1.744e-6)
+    assert calls == []
+    detailed = MigrationCostParams(detailed_timing=True)
+    p = plan(ROTATION, grid, detailed)
+    assert len(calls) == 1
+    assert p.downtime == migration_downtime(p, detailed) > 0
+    assert len(p.phases) == 5 and format_plan(p) and p.transfers()
+    assert len(calls) == 1
 
 
 def test_phase_count_has_no_cap():

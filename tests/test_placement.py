@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -153,3 +154,66 @@ def test_mapping_csv_round_trip(tmp_path):
     loaded = read_mapping_csv(path, grid)
     assert loaded.assignment == mapping.assignment
     assert path.read_text().splitlines()[0] == "workload_id,x,y"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("workload_id,x,y\n0,0,0\n1,a,0\n", 3, "invalid literal for int()"),
+    ("workload_id,x\n0,0\n1,1\n", 1, "no y column in the header"),
+    ("workload_id,x,y\n0,0,0\n1,1\n", 3, "expected the header's 3 fields"),
+    ("workload_id,x,y\n0,0,0\n0,1,0\n", 3, "workload 0 is placed twice"),
+    ("workload_id,x,y\n0,0,0\n1,1,0,5\n", 3, "expected the header's 3 fields"),
+], ids=["non-integer field", "missing column", "short row", "duplicated workload",
+        "long row"])
+def test_broken_mapping_csv_names_the_line(tmp_path, text, line, message):
+    path = tmp_path / "mapping.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=rf"mapping\.csv:{line}: {message}"):
+        read_mapping_csv(path, make_grid(2, 1))
+
+
+def reference_anneal(profile, grid, net, cfg):
+    """The annealing loop as a plain transcription: a fresh np.max(R @ p)
+    per move and the block table as an array. anneal() must take the same
+    moves and keep the same placement."""
+    rng = random.Random(cfg.seed)
+    ids = list(range(grid.n_cells))
+    block = np.arange(grid.n_cells)
+    power = power_vector(identity_mapping(grid), profile)
+    response = _block_response(net)
+    cur_obj = best_obj = float(np.max(response @ power)) + net.ambient
+    best = block.copy()
+    cooling = (cfg.t_end / cfg.t_start) ** (1.0 / max(cfg.iterations - 1, 1))
+    temp = cfg.t_start
+    for _ in range(cfg.iterations):
+        a, b = rng.sample(ids, 2)
+        i, j = block[a], block[b]
+        block[a], block[b] = j, i
+        power[i], power[j] = power[j], power[i]
+        obj = float(np.max(response @ power)) + net.ambient
+        delta = obj - cur_obj
+        if delta <= 0 or rng.random() < math.exp(-delta / temp):
+            cur_obj = obj
+            if obj < best_obj:
+                best_obj = obj
+                best = block.copy()
+        else:
+            block[a], block[b] = i, j
+            power[i], power[j] = power[j], power[i]
+        temp *= cooling
+    return Mapping(grid, {w: grid.coord(int(i)) for w, i in enumerate(best)})
+
+
+def test_anneal_matches_the_reference_loop_on_seeded_warm_bands():
+    # the 8x8 warm bands of seeds 1-30 as the sweep benchmark draws them:
+    # the band row, then the annealing seed, 2000 moves each
+    grid = make_grid(8, 8)
+    net = build_network(grid, ThermalParams())
+    for seed in range(1, 31):
+        rng = random.Random(seed)
+        band_row, anneal_seed = rng.randrange(8), rng.randrange(10**6)
+        profile, _ = generate_warm_band(grid, 0.5, 2.0, band_row)
+        cfg = AnnealConfig(iterations=2000, seed=anneal_seed)
+        result = anneal(profile, grid, net, cfg)
+        want = reference_anneal(profile, grid, net, cfg)
+        assert result.mapping == want, seed
+        assert result.peak_c == evaluate(want, profile, net), seed

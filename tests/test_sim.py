@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hotmesh.migration
 import hotmesh.placement
 import hotmesh.sim
 import hotmesh.thermal
@@ -329,6 +330,21 @@ def test_sweep_plans_once_per_distinct_function(monkeypatch):
     for row in rows:
         direct, _ = run(replace(cfg, migration_fn=row.fn, period=row.period))
         assert row.summary == direct
+
+
+def test_default_timing_runs_never_pack_phases(monkeypatch):
+    # a run reads the plan's closed-form hops and energy, its constant
+    # downtime and its inverse permutation, never the phase schedule
+    def refuse(*args):
+        raise AssertionError("phases packed on the run path")
+
+    monkeypatch.setattr(hotmesh.migration, "_pack_phases", refuse)
+    for path in sorted(SCENARIOS.glob("*.ini")):
+        summary, _ = run(load_scenario(path))
+        assert summary.migration_count > 0, path.name
+    rows = sweep(band_cfg(sim_duration=1e-3, warmup=0.3e-3),
+                 [translate_xy(1, 1), ROTATION, MIRROR_XY], [109e-6, 218e-6])
+    assert all(row.error is None and row.summary.total_migration_energy > 0 for row in rows)
 
 
 def test_run_makes_no_dense_linear_algebra_on_the_network(monkeypatch):
