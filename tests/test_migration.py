@@ -128,7 +128,7 @@ def test_random_plans_are_congestion_free_and_move_each_cell_once(grid, fn):
 
 def coordinate_plan(fn, grid, params):
     """Reference packer on Coord routes and Coord-pair link sets: the
-    (phases, total_hops, energy, downtime) a plan must have."""
+    (permutation, phases, total_hops, energy, downtime) a plan must have."""
     perm = as_permutation(fn, grid)
     phases, busy = [], []
     for c in grid.cells():
@@ -150,12 +150,12 @@ def coordinate_plan(fn, grid, params):
         if params.detailed_timing:
             max_hops = max(t.hops for ph in phases for t in ph)
             downtime = len(phases) * params.state_bits * params.t_bit_hop * max_hops
-    return (tuple(tuple(ph) for ph in phases), hops,
+    return (perm, tuple(tuple(ph) for ph in phases), hops,
             hops * params.state_bits * params.e_bit_hop, downtime)
 
 
 def plan_values(p):
-    return p.phases, p.total_hops, p.energy, p.downtime
+    return p.permutation, p.phases, p.total_hops, p.energy, p.downtime
 
 
 def test_plan_equals_the_coordinate_reference():
@@ -180,7 +180,8 @@ def test_plan_equals_the_coordinate_reference_on_random_cases(grid, fn, detailed
         grid = make_grid(grid.nx, grid.nx)
     params = MigrationCostParams(detailed_timing=detailed)
     p = plan(fn, grid, params)
-    phases, total_hops, energy, downtime = coordinate_plan(fn, grid, params)
+    perm, phases, total_hops, energy, downtime = coordinate_plan(fn, grid, params)
+    assert p.grid == grid and p.permutation == perm
     # the closed-form hops first, before anything reads the phases
     assert p.total_hops == total_hops
     assert p.energy == energy
