@@ -87,57 +87,71 @@ class GridSpec:
             links += ahead + [(b, a) for a, b in ahead[::-1]]
         return tuple(links)
 
-    @cached_property
-    def _cell_set(self) -> frozenset[Coord]:
-        return frozenset(self._coords)
-
 
 def make_grid(nx: int, ny: int, cell_area: float = 4.36) -> GridSpec:
     """Validated mesh with the default PE geometry."""
     return GridSpec(nx=nx, ny=ny, cell_area=cell_area)
 
 
-@dataclass(frozen=True)
 class Mapping:
-    """Bijection from workload id to mesh coordinate. The assignment is
-    checked once and kept as a read-only copy, so it stays a bijection."""
+    """Bijection from workload id to mesh coordinate, checked once and kept
+    as two read-only index arrays: workloads, the ids in ascending order,
+    and blocks, the row-major block of each. The assignment dict and
+    location() are built from them on first read."""
 
-    grid: GridSpec
-    assignment: abc.Mapping[int, Coord]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
-        if len(self.assignment) != self.grid.n_cells:
+    def __init__(self, grid: GridSpec, assignment: abc.Mapping[int, Coord]):
+        n = grid.n_cells
+        if len(assignment) != n:
             raise ConfigurationError(
-                f"mapping places {len(self.assignment)} workloads on a mesh of "
-                f"{self.grid.n_cells} PEs")
-        if set(self.assignment.values()) == self.grid._cell_set:
-            return
-        # n workloads that do not cover the n cells: name the fault
-        for w, c in self.assignment.items():
-            if not self.grid.in_bounds(c):
-                raise ConfigurationError(f"workload {w} mapped outside the mesh at {c}")
-        raise ConfigurationError("mapping is not a bijection: a PE hosts multiple workloads")
+                f"mapping places {len(assignment)} workloads on a mesh of {n} PEs")
+        x = np.fromiter((c.x for c in assignment.values()), np.intp, n)
+        y = np.fromiter((c.y for c in assignment.values()), np.intp, n)
+        inside = (0 <= x) & (x < grid.nx) & (0 <= y) & (y < grid.ny)
+        if not inside.all():
+            w, c = list(assignment.items())[int(inside.argmin())]
+            raise ConfigurationError(f"workload {w} mapped outside the mesh at {c}")
+        blocks = y * grid.nx + x
+        if np.unique(blocks).size != n:  # n workloads that do not cover the n cells
+            raise ConfigurationError("mapping is not a bijection: a PE hosts multiple workloads")
+        workloads = np.fromiter(assignment, np.intp, n)
+        order = workloads.argsort()
+        self._set(grid, workloads[order], blocks[order])
+
+    def _set(self, grid: GridSpec, workloads: np.ndarray, blocks: np.ndarray) -> Mapping:
+        workloads.setflags(write=False)
+        blocks.setflags(write=False)
+        self.grid, self.workloads, self.blocks = grid, workloads, blocks
+        return self
+
+    @classmethod
+    def _placed(cls, grid: GridSpec, workloads: np.ndarray, blocks: np.ndarray) -> Mapping:
+        """The mapping of the ascending ids workloads onto blocks, a
+        bijection of the mesh's blocks, which is taken as given."""
+        return object.__new__(cls)._set(grid, workloads, blocks)
+
+    @cached_property
+    def assignment(self) -> abc.Mapping[int, Coord]:
+        """Read-only workload id -> coordinate."""
+        coords = self.grid._coords
+        return MappingProxyType({w: coords[b] for w, b in
+                                 zip(self.workloads.tolist(), self.blocks.tolist())})
 
     def location(self, workload: int) -> Coord:
         return self.assignment[workload]
 
-    def _moved(self, images: tuple[Coord, ...]) -> Mapping:
-        """The placement after every workload moves from block i to
-        images[i], where images is the image of every block under a
-        bijection of the blocks (Permutation.images). A bijection composed
-        with a bijection is one, so the result is not checked again."""
-        nx = self.grid.nx
-        moved = object.__new__(Mapping)
-        object.__setattr__(moved, "grid", self.grid)
-        object.__setattr__(moved, "assignment", MappingProxyType(
-            {w: images[c.y * nx + c.x] for w, c in self.assignment.items()}))
-        return moved
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return (self.grid == other.grid and np.array_equal(self.workloads, other.workloads)
+                and np.array_equal(self.blocks, other.blocks))
+
+    def __repr__(self) -> str:
+        return f"Mapping(grid={self.grid!r}, assignment={dict(self.assignment)!r})"
 
 
 def identity_mapping(grid: GridSpec) -> Mapping:
     """Workload i on block i, row-major."""
-    return Mapping(grid, {i: grid.coord(i) for i in range(grid.n_cells)})
+    return Mapping._placed(grid, np.arange(grid.n_cells), np.arange(grid.n_cells))
 
 
 @dataclass(frozen=True)
@@ -168,11 +182,10 @@ class PowerProfile:
 
 
 def power_vector(mapping: Mapping, profile: PowerProfile) -> np.ndarray:
-    """Dissipated watts per block, indexed row-major."""
-    nx = mapping.grid.nx
+    """Dissipated watts per block, indexed row-major: each workload's power
+    scattered onto its block."""
     v = np.empty(mapping.grid.n_cells)
-    for w, c in mapping.assignment.items():  # a Mapping holds only in-bounds cells
-        v[c.y * nx + c.x] = profile.power_of(w)
+    v[mapping.blocks] = [profile.power_of(w) for w in mapping.workloads.tolist()]
     return v
 
 
@@ -193,10 +206,8 @@ def generate_warm_band(grid: GridSpec, base_p: float, band_p: float,
             f"band power must exceed base power >= 0, got base={base_p} band={band_p}")
     if not 0 <= band_row < grid.ny:
         raise ConfigurationError(f"band_row {band_row} outside mesh with {grid.ny} rows")
-    mapping = identity_mapping(grid)
-    powers = {w: band_p if c.y == band_row else base_p
-              for w, c in mapping.assignment.items()}
-    return PowerProfile(powers), mapping
+    powers = {w: band_p if w // grid.nx == band_row else base_p for w in range(grid.n_cells)}
+    return PowerProfile(powers), identity_mapping(grid)
 
 
 def generate_center_hotspot(grid: GridSpec, base_p: float,
@@ -207,8 +218,6 @@ def generate_center_hotspot(grid: GridSpec, base_p: float,
             f"hotspot power must exceed base power >= 0, got base={base_p} hot={hot_p}")
     if grid.nx % 2 == 0 or grid.ny % 2 == 0:
         raise ConfigurationError(f"{grid.nx}x{grid.ny} mesh has no unique center PE")
-    center = Coord((grid.nx - 1) // 2, (grid.ny - 1) // 2)
-    mapping = identity_mapping(grid)
-    powers = {w: hot_p if c == center else base_p
-              for w, c in mapping.assignment.items()}
-    return PowerProfile(powers), mapping
+    center = grid.index(Coord((grid.nx - 1) // 2, (grid.ny - 1) // 2))
+    powers = {w: hot_p if w == center else base_p for w in range(grid.n_cells)}
+    return PowerProfile(powers), identity_mapping(grid)

@@ -93,12 +93,20 @@ class MigrationPlan:
         return [t.src for ph in self.phases for t in ph]
 
     @cached_property
+    def targets(self) -> np.ndarray:
+        """Per block, the block the event moves its workload onto (the
+        permutation's index array)."""
+        targets = np.array(self.permutation.forward, dtype=np.intp)
+        targets.setflags(write=False)
+        return targets
+
+    @cached_property
     def sources(self) -> np.ndarray:
         """Per block, the block whose workload the event moves onto it (the
         inverse permutation's index array): p[sources] is the power vector
         after the event of a placement whose power vector is p."""
         sources = np.empty(self.grid.n_cells, dtype=np.intp)
-        sources[list(self.permutation.forward)] = np.arange(self.grid.n_cells)
+        sources[self.targets] = np.arange(self.grid.n_cells)
         sources.setflags(write=False)
         return sources
 
@@ -182,13 +190,13 @@ def migration_downtime(plan_: MigrationPlan, params: MigrationCostParams) -> flo
 
 
 def execute(mapping: Mapping, plan_: MigrationPlan) -> Mapping:
-    """Apply the plan's permutation to a placement: one table lookup per
-    workload, at the row-major index of its cell (in bounds, since the
-    mapping was validated). The permutation is a bijection of the blocks,
-    so the placement it yields is one too and is not validated again."""
+    """Apply the plan's permutation to a placement: one gather of every
+    workload's block through the plan's targets. The permutation is a
+    bijection of the blocks, so the placement it yields is one too and is
+    not validated again."""
     if mapping.grid != plan_.grid:
         raise ConfigurationError("plan was built for a different mesh")
-    return mapping._moved(plan_.permutation.images)
+    return Mapping._placed(mapping.grid, mapping.workloads, plan_.targets[mapping.blocks])
 
 
 def format_plan(plan_: MigrationPlan) -> str:

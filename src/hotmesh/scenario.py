@@ -93,7 +93,7 @@ class ScenarioConfig:
         elif self.initial_mapping.grid != self.grid:
             raise ConfigurationError("initial mapping belongs to a different mesh")
         placed = (range(self.grid.n_cells) if isinstance(self.initial_mapping, str)
-                  else self.initial_mapping.assignment)
+                  else set(self.initial_mapping.workloads.tolist()))
         unplaced = sorted(w for w in self.profile.workload_power if w not in placed)
         if unplaced:
             raise ConfigurationError(

@@ -20,12 +20,14 @@ period template (TransientSolver.template) in modal coordinates, diagonal
 in the modes: the state at each event follows z_{k+1} = D z_k + f + B
 z_act(k), O(n) per event, with z_act(k) the steady state of the power the
 k-th event's placement dissipates. Node rows are formed only where they
-are read, in blocks of whole periods: all of them into a run's trace, and
-for a sweep cell, which keeps no trace, only those after warm-up. A step
-cut short by the run's end is the run's one lone step. Statistics are
-taken over the window after warm-up so they describe settled behavior
-rather than the decay of the initial condition; they are accumulated block
-by block.
+are read, in blocks of whole periods: those after warm-up for the
+statistics, and for a run's trace the blocks before warm-up as well, but
+only when the trace's temps are first read. A sweep cell keeps no trace,
+so neither it nor a run whose trace is never read forms a row that ends
+before warm-up. A step cut short by the run's end is the run's one lone
+step. Statistics are taken over the window after warm-up so they describe
+settled behavior rather than the decay of the initial condition; they are
+accumulated block by block.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .grid import Mapping, identity_mapping, idle_vector, power_vector
 from .migration import MigrationPlan, execute, plan
 from .placement import place
 from .scenario import ScenarioConfig
-from .thermal import ThermalState, TransientSolver, build_network, peak
+from .thermal import PeriodTemplate, ThermalState, TransientSolver, build_network, peak
 from .transforms import MigrationFunction
 
 # Collapses float noise when laying out the steps; far below dt, far above
@@ -78,12 +81,31 @@ class RunSummary:
     total_migration_energy: float
 
 
-@dataclass(frozen=True)
 class Trace:
-    """Sampled trajectory of the migrated run (block temps plus sink)."""
+    """Sampled trajectory of the migrated run (block temps plus sink):
+    times (m,), the sample instants in s, the first at t = 0, and temps
+    (m, n_blocks + 1) in deg C.
 
-    times: np.ndarray   # (m,) sample instants, s; first sample is t = 0
-    temps: np.ndarray   # (m, n_blocks + 1) deg C
+    run() forms the rows that end before warm-up, which its statistics
+    never read, only on the first read of temps: pending, if given, writes
+    them into temps in place, once, and is then dropped with all it holds.
+    Every read returns the same array, so a read trace costs the work of
+    an eager one, and an unread one neither that work nor the memory of
+    the pages it would have written.
+    """
+
+    def __init__(self, times: np.ndarray, temps: np.ndarray,
+                 pending: Callable[[np.ndarray], None] | None = None):
+        self.times = times
+        self._temps = temps
+        self._pending = pending
+
+    @property
+    def temps(self) -> np.ndarray:
+        if self._pending is not None:
+            self._pending(self._temps)
+            self._pending = None
+        return self._temps
 
 
 class _Schedule(NamedTuple):
@@ -229,10 +251,14 @@ class _Window:
 
 def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
            temps0: np.ndarray, mplan: MigrationPlan | None, sched: _Schedule,
-           trace: np.ndarray | None) -> tuple[float, float, float]:
-    """Backward-Euler march of the migrated run from the baseline temps0;
-    its window statistics (see _Window). trace, if given, receives the node
-    temps at every step end.
+           trace: np.ndarray | None
+           ) -> tuple[tuple[float, float, float], Callable[[np.ndarray], None] | None]:
+    """Backward-Euler march of the migrated run from the baseline temps0:
+    its window statistics (see _Window) and what forms the rest of the
+    trace. trace, if given, receives the node temps at every step end: the
+    rows of the blocks that end after warm-up at once, and of the tail's
+    last block, from which a cut step starts; the others only when the
+    returned pending is called with it (Trace.temps), else None.
 
     Every period, and the tail as the first steps of one more, is marched
     from one template over the idle and pulse powers and the active power
@@ -246,10 +272,13 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     stats = _Window(sched.times, sched.window, n_blocks)
     i = sched.head
     stats.add(0, np.broadcast_to(temps0, (i, n_nodes)))
+    # a trace's rows that end before warm-up are left pending: the head's
+    # (at temps0) when it does, and the period blocks' below
+    early = 0 if trace is None or i > sched.window else i
     if trace is not None:
-        trace[1:1 + i] = temps0
+        trace[1 + early:1 + i] = temps0
     if not sched.events:
-        return stats.result()
+        return stats.result(), None
     stalled = idle_vector(cfg.profile, cfg.grid)
     pulse = np.zeros(n_blocks)
     src_idx = np.flatnonzero(mplan.sources != np.arange(n_blocks))
@@ -272,6 +301,7 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     actives -= z0
     # period k runs from event k + 1 on, from starts[k]; the last is the tail
     starts = template.starts(np.zeros(n_nodes), actives[:-1])
+    form = partial(_form_rows, solver, template, starts, actives, temps0)
     # blocks of whole periods, or of one period's steps when a period is
     # longer than a block; a sweep cell starts at warm-up's period, and
     # its node rows need an array of their own, so its blocks are halved
@@ -281,15 +311,18 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     per = max(1, values // (steps * n_nodes))
     k_first = 0 if trace is not None else max(sched.window - i, 0) // steps
     blocks = [(k0, min(k0 + per, periods), steps) for k0 in range(k_first, periods, per)]
+    pending = []
     for k0, k1, stop in blocks + [(periods, periods + 1, sched.tail)]:
         for s0 in range(0, stop, span):
             s1 = min(s0 + span, stop)
-            z = template.rows(starts[k0:k1], actives[k0:k1], s0, s1).reshape(-1, n_nodes)
             lo = i + k0 * steps + s0
-            out = None if trace is None else trace[1 + lo:1 + lo + len(z)]
-            rows = solver.nodes(z, temps0, out)
-            stats.add(lo, rows)
-            del z  # else it lives on while the next block is formed
+            # a cut step starts from the tail's last row
+            if (trace is not None and (k0 < periods or s1 < stop)
+                    and lo + (k1 - k0) * (s1 - s0) <= sched.window):
+                pending.append((k0, k1, s0, s1, lo))
+            else:
+                rows = form((k0, k1, s0, s1, lo), trace)
+                stats.add(lo, rows)
     if sched.cut is not None:
         length, idle, pulsed = sched.cut
         i += periods * steps + sched.tail
@@ -299,7 +332,29 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
         if trace is not None:
             trace[i + 1] = rows[0]
         stats.add(i, rows)
-    return stats.result()
+    if not (early or pending):
+        return stats.result(), None
+    return stats.result(), partial(_form_pending, form, temps0, early, pending)
+
+
+def _form_rows(solver: TransientSolver, template: PeriodTemplate, starts: np.ndarray,
+               actives: np.ndarray, temps0: np.ndarray, block: tuple,
+               trace: np.ndarray | None) -> np.ndarray:
+    """Node rows of a block (k0, k1, s0, s1, lo): steps s0..s1 - 1 of the
+    periods k0..k1 - 1, whose first row is that of step lo; into its rows
+    of trace if given."""
+    k0, k1, s0, s1, lo = block
+    z = template.rows(starts[k0:k1], actives[k0:k1], s0, s1).reshape(-1, len(temps0))
+    return solver.nodes(z, temps0, None if trace is None else trace[1 + lo:1 + lo + len(z)])
+
+
+def _form_pending(form, temps0: np.ndarray, head: int, blocks: list,
+                  trace: np.ndarray) -> None:
+    """The trace rows _march left pending: head rows at temps0, then the
+    blocks, each formed as _march would have formed it."""
+    trace[1:1 + head] = temps0
+    for block in blocks:
+        form(block, trace)
 
 
 def _start(cfg: ScenarioConfig, net):
@@ -337,8 +392,8 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
     if keep_trace:
         temps = np.empty((len(times), solver.net.n_nodes))
         temps[0] = baseline.temps
-    mig_peak, time_avg, spread = _march(solver, cfg, mapping0, baseline.temps, mplan,
-                                        sched, temps)
+    (mig_peak, time_avg, spread), pending = _march(solver, cfg, mapping0, baseline.temps,
+                                                   mplan, sched, temps)
     base_peak = peak(baseline)
 
     penalty = 0.0 if mplan is None else mplan.downtime / cfg.period
@@ -353,7 +408,7 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
         migration_count=events,
         total_migration_energy=energy,
     )
-    return summary, (Trace(times=times, temps=temps) if keep_trace else None)
+    return summary, (Trace(times, temps, pending) if keep_trace else None)
 
 
 def _check_trace_size(cfg: ScenarioConfig) -> None:

@@ -56,6 +56,37 @@ def test_mapping_rejects_non_bijection():
         Mapping(g, {0: Coord(0, 0), 1: Coord(1, 0), 2: Coord(0, 1), 3: Coord(2, 1)})
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ({0: Coord(0, 0)}, "mapping places 1 workloads on a mesh of 4 PEs"),
+    ({7: Coord(0, 0), 5: Coord(-1, 0), 1: Coord(0, 1), 2: Coord(1, 2)},
+     "workload 5 mapped outside the mesh at Coord(x=-1, y=0)"),
+    ({0: Coord(0, 0), 1: Coord(1, 0), 2: Coord(0, 1), 3: Coord(2, 1)},
+     "workload 3 mapped outside the mesh at Coord(x=2, y=1)"),
+    ({0: Coord(0, 0), 1: Coord(0, 0), 2: Coord(1, 0), 3: Coord(1, 1)},
+     "mapping is not a bijection: a PE hosts multiple workloads"),
+])
+def test_mapping_names_its_fault(assignment, message):
+    # the first workload out of bounds in the order given
+    with pytest.raises(ConfigurationError) as err:
+        Mapping(make_grid(2, 2), assignment)
+    assert str(err.value) == message
+
+
+def test_mapping_holds_sorted_ids_and_their_blocks():
+    g = make_grid(3, 2)
+    given = {9: Coord(2, 1), 4: Coord(0, 0), 6: Coord(1, 0), 1: Coord(2, 0), 3: Coord(0, 1),
+             8: Coord(1, 1)}
+    m = Mapping(g, given)
+    assert m.workloads.tolist() == [1, 3, 4, 6, 8, 9]
+    assert m.blocks.tolist() == [2, 3, 0, 1, 4, 5]
+    with pytest.raises(ValueError):
+        m.blocks[0] = 0
+    assert m.assignment == given and m.location(9) == Coord(2, 1)
+    assert m == Mapping(g, dict(reversed(given.items())))
+    assert m != Mapping(g, {**given, 9: Coord(1, 1), 8: Coord(2, 1)})
+    assert m != Mapping(make_grid(2, 3), {w: Coord(c.y, c.x) for w, c in given.items()})
+
+
 def test_mapping_keeps_a_read_only_copy_of_its_assignment():
     # a validated mapping cannot be edited into a non-bijection afterwards
     g = make_grid(4, 4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hotmesh.grid
 import hotmesh.migration
 import hotmesh.placement
 import hotmesh.sim
@@ -347,6 +348,20 @@ def test_default_timing_runs_never_pack_phases(monkeypatch):
     assert all(row.error is None and row.summary.total_migration_energy > 0 for row in rows)
 
 
+def test_runs_and_sweeps_never_build_a_placements_assignment(monkeypatch):
+    # a placement is its index arrays: loading, placing, executing and
+    # taking power vectors reads no workload -> Coord dict
+    def forbidden(self):
+        raise AssertionError("built a Mapping's assignment")
+
+    monkeypatch.setattr(hotmesh.grid.Mapping, "assignment", property(forbidden))
+    for path in sorted(SCENARIOS.glob("*.ini")):
+        run(load_scenario(path))
+    cfg = band_cfg(initial_mapping="auto", sim_duration=1e-3, warmup=0.5e-3,
+                   anneal=AnnealConfig(iterations=50, seed=3))
+    assert all(cell.error is None for cell in sweep(cfg, [ROTATION, MIRROR_XY], [109e-6]))
+
+
 def test_run_makes_no_dense_linear_algebra_on_the_network(monkeypatch):
     # The modal basis is closed form: a run or an annealed placement
     # factors, inverts or decomposes nothing larger than 2x2, so no O(n^3)
@@ -556,7 +571,8 @@ def test_migrated_trace_conserves_energy_row_to_row():
 
 def test_node_rows_are_formed_in_bounded_blocks(monkeypatch):
     # no modal copy of the whole trace: every block of rows turned into node
-    # temperatures holds at most _MARCH_ELEMENTS values
+    # temperatures holds at most _MARCH_ELEMENTS values, also the blocks
+    # before warm-up that the first read of the trace forms
     sizes = []
     real_nodes = hotmesh.thermal.TransientSolver.nodes
 
@@ -568,10 +584,75 @@ def test_node_rows_are_formed_in_bounded_blocks(monkeypatch):
     monkeypatch.setattr(hotmesh.sim, "_MARCH_ELEMENTS", 1 << 10)
     cfg = band_cfg(sim_duration=2e-3, warmup=1e-3)
     summary, trace = run(cfg)
+    trace.temps
     (cell,) = sweep(cfg, [cfg.migration_fn], [cfg.period])
     assert cell.summary == summary
     assert len(sizes) > 2 * trace.temps.size // (1 << 10)
     assert max(sizes) <= 1 << 10
+
+
+def _trace_rows_formed(monkeypatch):
+    """Patch TransientSolver.nodes to record, per call that writes into a
+    trace, the (first step, count) of its rows; return the record."""
+    formed = []
+    real_nodes = hotmesh.thermal.TransientSolver.nodes
+
+    def recorded(self, z, origin, out=None):
+        if out is not None:
+            offset = out.__array_interface__["data"][0] - out.base.__array_interface__["data"][0]
+            formed.append((offset // out.strides[0] - 1, len(out)))
+        return real_nodes(self, z, origin, out)
+
+    monkeypatch.setattr(hotmesh.thermal.TransientSolver, "nodes", recorded)
+    return formed
+
+
+# warm-up (us) of a 2 ms band run: 18 events at 109 us, then a tail of
+# 37.744 us of the period's steps and a cut step of 0.256 us
+@pytest.mark.parametrize("block", [1 << 9, None])
+@pytest.mark.parametrize("warmup_us", [0.0, 50.0, 1090.0, 1234.5, 1980.0, 1999.9])
+def test_a_trace_forms_its_rows_before_warm_up_only_when_read(monkeypatch, warmup_us,
+                                                              block):
+    # at 0, inside the head, at an event, inside a period, in the tail and
+    # at the cut step; with periods split into blocks and batched whole
+    cfg = band_cfg(sim_duration=2e-3, warmup=warmup_us * 1e-6)
+    if block is not None:
+        monkeypatch.setattr(hotmesh.sim, "_MARCH_ELEMENTS", block)
+    sched = hotmesh.sim._schedule(cfg, hotmesh.sim._plan(cfg))
+    assert sched.events == 18 and sched.cut is not None
+    expected, oracle_trace = sequential_run(cfg)
+    formed = _trace_rows_formed(monkeypatch)
+    summary, trace = run(cfg)
+    # no block formed ends before warm-up, but for the tail's last block
+    # when the warm-up leaves only the cut step, which starts from its last row
+    cut = len(sched.times) - 2
+    assert all(lo + count > sched.window or lo + count == sched.window == cut
+               for lo, count in formed)
+    before = len(formed)
+    temps = trace.temps
+    assert trace.temps is temps and len(formed) >= before
+    # every row from the head's end to the cut step formed exactly once
+    times_formed = np.zeros(len(sched.times) - 1, dtype=int)
+    for lo, count in formed:
+        times_formed[lo:lo + count] += 1
+    assert times_formed[sched.head:-1].tolist() == [1] * (len(times_formed) - 1 - sched.head)
+    assert not times_formed[:sched.head].any() and times_formed[-1] == 0
+    assert np.array_equal(trace.times, oracle_trace.times)
+    assert np.abs(temps - oracle_trace.temps).max() <= 1e-9
+    assert np.allclose(astuple(summary), astuple(expected), rtol=0.0, atol=1e-9)
+
+
+def test_the_summary_does_not_depend_on_when_the_trace_is_read():
+    cfg = band_cfg(sim_duration=2e-3, warmup=1e-3)
+    unread, _ = run(cfg)
+    first, early = run(cfg)
+    early_temps = early.temps.copy()
+    second, late = run(cfg)
+    run(band_cfg(migration_fn=ROTATION))  # another run in between
+    assert unread == first == second
+    assert np.array_equal(late.temps, early_temps)
+    eager = hotmesh.sim.Trace(times=late.times, temps=early_temps)
+    assert eager.temps is early_temps
 
 
 def test_traced_runs_over_the_memory_limit_are_refused(monkeypatch):
