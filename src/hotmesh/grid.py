@@ -111,11 +111,15 @@ class Mapping:
             w, c = list(assignment.items())[int(inside.argmin())]
             raise ConfigurationError(f"workload {w} mapped outside the mesh at {c}")
         blocks = y * grid.nx + x
-        if np.unique(blocks).size != n:  # n workloads that do not cover the n cells
+        # a scatter and a Python sort rather than numpy's: its sort kernels
+        # would page in ~1 MB of library code that no run otherwise touches
+        covered = np.zeros(n, dtype=bool)
+        covered[blocks] = True
+        if not covered.all():  # n workloads that do not cover the n cells
             raise ConfigurationError("mapping is not a bijection: a PE hosts multiple workloads")
-        workloads = np.fromiter(assignment, np.intp, n)
-        order = workloads.argsort()
-        self._set(grid, workloads[order], blocks[order])
+        workloads = list(assignment)
+        order = sorted(range(n), key=workloads.__getitem__)
+        self._set(grid, np.array(workloads, dtype=np.intp)[order], blocks[order])
 
     def _set(self, grid: GridSpec, workloads: np.ndarray, blocks: np.ndarray) -> Mapping:
         workloads.setflags(write=False)
@@ -151,7 +155,8 @@ class Mapping:
 
 def identity_mapping(grid: GridSpec) -> Mapping:
     """Workload i on block i, row-major."""
-    return Mapping._placed(grid, np.arange(grid.n_cells), np.arange(grid.n_cells))
+    ids = np.arange(grid.n_cells, dtype=np.intp)
+    return Mapping._placed(grid, ids, ids)
 
 
 @dataclass(frozen=True)

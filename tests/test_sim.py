@@ -628,9 +628,9 @@ def test_a_trace_forms_its_rows_before_warm_up_only_when_read(monkeypatch, warmu
     cut = len(sched.times) - 2
     assert all(lo + count > sched.window or lo + count == sched.window == cut
                for lo, count in formed)
-    before = len(formed)
     temps = trace.temps
-    assert trace.temps is temps and len(formed) >= before
+    read = len(formed)
+    assert trace.temps is temps and len(formed) == read  # a second read forms nothing
     # every row from the head's end to the cut step formed exactly once
     times_formed = np.zeros(len(sched.times) - 1, dtype=int)
     for lo, count in formed:
