@@ -273,7 +273,7 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     i = sched.head
     stats.add(0, np.broadcast_to(temps0, (i, n_nodes)))
     # a trace's rows that end before warm-up are left pending: the head's
-    # (at temps0) when it does, and the period blocks' below
+    # (at temps0) when it does, and the blocks' below
     early = 0 if trace is None or i > sched.window else i
     if trace is not None:
         trace[1 + early:1 + i] = temps0
