@@ -70,13 +70,13 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=Path("out"),
                    help="output directory for CSV files (default: out)")
     p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario seed")
+                   help="override the scenario seed (of the placement annealer)")
 
 
 def _load(args) -> ScenarioConfig:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed, anneal=replace(cfg.annealing, seed=args.seed))
+        cfg = replace(cfg, anneal=replace(cfg.anneal, seed=args.seed))
     return cfg
 
 
@@ -131,7 +131,7 @@ def _cmd_plan(args) -> int:
 def _cmd_place(args) -> int:
     cfg = _load(args)
     net = build_network(cfg.grid, cfg.thermal)
-    result = anneal(cfg.profile, cfg.grid, net, cfg.annealing)
+    result = anneal(cfg.profile, cfg.grid, net, cfg.anneal)
     out = _ensure_out(args)
     write_mapping_csv(result.mapping, out / "mapping.csv")
     before = evaluate(identity_mapping(cfg.grid), cfg.profile, net)

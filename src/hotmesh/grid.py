@@ -88,7 +88,7 @@ class GridSpec:
         return tuple(links)
 
 
-def make_grid(nx: int, ny: int, cell_area: float = 4.36) -> GridSpec:
+def make_grid(nx: int, ny: int, cell_area: float = GridSpec.cell_area) -> GridSpec:
     """Validated mesh with the default PE geometry."""
     return GridSpec(nx=nx, ny=ny, cell_area=cell_area)
 

@@ -3,23 +3,24 @@
 Sections and keys (units are part of the key names):
 
 [grid]      nx, ny, cell_area_mm2
-[profile]   kind = warm_band | center_hotspot | explicit
-            warm_band:      base_power_w, band_power_w, band_row
-            center_hotspot: base_power_w, hot_power_w
-            explicit:       workload_<id>_w = <watts> per active workload,
-                            0 <= id < nx * ny
-            idle_power_w    optional for every kind
-[migration] fn (tag, e.g. rotation or translate_xy:1:1), dx, dy,
-            state_bits, e_bit_hop_j, downtime_fixed_us, t_bit_hop_s,
-            detailed_timing
+[profile]   kind, idle_power_w
+  warm_band:      base_power_w, band_power_w, band_row
+  center_hotspot: base_power_w, hot_power_w
+  explicit:       workload_<id>_w (watts; one per active workload, 0 <= id < nx * ny)
+[migration] fn, dx, dy, state_bits, e_bit_hop_j, downtime_fixed_us,
+            t_bit_hop_s, detailed_timing
 [thermal]   k_si_w_per_m_k, c_v_j_per_m3_k, die_thickness_mm,
             r_vertical_k_per_w, r_sink_k_per_w, c_sink_j_per_k, ambient_c
-[sim]       period_us, duration_us, dt_us, warmup_us, seed,
-            placement = identity | auto, deposit_migration_energy,
-            anneal_iterations, anneal_t_start, anneal_t_end
+[sim]       period_us, duration_us, dt_us, warmup_us, seed, placement,
+            deposit_migration_energy, anneal_iterations, anneal_t_start,
+            anneal_t_end
 
-Only [grid] and [profile] are mandatory; every other key falls back to the
-library defaults. A section or key outside this table is an error.
+[profile] also takes the keys on the line of its kind. fn is a function
+tag such as rotation or translate_xy:1:1, whose offsets dx and dy
+override. placement is identity or auto (annealed); seed and the anneal_*
+keys set the placement annealer. Only [grid] and [profile] are mandatory;
+an omitted key keeps the default of the dataclass it sets. A section or
+key outside this table is an error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -44,9 +45,11 @@ class ScenarioConfig:
     """Everything one run needs; immutable so sweeps can fork it freely.
 
     initial_mapping is a Mapping, or "identity", or "auto" for a
-    thermally-aware annealed placement. Statistics are collected after the
-    warm-up window (default: the second half of the run), so both the
-    migrated and the baseline run have settled before being compared.
+    thermally-aware annealed placement, whose schedule and seed anneal
+    holds. Statistics are collected after the warm-up window (default: the
+    second half of the run), so both the migrated and the baseline run
+    have settled before being compared. A scenario file sets these fields
+    through load_scenario; a key it omits keeps the default stated here.
     """
 
     name: str
@@ -61,13 +64,7 @@ class ScenarioConfig:
     thermal: ThermalParams = field(default_factory=ThermalParams)
     cost: MigrationCostParams = field(default_factory=MigrationCostParams)
     deposit_migration_energy: bool = True
-    anneal: AnnealConfig | None = None
-    seed: int = 0
-
-    @property
-    def annealing(self) -> AnnealConfig:
-        """The placement's schedule: anneal, by default AnnealConfig(seed=seed)."""
-        return self.anneal if self.anneal is not None else AnnealConfig(seed=self.seed)
+    anneal: AnnealConfig = field(default_factory=AnnealConfig)
 
     @property
     def effective_warmup(self) -> float:
@@ -87,9 +84,10 @@ class ScenarioConfig:
             raise ConfigurationError("warmup must lie inside the simulated interval")
         if isinstance(self.initial_mapping, str):
             if self.initial_mapping not in ("identity", "auto"):
+                section, key = _key("cfg", "initial_mapping")
                 raise ConfigurationError(
-                    f"initial_mapping must be a Mapping, 'identity', or 'auto', "
-                    f"got {self.initial_mapping!r}")
+                    f"initial_mapping ([{section}] {key}) must be a Mapping, 'identity', "
+                    f"or 'auto', got {self.initial_mapping!r}")
         elif self.initial_mapping.grid != self.grid:
             raise ConfigurationError("initial mapping belongs to a different mesh")
         placed = (range(self.grid.n_cells) if isinstance(self.initial_mapping, str)
@@ -103,37 +101,86 @@ class ScenarioConfig:
         as_permutation(self.migration_fn, self.grid)
         for name, value in network_scalars(self.grid, self.thermal).items():
             if not 0 < value < math.inf:
+                keys = " and ".join("[{}] {}".format(*_key(*f)) for f in _SCALAR_FIELDS[name])
                 raise ConfigurationError(
-                    f"{_SCALAR_KEYS[name]} gives the thermal network {name} = {value}, "
-                    f"outside (0, inf)")
+                    f"the thermal network's {name} = {value}, derived from {keys}, "
+                    f"is outside (0, inf)")
 
 
-# The scenario keys each network scalar of thermal.network_scalars is derived from.
-_SCALAR_KEYS = {
-    "g_lat": "[thermal] k_si_w_per_m_k * die_thickness_mm",
-    "g_vert": "1 / [thermal] r_vertical_k_per_w",
-    "g_amb": "1 / [thermal] r_sink_k_per_w",
-    "c_b": "[thermal] c_v_j_per_m3_k * die_thickness_mm * [grid] cell_area_mm2",
-    "c_s": "[thermal] c_sink_j_per_k",
+# The (object, field) of _KEYS each of thermal.network_scalars derives from.
+_SCALAR_FIELDS = {
+    "g_lat": (("thermal", "k_si"), ("thermal", "die_thickness")),
+    "g_vert": (("thermal", "r_vertical"),),
+    "g_amb": (("thermal", "r_sink"),),
+    "c_b": (("thermal", "c_v"), ("thermal", "die_thickness"), ("grid", "cell_area")),
+    "c_s": (("thermal", "c_sink"),),
 }
-# The keys of each section, as the table in the module docstring lists
-# them; [profile] also takes the keys of its kind.
-_SECTION_KEYS = {
-    "grid": "nx ny cell_area_mm2",
-    "profile": "kind idle_power_w",
-    "migration": "fn dx dy state_bits e_bit_hop_j downtime_fixed_us t_bit_hop_s detailed_timing",
-    "thermal": "k_si_w_per_m_k c_v_j_per_m3_k die_thickness_mm r_vertical_k_per_w "
-               "r_sink_k_per_w c_sink_j_per_k ambient_c",
-    "sim": "period_us duration_us dt_us warmup_us seed placement deposit_migration_energy "
-           "anneal_iterations anneal_t_start anneal_t_end",
+
+
+def _us(value: str) -> float:
+    return float(value) * 1e-6
+
+
+def _mm(value: str) -> float:
+    return float(value) * 1e-3
+
+
+def _bool(value: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {value}") from None
+
+
+# Every scenario key: (section, key) -> (the object it sets, that object's
+# field, how the file's value converts to it). An omitted key is not
+# passed, so the object keeps its dataclass default; "fn" is parse_function.
+_KEYS = {
+    ("grid", "nx"): ("grid", "nx", int),
+    ("grid", "ny"): ("grid", "ny", int),
+    ("grid", "cell_area_mm2"): ("grid", "cell_area", float),
+    ("profile", "kind"): ("profile", "kind", str),
+    ("profile", "idle_power_w"): ("profile", "idle_power", float),
+    ("migration", "fn"): ("fn", "tag", str),
+    ("migration", "dx"): ("fn", "dx", int),
+    ("migration", "dy"): ("fn", "dy", int),
+    ("migration", "state_bits"): ("cost", "state_bits", float),
+    ("migration", "e_bit_hop_j"): ("cost", "e_bit_hop", float),
+    ("migration", "downtime_fixed_us"): ("cost", "downtime_fixed", _us),
+    ("migration", "t_bit_hop_s"): ("cost", "t_bit_hop", float),
+    ("migration", "detailed_timing"): ("cost", "detailed_timing", _bool),
+    ("thermal", "k_si_w_per_m_k"): ("thermal", "k_si", float),
+    ("thermal", "c_v_j_per_m3_k"): ("thermal", "c_v", float),
+    ("thermal", "die_thickness_mm"): ("thermal", "die_thickness", _mm),
+    ("thermal", "r_vertical_k_per_w"): ("thermal", "r_vertical", float),
+    ("thermal", "r_sink_k_per_w"): ("thermal", "r_sink", float),
+    ("thermal", "c_sink_j_per_k"): ("thermal", "c_sink", float),
+    ("thermal", "ambient_c"): ("thermal", "ambient", float),
+    ("sim", "period_us"): ("cfg", "period", _us),
+    ("sim", "duration_us"): ("cfg", "sim_duration", _us),
+    ("sim", "dt_us"): ("cfg", "dt", _us),
+    ("sim", "warmup_us"): ("cfg", "warmup", _us),
+    ("sim", "placement"): ("cfg", "initial_mapping", str),
+    ("sim", "deposit_migration_energy"): ("cfg", "deposit_migration_energy", _bool),
+    ("sim", "seed"): ("anneal", "seed", int),
+    ("sim", "anneal_iterations"): ("anneal", "iterations", int),
+    ("sim", "anneal_t_start"): ("anneal", "t_start", float),
+    ("sim", "anneal_t_end"): ("anneal", "t_end", float),
 }
-_PROFILE_KEYS = {"warm_band": "base_power_w band_power_w band_row",
-                 "center_hotspot": "base_power_w hot_power_w",
-                 "explicit": ""}  # and workload_<id>_w
+# Each profile kind: its generator and the [profile] keys it requires, in
+# the order of its arguments. explicit takes workload_<id>_w keys instead.
+_PROFILES = {
+    "warm_band": (generate_warm_band,
+                  {"base_power_w": float, "band_power_w": float, "band_row": int}),
+    "center_hotspot": (generate_center_hotspot, {"base_power_w": float, "hot_power_w": float}),
+    "explicit": (None, {}),
+}
 _WORKLOAD_KEY = re.compile(r"workload_(\d+)_w")
-_DEF_COST = MigrationCostParams()
-_DEF_THERMAL = ThermalParams()
-_DEF_ANNEAL = AnnealConfig()
+
+
+def _key(target: str, name: str) -> tuple[str, str]:
+    """The (section, key) of _KEYS that sets the field name of target."""
+    return next(sk for sk, (t, n, _) in _KEYS.items() if (t, n) == (target, name))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -141,139 +188,78 @@ def load_scenario(path) -> ScenarioConfig:
     # no section name is empty, so [DEFAULT] is an ordinary (unknown) section
     # instead of keys that every section would inherit
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
-    if not parser.read(path):
-        raise ConfigurationError(f"cannot read scenario file {path}")
     try:
+        if not parser.read(path):
+            raise ConfigurationError(f"cannot read scenario file {path}")
         cfg = _build(parser, Path(path).stem)
-    except (configparser.Error, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+    except (configparser.Error, ValueError) as exc:  # a parse error may span lines
+        raise ConfigurationError(f"{path}: {exc}".replace("\n", " ")) from None
     cfg.validate()
     return cfg
 
 
-def _need(section, key: str, getter):
-    if key not in section:
-        raise ConfigurationError(f"[{section.name}] is missing key {key!r}")
-    return getter(key)
+def _need(given: dict, target: str, name: str):
+    """Take the field name of target from given, which the file must set."""
+    if name not in given[target]:
+        section, key = _key(target, name)
+        raise ConfigurationError(f"[{section}] is missing key {key!r}")
+    return given[target].pop(name)
 
 
-def _reject_unknown_keys(section, allowed: str, pattern=None) -> None:
-    for key in section:
-        if key not in allowed.split() and not (pattern and pattern.fullmatch(key)):
-            raise ConfigurationError(f"[{section.name}] has unknown key {key!r}")
+def _make(cls, given: dict, target: str):
+    """cls from the fields the file sets; each field without a default must be set."""
+    required = {f.name: _need(given, target, f.name) for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    return cls(**required, **given[target])
 
 
 def _build(p: configparser.ConfigParser, name: str) -> ScenarioConfig:
     # a misspelled section or key would otherwise fall back to a default silently
+    sections = {section for section, _ in _KEYS}
+    given = {target: {} for target, _, _ in _KEYS.values()}
+    kind_keys = {}  # the [profile] keys of its kind: _profile
     for section in p.sections():
-        if section not in _SECTION_KEYS:
+        if section not in sections:
             raise ConfigurationError(f"scenario has unknown section [{section}]")
-        if section != "profile":  # its keys depend on its kind: _parse_profile
-            _reject_unknown_keys(p[section], _SECTION_KEYS[section])
-    for required in ("grid", "profile"):
-        if not p.has_section(required):
-            raise ConfigurationError(f"scenario needs a [{required}] section")
+        for key, value in p[section].items():
+            if (section, key) in _KEYS:
+                target, field_name, convert = _KEYS[section, key]
+                given[target][field_name] = convert(value)
+            elif section == "profile":
+                kind_keys[key] = value
+            else:
+                raise ConfigurationError(f"[{section}] has unknown key {key!r}")
 
-    g = p["grid"]
-    grid = GridSpec(nx=_need(g, "nx", g.getint), ny=_need(g, "ny", g.getint),
-                    cell_area=g.getfloat("cell_area_mm2", fallback=4.36))
-
-    profile, mapping = _parse_profile(p["profile"], grid)
-
-    fn = IDENTITY
-    cost = _DEF_COST
-    if p.has_section("migration"):
-        m = p["migration"]
-        fn = parse_function(m.get("fn", fallback="identity"),
-                            dx=m.getint("dx", fallback=None),
-                            dy=m.getint("dy", fallback=None))
-        cost = MigrationCostParams(
-            state_bits=m.getfloat("state_bits", fallback=_DEF_COST.state_bits),
-            e_bit_hop=m.getfloat("e_bit_hop_j", fallback=_DEF_COST.e_bit_hop),
-            downtime_fixed=m.getfloat(
-                "downtime_fixed_us", fallback=_DEF_COST.downtime_fixed * 1e6) * 1e-6,
-            t_bit_hop=m.getfloat("t_bit_hop_s", fallback=_DEF_COST.t_bit_hop),
-            detailed_timing=m.getboolean("detailed_timing", fallback=False),
-        )
-
-    thermal = _DEF_THERMAL
-    if p.has_section("thermal"):
-        t = p["thermal"]
-        thermal = ThermalParams(
-            k_si=t.getfloat("k_si_w_per_m_k", fallback=_DEF_THERMAL.k_si),
-            c_v=t.getfloat("c_v_j_per_m3_k", fallback=_DEF_THERMAL.c_v),
-            die_thickness=t.getfloat(
-                "die_thickness_mm", fallback=_DEF_THERMAL.die_thickness * 1e3) * 1e-3,
-            r_vertical=t.getfloat("r_vertical_k_per_w", fallback=_DEF_THERMAL.r_vertical),
-            r_sink=t.getfloat("r_sink_k_per_w", fallback=_DEF_THERMAL.r_sink),
-            c_sink=t.getfloat("c_sink_j_per_k", fallback=_DEF_THERMAL.c_sink),
-            ambient=t.getfloat("ambient_c", fallback=_DEF_THERMAL.ambient),
-        )
-
-    period = 109e-6
-    duration = 32.7e-3
-    dt = 1e-6
-    warmup = None
-    seed = 0
-    placement = "identity"
-    deposit = True
-    anneal = None
-    if p.has_section("sim"):
-        s = p["sim"]
-        period = s.getfloat("period_us", fallback=109.0) * 1e-6
-        duration = s.getfloat("duration_us", fallback=32700.0) * 1e-6
-        dt = s.getfloat("dt_us", fallback=1.0) * 1e-6
-        warmup_us = s.getfloat("warmup_us", fallback=None)
-        warmup = None if warmup_us is None else warmup_us * 1e-6
-        seed = s.getint("seed", fallback=0)
-        placement = s.get("placement", fallback="identity")
-        deposit = s.getboolean("deposit_migration_energy", fallback=True)
-        anneal = AnnealConfig(
-            iterations=s.getint("anneal_iterations", fallback=_DEF_ANNEAL.iterations),
-            t_start=s.getfloat("anneal_t_start", fallback=_DEF_ANNEAL.t_start),
-            t_end=s.getfloat("anneal_t_end", fallback=_DEF_ANNEAL.t_end),
-            seed=seed,
-        )
-
-    if placement == "identity":
-        initial: Mapping | str = mapping
-    elif placement == "auto":
-        initial = "auto"
-    else:
-        raise ConfigurationError(f"[sim] placement must be identity or auto, got {placement!r}")
-
-    return ScenarioConfig(name=name, grid=grid, profile=profile,
-                          initial_mapping=initial, migration_fn=fn,
-                          period=period, sim_duration=duration, dt=dt,
-                          warmup=warmup, thermal=thermal, cost=cost,
-                          deposit_migration_energy=deposit, anneal=anneal,
-                          seed=seed)
+    grid = _make(GridSpec, given, "grid")
+    profile, mapping = _profile(grid, given, kind_keys)
+    if given["fn"]:  # dx and dy qualify the tag of fn
+        given["cfg"]["migration_fn"] = parse_function(_need(given, "fn", "tag"), **given["fn"])
+    cfg = ScenarioConfig(name=name, grid=grid, profile=profile,
+                         thermal=_make(ThermalParams, given, "thermal"),
+                         cost=_make(MigrationCostParams, given, "cost"),
+                         anneal=_make(AnnealConfig, given, "anneal"), **given["cfg"])
+    # the identity placement is the one the profile comes with
+    return replace(cfg, initial_mapping=mapping) if cfg.initial_mapping == "identity" else cfg
 
 
-def _parse_profile(s, grid: GridSpec) -> tuple[PowerProfile, Mapping]:
-    kind = _need(s, "kind", s.get)
-    if kind not in _PROFILE_KEYS:
+def _profile(grid: GridSpec, given: dict, kind_keys: dict) -> tuple[PowerProfile, Mapping]:
+    kind = _need(given, "profile", "kind")
+    if kind not in _PROFILES:
         raise ConfigurationError(f"unknown profile kind {kind!r}")
-    _reject_unknown_keys(s, f"{_SECTION_KEYS['profile']} {_PROFILE_KEYS[kind]}",
-                         _WORKLOAD_KEY if kind == "explicit" else None)
-    idle = s.getfloat("idle_power_w", fallback=None)
-    if kind == "warm_band":
-        profile, mapping = generate_warm_band(
-            grid, _need(s, "base_power_w", s.getfloat),
-            _need(s, "band_power_w", s.getfloat), _need(s, "band_row", s.getint))
-    elif kind == "center_hotspot":
-        profile, mapping = generate_center_hotspot(
-            grid, _need(s, "base_power_w", s.getfloat),
-            _need(s, "hot_power_w", s.getfloat))
-    else:  # explicit
-        powers = {}
-        for key, value in s.items():
-            m = _WORKLOAD_KEY.fullmatch(key)
-            if m:
-                powers[int(m.group(1))] = float(value)
+    generate, keys = _PROFILES[kind]
+    for key in kind_keys:
+        if key not in keys and not (generate is None and _WORKLOAD_KEY.fullmatch(key)):
+            raise ConfigurationError(f"[profile] has unknown key {key!r}")
+    if generate is None:
+        powers = {int(_WORKLOAD_KEY.fullmatch(key).group(1)): float(value)
+                  for key, value in kind_keys.items()}
         if not powers:
             raise ConfigurationError("explicit profile lists no workload_<id>_w keys")
-        return PowerProfile(powers, idle), identity_mapping(grid)
-    if idle is not None:
-        profile = PowerProfile(profile.workload_power, idle)
-    return profile, mapping
+        profile, mapping = PowerProfile(powers), identity_mapping(grid)
+    else:
+        for key in keys:
+            if key not in kind_keys:
+                raise ConfigurationError(f"[profile] is missing key {key!r}")
+        profile, mapping = generate(grid, *(convert(kind_keys[key])
+                                            for key, convert in keys.items()))
+    return PowerProfile(profile.workload_power, **given["profile"]), mapping

@@ -48,16 +48,17 @@ from .scenario import ScenarioConfig
 from .thermal import PeriodTemplate, ThermalState, TransientSolver, build_network, peak
 from .transforms import MigrationFunction
 
-# Collapses float noise when laying out the steps; far below dt, far above
-# the drift accumulated over any realistic step count.
-_TIME_EPS = 1e-9
+# Collapses float noise when laying out the steps, as a fraction of dt: far
+# below dt, far above the drift accumulated over any realistic step count
+# (1e-9 s at dt = 1 us). A stall or pulse shorter than it is absorbed.
+_TIME_EPS_DT = 1e-3
 
 # Bound on the rows x nodes of one block of node rows formed from the
 # period template. A block's modal rows and the basis's y-pass of them are
 # two such arrays in flight.
 _MARCH_ELEMENTS = 1 << 15
 
-# Bound on the steps x nodes of a traced run: 1 GiB of float64.
+# Bound on the steps x nodes of a traced run (1 GiB of float64) and on the steps of any run.
 _TRACE_VALUES = 1 << 27
 
 CSV_COLUMNS = (
@@ -144,10 +145,11 @@ def _segment(length: float, dt: float, stall: float, pulse: float):
     ends = _step_ends(length, dt, (stall, pulse))
     if not len(ends):
         return [], ends
+    eps = _TIME_EPS_DT * dt
     starts = np.append(0.0, ends[:-1])
     h = ends - starts
-    is_dt = np.abs(h - dt) < _TIME_EPS
-    stalled, pulsed = starts < stall - _TIME_EPS, starts < pulse - _TIME_EPS
+    is_dt = np.abs(h - dt) < eps
+    stalled, pulsed = starts < stall - eps, starts < pulse - eps
     # a run opens at the first step and at every step whose key differs from the last one's
     keys = np.stack([np.where(is_dt, -1.0, h), stalled, pulsed])
     opens = np.flatnonzero(np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))).tolist()
@@ -160,24 +162,25 @@ def _step_ends(length: float, dt: float, breaks) -> np.ndarray:
     """The ends of the steps over [0, length]: each dt after the last, as the
     float sum t + dt (np.add.accumulate adds left to right), except a step
     ending past length or past a break, which ends there instead; the sum
-    restarts at the break. Ends within _TIME_EPS of length or of a break
-    absorb it."""
+    restarts at the break. Ends within _TIME_EPS_DT * dt of length or of a
+    break absorb it."""
+    eps = _TIME_EPS_DT * dt
     parts = []
     t = 0.0
-    while t < length - _TIME_EPS:
+    while t < length - eps:
         e = np.add.accumulate(np.append(t, np.full(math.ceil((length - t) / dt) + 1, dt)))
-        steps = int(np.searchsorted(e, length - _TIME_EPS))  # starts before the end
+        steps = int(np.searchsorted(e, length - eps))  # starts before the end
         starts, ends = e[:steps], np.minimum(e[1:steps + 1], length)
         cut = np.zeros(steps, dtype=bool)
         for brk in breaks:
-            cut |= (starts + _TIME_EPS < brk) & (brk < ends - _TIME_EPS)
+            cut |= (starts + eps < brk) & (brk < ends - eps)
         if not cut.any():
             parts.append(ends)
             break
         j = int(cut.argmax())
         t_next = float(ends[j])
         for brk in breaks:  # the first break inside step j
-            if float(starts[j]) + _TIME_EPS < brk < t_next - _TIME_EPS:
+            if float(starts[j]) + eps < brk < t_next - eps:
                 t_next = brk
         parts += [ends[:j], [t_next]]
         t = t_next
@@ -193,13 +196,18 @@ def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
     step that the run's end cuts short.
     """
     period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
+    if duration / dt > _TRACE_VALUES:  # also bounds a sweep cell, which keeps no trace
+        raise ConfigurationError(
+            f"a run of {duration / dt:.0f} steps (sim_duration / dt) exceeds the limit of "
+            f"{_TRACE_VALUES} steps")
     if mplan is not None and mplan.downtime >= period:
         raise ConfigurationError(
             f"the migration downtime of {mplan.downtime * 1e6:.3f} us is not shorter than "
             f"the period of {period * 1e6:.3f} us: the PEs would never compute")
+    eps = _TIME_EPS_DT * dt
     events = 0
     if mplan is not None:
-        while (events + 1) * period < duration - _TIME_EPS:
+        while (events + 1) * period < duration - eps:
             events += 1
     parts = [_step_ends(period if events else duration, dt, ())]
     body, tail, cut = [], 0, None
@@ -213,7 +221,7 @@ def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
         parts.append((np.arange(1, events)[:, None] * period + body_ends).ravel())
         parts.append(events * period + tail_ends)
     times = np.concatenate([[0.0], *parts])
-    window = int(np.searchsorted(times[1:], cfg.effective_warmup + _TIME_EPS, side="right"))
+    window = int(np.searchsorted(times[1:], cfg.effective_warmup + eps, side="right"))
     if window == len(times) - 1:
         raise ConfigurationError("warmup leaves no step to take statistics over")
     return _Schedule(times, window, events, len(parts[0]), body, tail, cut)
@@ -371,7 +379,7 @@ def _resolve_initial_mapping(cfg: ScenarioConfig, net) -> Mapping:
         return cfg.initial_mapping
     if cfg.initial_mapping == "identity":
         return identity_mapping(cfg.grid)
-    return place(cfg.profile, cfg.grid, net, cfg.annealing)
+    return place(cfg.profile, cfg.grid, net, cfg.anneal)
 
 
 def _plan(cfg: ScenarioConfig) -> MigrationPlan | None:

@@ -19,23 +19,26 @@ import numpy as np
 from hotmesh.errors import ConfigurationError
 from hotmesh.grid import idle_vector, power_vector
 from hotmesh.migration import execute
-from hotmesh.sim import _TIME_EPS, RunSummary, Trace, _plan, _start
+from hotmesh.sim import RunSummary, Trace, _plan, _start
 from hotmesh.thermal import build_network, peak
+
+# The walk's own tolerance on times, as a fraction of dt (sim._TIME_EPS_DT).
+TIME_EPS_DT = 1e-3
 
 
 def walk_segment(length, dt, stall, pulse):
     """sim._segment as a walk over the steps: t advances by t + dt, cut where
     the stall or the pulse ends, and equal steps merge into runs."""
+    eps = TIME_EPS_DT * dt
     runs, ends = [], []
     t = 0.0
-    while t < length - _TIME_EPS:
+    while t < length - eps:
         t_next = min(t + dt, length)
         for brk in (stall, pulse):
-            if t + _TIME_EPS < brk < t_next - _TIME_EPS:
+            if t + eps < brk < t_next - eps:
                 t_next = brk
         h = t_next - t
-        key = (None if abs(h - dt) < _TIME_EPS else h,
-               t < stall - _TIME_EPS, t < pulse - _TIME_EPS)
+        key = (None if abs(h - dt) < eps else h, t < stall - eps, t < pulse - eps)
         if runs and runs[-1][:3] == key:
             runs[-1] = (*key, runs[-1][3] + 1)
         else:
@@ -51,9 +54,10 @@ def walked_schedule(cfg, mplan):
     event walked by walk_segment. A run is (length or None for dt, stalled,
     pulsed, fires, count); the first run after each event fires it."""
     period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
+    eps = TIME_EPS_DT * dt
     events = 0
     if mplan is not None:
-        while (events + 1) * period < duration - _TIME_EPS:
+        while (events + 1) * period < duration - eps:
             events += 1
     head, ends = walk_segment(period if events else duration, dt, 0.0, 0.0)
     runs = [(length, idle, pulsed, False, count) for length, idle, pulsed, count in head]
@@ -66,7 +70,7 @@ def walked_schedule(cfg, mplan):
                  for j, (length, idle, pulsed, count) in enumerate(segment)]
         parts.append(k * period + ends)
     times = np.concatenate([[0.0], *parts])
-    window = int(np.searchsorted(times[1:], cfg.effective_warmup + _TIME_EPS, side="right"))
+    window = int(np.searchsorted(times[1:], cfg.effective_warmup + eps, side="right"))
     if window == len(times) - 1:
         raise ConfigurationError("warmup leaves no step to take statistics over")
     return times, window, events, runs

@@ -185,7 +185,7 @@ def test_criterion_06_throughput_penalties():
     cfg = ScenarioConfig(name="penalties", grid=grid, profile=profile,
                          initial_mapping=mapping, migration_fn=translate_xy(1, 1),
                          period=109e-6, sim_duration=1.8e-3, dt=1e-6,
-                         warmup=0.2e-3, seed=0)
+                         warmup=0.2e-3)
     periods = (109e-6, 437.2e-6, 874.4e-6)
     want_pct = (1.600, 0.399, 0.199)
     rows = sweep(cfg, [translate_xy(1, 1)], list(periods))
@@ -206,7 +206,7 @@ def test_criterion_07_warm_band_ordering():
     cfg = ScenarioConfig(name="band", grid=grid, profile=profile,
                          initial_mapping=mapping, migration_fn=IDENTITY,
                          period=109e-6, sim_duration=32e-3, dt=1e-6,
-                         warmup=16e-3, seed=0)
+                         warmup=16e-3)
     fns = [translate_x(1), ROTATION, MIRROR_XY, translate_xy(1, 1)]
     rows = sweep(cfg, fns, [109e-6])
     red = {row.fn.label(): row.summary.peak_reduction for row in rows}
@@ -228,7 +228,7 @@ def test_criterion_08_center_hotspot_blindness():
     cfg = ScenarioConfig(name="hotspot", grid=grid, profile=profile,
                          initial_mapping=mapping, migration_fn=IDENTITY,
                          period=109e-6, sim_duration=32e-3, dt=1e-6,
-                         warmup=16e-3, seed=0)
+                         warmup=16e-3)
     rows = sweep(cfg, [ROTATION, MIRROR_XY, translate_xy(1, 1)], [109e-6])
     red = {row.fn.label(): row.summary.peak_reduction for row in rows}
     for label in ("rotation", "mirror_xy"):
@@ -272,7 +272,7 @@ def test_criterion_10_determinism(tmp_path):
     cfg = ScenarioConfig(name="det", grid=grid, profile=profile,
                          initial_mapping="auto", migration_fn=translate_xy(1, 1),
                          period=109e-6, sim_duration=1e-3, dt=1e-6, warmup=0.3e-3,
-                         anneal=AnnealConfig(iterations=400, seed=23), seed=23)
+                         anneal=AnnealConfig(iterations=400, seed=23))
     fns = [translate_xy(1, 1), ROTATION]
     periods = [109e-6, 218e-6]
     report(sweep(cfg, fns, periods), tmp_path / "a.csv")

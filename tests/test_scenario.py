@@ -1,9 +1,12 @@
+import re
 from dataclasses import replace
 
 import pytest
 
+import hotmesh.scenario
 from hotmesh.errors import ConfigurationError
 from hotmesh.grid import Mapping, generate_warm_band, make_grid
+from hotmesh.placement import AnnealConfig
 from hotmesh.scenario import ScenarioConfig, load_scenario
 from hotmesh.transforms import IDENTITY, ROTATION, translate_xy
 
@@ -55,7 +58,7 @@ def test_load_full_scenario(tmp_path):
     assert cfg.sim_duration == pytest.approx(2e-3)
     assert cfg.dt == pytest.approx(1e-6)
     assert cfg.warmup == pytest.approx(500e-6)
-    assert cfg.seed == 7
+    assert cfg.anneal.seed == 7
     assert cfg.cost.state_bits == 8192
     assert cfg.cost.e_bit_hop == pytest.approx(2e-12)
     assert cfg.cost.downtime_fixed == pytest.approx(1.744e-6)
@@ -83,6 +86,52 @@ hot_power_w = 0.6
     assert cfg.effective_warmup == pytest.approx(cfg.sim_duration / 2)
     assert cfg.deposit_migration_energy is True
     assert cfg.cost.downtime_fixed == pytest.approx(1.744e-6)
+
+
+def test_an_omitted_key_keeps_its_dataclass_default(tmp_path):
+    minimal = FULL_SCENARIO[:FULL_SCENARIO.index("[migration]")]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    seeded = load_scenario(write(tmp_path / "a", minimal + "[sim]\nseed = 0\n"))
+    bare = load_scenario(write(tmp_path / "b", minimal))
+    default = ScenarioConfig(name="scen", grid=bare.grid, profile=bare.profile)
+    for cfg in (seeded, bare):
+        assert (cfg.period, cfg.sim_duration, cfg.dt, cfg.anneal) == (
+            default.period, default.sim_duration, default.dt, default.anneal)
+    assert default.anneal == AnnealConfig()
+    assert seeded == bare
+
+
+def doc_table():
+    """The keys of the module docstring's table: {section: keys} and
+    {profile kind: keys}."""
+    doc = hotmesh.scenario.__doc__
+    table = doc[doc.index("[grid]"):].split("\n\n")[0]
+    sections, kinds = {}, {}
+    for line in table.splitlines():
+        label = re.match(r"\[(\w+)\]|\s+(\w+):", line)
+        if label and label[1]:
+            keys = sections[label[1]] = set()
+        elif label:
+            keys = kinds[label[2]] = set()
+        rest = re.sub(r"\(.*?\)", "", line[label.end():] if label else line)
+        keys.update(re.findall(r"[^,\s]+", rest))
+    return sections, kinds
+
+
+def test_the_docstring_table_and_the_loader_agree():
+    sections, kinds = doc_table()
+    accepted = {}
+    for section, key in hotmesh.scenario._KEYS:
+        accepted.setdefault(section, set()).add(key)
+    assert sections == accepted
+    assert kinds.keys() == hotmesh.scenario._PROFILES.keys()
+    for kind, (_, keys) in hotmesh.scenario._PROFILES.items():
+        if keys:
+            assert kinds[kind] == set(keys)
+        else:  # explicit: one key per workload id
+            assert [hotmesh.scenario._WORKLOAD_KEY.fullmatch(key.replace("<id>", "7"))
+                    is not None for key in kinds[kind]] == [True]
 
 
 def test_explicit_profile_and_auto_placement(tmp_path):
@@ -135,6 +184,8 @@ seed = 11
     ("[thermal]", "[thermal]\nr_vertical_k_per_w = 1e-320"),   # 1 / r overflows
     ("period_us = 109", "perod_us = 50"),                       # misspelled key
     ("[thermal]", "[thermals]"),                                # misspelled section
+    ("[grid]\n", ""),                                           # a key before any section
+    ("ny = 4\n", "ny = 4\nny = 5\n"),                           # a key given twice
 ])
 def test_broken_scenarios_raise_configuration_error(tmp_path, old, new):
     with pytest.raises(ConfigurationError):
@@ -186,6 +237,13 @@ def test_derived_thermal_scalars_name_their_scenario_keys(tmp_path, old, new, ke
 def test_missing_file_raises(tmp_path):
     with pytest.raises(ConfigurationError):
         load_scenario(tmp_path / "nope.ini")
+
+
+def test_a_file_that_is_not_text_raises(tmp_path):
+    path = tmp_path / "scen.ini"
+    path.write_bytes(FULL_SCENARIO.encode().replace(b"ny = 4", b"ny = 4\xff"))
+    with pytest.raises(ConfigurationError):
+        load_scenario(path)
 
 
 def test_validate_rejects_short_runs_with_migration():

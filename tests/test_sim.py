@@ -37,7 +37,7 @@ def band_cfg(**overrides):
     cfg = ScenarioConfig(name="band4", grid=grid, profile=profile,
                          initial_mapping=mapping, migration_fn=translate_xy(1, 1),
                          period=109e-6, sim_duration=8e-3, dt=1e-6, warmup=4e-3,
-                         seed=1)
+                         anneal=AnnealConfig(seed=1))
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -672,7 +672,7 @@ def test_traced_runs_over_the_memory_limit_are_refused(monkeypatch):
     for cfg, text in ((wide, "32000 steps x 16385 nodes"), (fine, "32000000 steps x 17 nodes")):
         with pytest.raises(ConfigurationError, match=f"{text} exceeds the limit of 134217728"):
             run(cfg)
-    # sweeps keep no trace and are not limited; the largest benchmark trace
+    # sweeps keep no trace and are not limited by its size; the largest benchmark trace
     # (32x32 for 2 ms, 2019 x 1025 values) is within the limit
     with pytest.raises(AssertionError, match="built or laid out"):
         sweep(fine, [fine.migration_fn], [fine.period])
@@ -681,3 +681,71 @@ def test_traced_runs_over_the_memory_limit_are_refused(monkeypatch):
     hotmesh.sim._check_trace_size(ScenarioConfig(
         name="mesh", grid=grid, profile=profile, initial_mapping=mapping,
         migration_fn=ROTATION, period=109e-6, sim_duration=2e-3))
+
+
+def test_a_sweep_cell_of_too_many_steps_is_an_error_row():
+    # a 1e-9 us step: the cell is refused from sim_duration / dt, before any
+    # step is laid out, and the sweep goes on
+    fine = band_cfg(dt=1e-15)
+    rows = sweep(fine, [translate_xy(1, 1)], [109e-6, 218e-6])
+    assert [r.summary for r in rows] == [None, None]
+    for row in rows:
+        assert row.error == ("a run of 8000000000000 steps (sim_duration / dt) exceeds the "
+                             "limit of 134217728 steps")
+
+
+def scaled_times(cfg, factor):
+    """cfg with period, duration, dt, warm-up and downtime times factor."""
+    return replace(cfg, period=cfg.period * factor, sim_duration=cfg.sim_duration * factor,
+                   dt=cfg.dt * factor, warmup=cfg.warmup * factor,
+                   cost=replace(cfg.cost, downtime_fixed=cfg.cost.downtime_fixed * factor))
+
+
+@pytest.mark.parametrize("dt", [1e-6, 0.7e-6, 0.3e-6])
+@pytest.mark.parametrize("deposit", [True, False])
+def test_the_schedule_does_not_depend_on_the_time_unit(dt, deposit):
+    # the layout tolerance is a fraction of dt: the same steps in the same
+    # runs at a thousandth of every time input
+    cfg = band_cfg(sim_duration=2e-3, warmup=0.5e-3, dt=dt, deposit_migration_energy=deposit)
+    small = scaled_times(cfg, 1e-3)
+    want = hotmesh.sim._schedule(cfg, hotmesh.sim._plan(cfg))
+    got = hotmesh.sim._schedule(small, hotmesh.sim._plan(small))
+    assert want.cut is not None
+    assert ((got.window, got.events, got.head, got.tail)
+            == (want.window, want.events, want.head, want.tail))
+    np.testing.assert_allclose(got.times, want.times * 1e-3, rtol=1e-9, atol=0.0)
+    for got_runs, want_runs in ((got.body, want.body), ([got.cut], [want.cut])):
+        assert [r[1:] for r in got_runs] == [r[1:] for r in want_runs]
+        for g, w in zip(got_runs, want_runs):
+            assert (g[0] is None) == (w[0] is None)
+            if w[0] is not None:
+                assert g[0] == pytest.approx(w[0] * 1e-3, rel=1e-9)
+
+
+NANO_CASES = {
+    "identity, dt = 1 ns": (IDENTITY, 20e-9, 1e-9, 0.0, 20),
+    "identity, dt = 0.5 ns": (IDENTITY, 20e-9, 0.5e-9, 0.0, 40),
+    "a 0.8 ns stall, dt = 2 ns": (translate_x(1), 100e-9, 2e-9, 0.8e-9, 54),
+}
+
+
+@pytest.mark.parametrize("fn,duration,dt,downtime,steps", NANO_CASES.values(),
+                         ids=NANO_CASES.keys())
+def test_nanosecond_runs_end_at_their_duration(fn, duration, dt, downtime, steps):
+    # with an absolute 1 ns tolerance these runs ended a step early and the
+    # stall shorter than 1 ns was dropped while the penalty still counted it
+    grid = make_grid(3, 3)
+    profile, mapping = generate_warm_band(grid, 0.5, 2.0, 1)
+    cfg = ScenarioConfig(name="nano", grid=grid, profile=profile, initial_mapping=mapping,
+                         migration_fn=fn, period=20e-9, sim_duration=duration, dt=dt,
+                         cost=MigrationCostParams(e_bit_hop=1e-18, downtime_fixed=downtime))
+    summary, trace = run(cfg)
+    assert len(trace.times) - 1 == steps
+    assert trace.times[-1] == pytest.approx(duration, rel=1e-9)
+    if downtime:
+        stalls = [r for r in hotmesh.sim._schedule(cfg, hotmesh.sim._plan(cfg)).body if r[1]]
+        assert [r[0] for r in stalls] == [pytest.approx(downtime, rel=1e-9)]
+    expected, oracle_trace = sequential_run(cfg)
+    assert np.array_equal(trace.times, oracle_trace.times)
+    assert np.abs(trace.temps - oracle_trace.temps).max() <= 1e-9
+    assert np.allclose(astuple(summary), astuple(expected), rtol=0.0, atol=1e-9)
