@@ -21,10 +21,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except HotmeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HotmeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

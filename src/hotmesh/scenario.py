@@ -79,6 +79,10 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "sim_duration is shorter than one migration period; "
                 "use fn = identity to disable migration")
+        if self.period < self.dt and self.migration_fn.kind != "identity":
+            raise ConfigurationError(
+                f"the migration period of {self.period * 1e6:g} us is shorter than "
+                f"the time step dt of {self.dt * 1e6:g} us")
         # sim_duration is finite here, so this also rejects a nan or inf warmup
         if not 0 <= self.effective_warmup < self.sim_duration:
             raise ConfigurationError("warmup must lie inside the simulated interval")

@@ -196,19 +196,17 @@ def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
     step that the run's end cuts short.
     """
     period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
-    if duration / dt > _TRACE_VALUES:  # also bounds a sweep cell, which keeps no trace
+    steps = _max_steps(cfg, mplan is not None)
+    if steps > _TRACE_VALUES:  # also bounds a sweep cell, which keeps no trace
         raise ConfigurationError(
-            f"a run of {duration / dt:.0f} steps (sim_duration / dt) exceeds the limit of "
-            f"{_TRACE_VALUES} steps")
+            f"a run of {steps:.0f} steps (sim_duration / dt, and up to 3 more per "
+            f"migration) exceeds the limit of {_TRACE_VALUES} steps")
     if mplan is not None and mplan.downtime >= period:
         raise ConfigurationError(
             f"the migration downtime of {mplan.downtime * 1e6:.3f} us is not shorter than "
             f"the period of {period * 1e6:.3f} us: the PEs would never compute")
     eps = _TIME_EPS_DT * dt
-    events = 0
-    if mplan is not None:
-        while (events + 1) * period < duration - eps:
-            events += 1
+    events = 0 if mplan is None else _events(cfg)
     parts = [_step_ends(period if events else duration, dt, ())]
     body, tail, cut = [], 0, None
     if events:
@@ -225,6 +223,30 @@ def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
     if window == len(times) - 1:
         raise ConfigurationError("warmup leaves no step to take statistics over")
     return _Schedule(times, window, events, len(parts[0]), body, tail, cut)
+
+
+def _events(cfg: ScenarioConfig) -> int:
+    """The events of a migrating run, each k >= 1 with k * period <
+    sim_duration - _TIME_EPS_DT * dt: counted down to the last by that
+    comparison from their quotient rounded up, in O(1)."""
+    end = cfg.sim_duration - _TIME_EPS_DT * cfg.dt
+    k = math.ceil(end / cfg.period)
+    while k > 0 and not k * cfg.period < end:
+        k -= 1
+    return k
+
+
+def _max_steps(cfg: ScenarioConfig, migrates: bool) -> float:
+    """A bound on the steps _schedule lays out, from cfg alone: sim_duration
+    / dt rounded up (an end within _TIME_EPS_DT * dt absorbs a step), and if
+    the run migrates, three more per event, which can cut a step where it
+    fires, where its stall ends and where its pulse ends. Past _TRACE_VALUES
+    it is sim_duration / dt alone, which may not be finite: such a run is
+    refused whatever its events."""
+    steps = cfg.sim_duration / cfg.dt
+    if steps > _TRACE_VALUES:
+        return steps
+    return math.ceil(steps - _TIME_EPS_DT) + (3 * _events(cfg) if migrates else 0)
 
 
 class _Window:
@@ -420,9 +442,10 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
 
 
 def _check_trace_size(cfg: ScenarioConfig) -> None:
-    """Refuse a traced run whose steps x nodes exceed _TRACE_VALUES, from
-    sim_duration / dt alone: before anything is built or laid out."""
-    steps, nodes = cfg.sim_duration / cfg.dt, cfg.grid.n_cells + 1
+    """Refuse a traced run whose steps x nodes may exceed _TRACE_VALUES, from
+    _max_steps before anything is built or laid out: any function but the
+    identity counts as migrating, also one that moves nothing."""
+    steps, nodes = _max_steps(cfg, cfg.migration_fn.kind != "identity"), cfg.grid.n_cells + 1
     if steps * nodes > _TRACE_VALUES:
         raise ConfigurationError(
             f"a traced run of {steps:.0f} steps x {nodes} nodes exceeds the limit of "

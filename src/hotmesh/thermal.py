@@ -156,8 +156,6 @@ class ModalBasis:
         np.matmul(self.dy.T, grid[:, r:], out=v[:, r:])
         np.matmul(self._from_x, v.reshape(ny, nx, r), out=flat[:, :n].T.reshape(ny, nx, r))
         flat[:, n] = sink
-        if not np.may_share_memory(flat, out):
-            out[...] = flat.reshape(out.shape)
         return out
 
     # the DCT factors with the blocks' C^1/2 and C^-1/2 folded in
@@ -172,8 +170,7 @@ class ModalBasis:
 
 def _rows(a: np.ndarray, width: int, out: np.ndarray | None):
     """(a, out, flat) with a and flat as (rows, width): flat is a view of out,
-    or a fresh array when out's leading axes do not merge into one (then the
-    caller copies it into out)."""
+    whose leading axes must merge into one."""
     if a.shape[-1:] != (width,):
         raise ValueError(f"rows must have {width} values, got shape {a.shape}")
     if out is None:
@@ -182,7 +179,7 @@ def _rows(a: np.ndarray, width: int, out: np.ndarray | None):
         raise ValueError(f"out must have shape {a.shape}, got {out.shape}")
     flat = out.reshape(-1, width)
     if not np.may_share_memory(flat, out):
-        flat = np.empty(flat.shape)
+        raise ValueError("out's leading axes must merge into one: rows of a trace, say")
     return a.reshape(-1, width), out, flat
 
 
@@ -247,13 +244,6 @@ def build_network(grid: GridSpec, params: ThermalParams) -> ThermalNetwork:
     return net
 
 
-def _sink_diagonal(net: ThermalNetwork) -> float:
-    """G[n, n] as the tests' link-by-link assembly of G sums it in float64:
-    the n vertical links one at a time (accumulate adds left to right), then
-    the ambient link. The modal basis reads this sum, not n g_vert + g_amb."""
-    return float(np.add.accumulate(np.full(net.n_blocks, net.g_vert))[-1]) + net.g_amb
-
-
 def _dct2(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal DCT-II of length m (row k is frequency k) and the
     eigenvalues 4 sin^2(pi k / 2m) of the path Laplacian with Neumann ends."""
@@ -266,21 +256,18 @@ def _dct2(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _modal_basis(net: ThermalNetwork) -> ModalBasis:
     """The network's modal basis in closed form (see the module docstring)."""
     nx, ny, n = net.grid.nx, net.grid.ny, net.n_blocks
-    g_lat, g_vert, c_b, c_s = net.g_lat, net.g_vert, net.c_b, net.c_s
+    g_lat, g_vert, g_amb, c_b, c_s = net.g_lat, net.g_vert, net.g_amb, net.c_b, net.c_s
 
     dx, lx = _dct2(nx)
     dy, ly = (dx, lx) if ny == nx else _dct2(ny)
     mu = np.empty(n + 1)
     mu[:n] = ((g_lat * (ly[:, None] + lx[None, :]) + g_vert) / c_b).ravel()
     # The sink couples to the uniform mode 0 alone: S on (mode 0, sink) is
-    # [[a, b], [b, d]] with determinant g_vert g_amb / (c_b c_s). The sink
-    # row is taken as assembled: its diagonal G[n, n] and the ambient
-    # coupling it carries, G[n, n] - n g_vert, summed exactly.
-    g_sink = _sink_diagonal(net)
-    g_amb_row = math.fsum([g_sink, *[-g_vert] * n])
-    a, b, d = g_vert / c_b, -g_vert * math.sqrt(n / (c_b * c_s)), g_sink / c_s
+    # [[a, b], [b, d]] with determinant g_vert g_amb / (c_b c_s); the sink's
+    # diagonal G[n, n] is n g_vert + g_amb.
+    a, b, d = g_vert / c_b, -g_vert * math.sqrt(n / (c_b * c_s)), (n * g_vert + g_amb) / c_s
     mu[0] = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-    mu[n] = g_vert * g_amb_row / (c_b * c_s) / mu[0]
+    mu[n] = g_vert * g_amb / (c_b * c_s) / mu[0]
     theta = 0.5 * math.atan2(2.0 * b, a - d)  # (cos, sin) belongs to the larger mu
     for arr in (mu, dx, dy):
         arr.setflags(write=False)
@@ -306,13 +293,13 @@ def _modal_steady_state(net: ThermalNetwork, power) -> np.ndarray:
 class TransientSolver:
     """Backward-Euler stepper over one network, dt being its default step.
 
-    Every step is taken by a PeriodTemplate, whose rows() is the one
-    stepping formula: template() lays out a repeating sequence of runs of
-    equal steps in modal coordinates, nodes() turns its modal rows into
-    node temperatures, and march() is the template of a single run taken
-    relative to its start (step() its one-row case). The steady state of
-    each distinct power vector is solved once, in modal coordinates
-    (modal_steady()), and kept for the solver's life.
+    Every step is one formula, step j of a run of equal steps moving each
+    mode 1 - lambda^j of its way (_approach): template() lays out a repeating
+    sequence of such runs in modal coordinates, nodes() turns modal rows
+    into node temperatures, and march() forms the rows of one run directly
+    (step() its one-row case). The steady state of each distinct power
+    vector is solved once, in modal coordinates (modal_steady()), and kept
+    for the solver's life.
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
@@ -330,15 +317,15 @@ class TransientSolver:
     def march(self, temps: np.ndarray, power, count: int, dt: float | None = None) -> np.ndarray:
         """Node temperatures after each of count steps of length dt at constant
         power (dt defaults to the solver's own), as a (count, n_nodes) array:
-        one run of a template in modal deviations from temps, towards the
-        steady state x_ss of the power, so a start at x_ss stays there."""
+        in modal deviations from temps, step j goes 1 - lambda^j of the way
+        to the steady state x_ss of the power, so a start at x_ss stays."""
         count = operator.index(count)
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
+        dt = self.dt if dt is None else dt
+        _check_dt(dt)
         fixed = self._modes.to_modal(self.steady(power).temps - temps)
-        template = self.template([(count, self.dt if dt is None else dt, fixed, False)])
-        start = np.zeros((1, self.net.n_nodes))
-        return self.nodes(template.rows(start, start, 0, count)[0], temps)
+        return self.nodes(self._approach(dt, count) * fixed, temps)
 
     def _approach(self, dt: float, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """1 - lambda(dt)^j for j = 1..count, (count, n_nodes): the share of
@@ -412,8 +399,7 @@ class PeriodTemplate:
     @cached_property
     def period_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(D, f, B), each (n,), composed run by run from the last approach
-        row of each: built on first use by starts(), which a one-run march
-        never makes."""
+        row of each: built on first use by starts()."""
         n = self.approach.shape[1]
         decay, offset, gain = np.ones(n), np.zeros(n), np.zeros(n)
         for end, fixed, varies in zip(self.bounds[1:], self.fixed, self.varies):

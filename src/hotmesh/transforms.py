@@ -13,7 +13,9 @@ All variants are bijections of the full plane (zero-based coordinates on an
     identity
 
 Translation offsets wrap modulo the mesh dimension, so any offset stays a
-permutation of the plane.
+permutation of the plane. One table, _OFFSETS, names every kind and the
+offsets it takes in tag order (translate_xy:dx:dy); the kinds, the tags
+and their parsing are read from it.
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ import numpy as np
 from .errors import BoundsError, ConfigurationError, UnsupportedFunctionError
 from .grid import Coord, GridSpec
 
-KINDS = (
-    "identity", "rotation", "mirror_x", "mirror_y", "mirror_xy",
-    "translate_x", "translate_y", "translate_xy",
-)
-_TRANSLATING = ("translate_x", "translate_y", "translate_xy")
+# Every kind and the offsets it takes, in tag order.
+_OFFSETS = {
+    "identity": (), "rotation": (), "mirror_x": (), "mirror_y": (), "mirror_xy": (),
+    "translate_x": ("dx",), "translate_y": ("dy",), "translate_xy": ("dx", "dy"),
+}
+KINDS = tuple(_OFFSETS)
 
 
 @dataclass(frozen=True)
 class MigrationFunction:
-    """Tagged plane transform; dx/dy matter only for the translating kinds."""
+    """Tagged plane transform; dx/dy matter only where its kind takes them."""
 
     kind: str
     dx: int = 0
@@ -47,13 +50,7 @@ class MigrationFunction:
 
     def label(self) -> str:
         """Stable tag used in config files and CSV output."""
-        if self.kind == "translate_x":
-            return f"translate_x:{self.dx}"
-        if self.kind == "translate_y":
-            return f"translate_y:{self.dy}"
-        if self.kind == "translate_xy":
-            return f"translate_xy:{self.dx}:{self.dy}"
-        return self.kind
+        return ":".join([self.kind, *(str(getattr(self, axis)) for axis in _OFFSETS[self.kind])])
 
 
 IDENTITY = MigrationFunction("identity")
@@ -83,35 +80,23 @@ def parse_function(tag: str, dx: int | None = None, dy: int | None = None) -> Mi
     """
     parts = [p.strip() for p in tag.strip().split(":")]
     name, args = parts[0], parts[1:]
-    if name not in KINDS:
+    if name not in _OFFSETS:
         raise ConfigurationError(f"unknown migration function {tag!r}")
-    if name not in _TRANSLATING:
-        if args or dx is not None or dy is not None:
-            raise ConfigurationError(f"{name} takes no offsets")
-        return MigrationFunction(name)
-    if name == "translate_x" and dy is not None or name == "translate_y" and dx is not None:
+    axes, keywords = _OFFSETS[name], {"dx": dx, "dy": dy}
+    if not axes and (args or dx is not None or dy is not None):
+        raise ConfigurationError(f"{name} takes no offsets")
+    if any(keywords[axis] is not None for axis in keywords if axis not in axes):
         raise ConfigurationError(f"{name} moves along one axis and takes no offset on the other")
     try:
         offsets = [int(a) for a in args]
     except ValueError:
         raise ConfigurationError(f"bad offsets in function tag {tag!r}") from None
-    tag_dx = tag_dy = None
-    if name == "translate_x" and len(offsets) in (0, 1):
-        tag_dx = offsets[0] if offsets else None
-    elif name == "translate_y" and len(offsets) in (0, 1):
-        tag_dy = offsets[0] if offsets else None
-    elif name == "translate_xy" and len(offsets) in (0, 2):
-        if offsets:
-            tag_dx, tag_dy = offsets
-    else:
+    if len(offsets) not in (0, len(axes)):
         raise ConfigurationError(f"wrong number of offsets in function tag {tag!r}")
-    fdx = dx if dx is not None else tag_dx
-    fdy = dy if dy is not None else tag_dy
-    if name == "translate_x":
-        return translate_x(1 if fdx is None else fdx)
-    if name == "translate_y":
-        return translate_y(1 if fdy is None else fdy)
-    return translate_xy(1 if fdx is None else fdx, 1 if fdy is None else fdy)
+    tagged = dict(zip(axes, offsets))
+    return MigrationFunction(name, **{
+        axis: tagged.get(axis, 1) if keywords[axis] is None else keywords[axis]
+        for axis in axes})
 
 
 def apply(fn: MigrationFunction, c: Coord, grid: GridSpec) -> Coord:
@@ -134,9 +119,9 @@ def _image(fn: MigrationFunction, x, y, grid: GridSpec):
         x = grid.nx - 1 - x
     if k in ("mirror_y", "mirror_xy"):
         y = grid.ny - 1 - y
-    if k in ("translate_x", "translate_xy"):
+    if "dx" in _OFFSETS[k]:
         x = (x + fn.dx % grid.nx) % grid.nx  # offsets reduced first: any int fits
-    if k in ("translate_y", "translate_xy"):
+    if "dy" in _OFFSETS[k]:
         y = (y + fn.dy % grid.ny) % grid.ny
     return x, y
 

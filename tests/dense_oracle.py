@@ -11,8 +11,7 @@ from hotmesh.grid import Coord
 
 
 def reference_conductance(grid, params):
-    """G assembled link by link with a per-cell loop. Its sink diagonal is
-    the float64 sum that thermal._sink_diagonal reproduces bit for bit."""
+    """G assembled link by link with a per-cell loop."""
     n = grid.n_cells
     g = np.zeros((n + 1, n + 1))
     g_lat = params.k_si * params.die_thickness

@@ -104,6 +104,17 @@ def test_a_downtime_not_shorter_than_the_period_exits_2(tmp_path, capsys):
     assert long.endswith(",")  # no error
 
 
+def test_a_period_shorter_than_dt_exits_2(tmp_path, capsys):
+    bad = tmp_path / "short.ini"
+    bad.write_text(SCENARIO.replace("period_us = 109", "period_us = 0.5"))
+    rc = main(["run", str(bad), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the migration period of 0.5 us is shorter than the time "
+                            "step dt of 1 us\n")
+
+
 def test_sweep_subcommand(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["sweep", str(scenario_file), "--functions", "translate_xy",

@@ -506,6 +506,8 @@ def template_cases(draw):
 @example(tail_case(10.0, 32.7444, 1.744))  # a run end 0.4 ns past a period's step end
 @example(tail_case(10.0, 32.7436, 1.744))  # and 0.4 ns short of one
 @example(tail_case(2.0, 9.0, 2.5))        # a downtime longer than the period
+@example((band_cfg(period=1.01e-6, sim_duration=1e-3, warmup=None,  # 2 970 steps, 1 000 of dt
+                  cost=MigrationCostParams(downtime_fixed=0.5e-6)), 0))
 def test_template_march_matches_the_sequential_march(case):
     cfg, block = case
     mplan = hotmesh.sim._plan(cfg)
@@ -528,6 +530,8 @@ def test_template_march_matches_the_sequential_march(case):
     assert np.abs(trace.temps - oracle_trace.temps).max() <= 1e-9
     assert cell.summary == summary  # however differently their rows are grouped
     assert summary.migration_count == expected.migration_count
+    # at most ceil(sim_duration / dt) steps and three per event
+    assert len(trace.times) - 1 <= hotmesh.sim._max_steps(cfg, mplan is not None)
     assert np.allclose(astuple(summary), astuple(expected), rtol=0.0, atol=1e-9)
     if expected.migration_count == 0:
         assert summary.peak_reduction == 0.0
@@ -656,8 +660,9 @@ def test_the_summary_does_not_depend_on_when_the_trace_is_read():
 
 
 def test_traced_runs_over_the_memory_limit_are_refused(monkeypatch):
-    # steps x nodes from sim_duration / dt alone: nothing is built or laid
-    # out, so a 128x128 mesh or a 1 ns step allocates and loops over nothing
+    # steps x nodes from sim_duration / dt and three steps per event alone:
+    # nothing is built or laid out, so a 128x128 mesh or a 1 ns step
+    # allocates and loops over nothing
     def forbidden(*args):
         raise AssertionError("built or laid out before the size check")
 
@@ -669,7 +674,7 @@ def test_traced_runs_over_the_memory_limit_are_refused(monkeypatch):
                           migration_fn=translate_xy(1, 1), period=109e-6,
                           sim_duration=32e-3, warmup=16e-3)
     fine = band_cfg(dt=1e-9, sim_duration=32e-3, warmup=16e-3)
-    for cfg, text in ((wide, "32000 steps x 16385 nodes"), (fine, "32000000 steps x 17 nodes")):
+    for cfg, text in ((wide, "32879 steps x 16385 nodes"), (fine, "32000879 steps x 17 nodes")):
         with pytest.raises(ConfigurationError, match=f"{text} exceeds the limit of 134217728"):
             run(cfg)
     # sweeps keep no trace and are not limited by its size; the largest benchmark trace
@@ -690,8 +695,50 @@ def test_a_sweep_cell_of_too_many_steps_is_an_error_row():
     rows = sweep(fine, [translate_xy(1, 1)], [109e-6, 218e-6])
     assert [r.summary for r in rows] == [None, None]
     for row in rows:
-        assert row.error == ("a run of 8000000000000 steps (sim_duration / dt) exceeds the "
-                             "limit of 134217728 steps")
+        assert row.error == ("a run of 8000000000000 steps (sim_duration / dt, and up to 3 "
+                             "more per migration) exceeds the limit of 134217728 steps")
+
+
+def test_a_run_is_bounded_by_the_steps_its_events_cut(monkeypatch):
+    # 100 000 steps of dt fit a traced 32x32 run, but 19 999 events at a 5 us
+    # period may cut three more steps each: refused before anything is built,
+    # laid out or allocated; the identity has no events and fits
+    def forbidden(*args):
+        raise AssertionError("built, laid out or allocated before the size check")
+
+    grid = make_grid(32, 32)
+    profile, mapping = generate_warm_band(grid, 0.5, 2.0, 1)
+    cfg = ScenarioConfig(name="mesh", grid=grid, profile=profile, initial_mapping=mapping,
+                         migration_fn=ROTATION, period=5e-6, sim_duration=100e-3)
+    assert (cfg.sim_duration / cfg.dt) * grid.n_cells < hotmesh.sim._TRACE_VALUES
+    hotmesh.sim._check_trace_size(replace(cfg, migration_fn=IDENTITY))
+    with monkeypatch.context() as m:  # the trace is allocated after _schedule
+        for name in ("build_network", "_schedule", "_plan"):
+            m.setattr(hotmesh.sim, name, forbidden)
+        with pytest.raises(ConfigurationError,
+                           match="a traced run of 159997 steps x 1025 nodes exceeds"):
+            run(cfg)
+    # a sweep cell counts its events the same way, before laying out a step
+    fine = band_cfg(dt=1e-9, sim_duration=100e-3, warmup=None)
+    (cell,) = sweep(fine, [ROTATION], [1.01e-9])
+    assert cell.error == ("a run of 397029700 steps (sim_duration / dt, and up to 3 more per "
+                          "migration) exceeds the limit of 134217728 steps")
+
+
+def test_a_migration_period_shorter_than_dt_is_refused():
+    # each event's pulse is sized for a step of dt: a shorter period would
+    # fit none, and the steps laid out would grow as dt / period
+    for period in (0.99e-6, 0.1e-6, 0.01e-6):
+        cfg = band_cfg(period=period, sim_duration=1e-3, warmup=None)
+        with pytest.raises(ConfigurationError, match="shorter than the time step dt of 1 us"):
+            run(cfg)
+        run(replace(cfg, migration_fn=IDENTITY))  # nothing migrates: no period to refuse
+    base = band_cfg(sim_duration=1e-3, warmup=None,
+                    cost=MigrationCostParams(downtime_fixed=0.5e-6))
+    (short, ok) = sweep(base, [ROTATION], [0.5e-6, 1e-6])
+    assert short.summary is None and ok.error is None
+    assert short.error == ("the migration period of 0.5 us is shorter than the time step "
+                           "dt of 1 us")
 
 
 def scaled_times(cfg, factor):

@@ -188,8 +188,6 @@ def test_closed_form_basis_matches_the_dense_operator(case):
     grid, params, seed = case
     net = build_network(grid, params)
     g = reference_conductance(grid, params)
-    # the basis reads the sink diagonal as the link-by-link sum rounds it
-    assert thermal._sink_diagonal(net) == g[-1, -1]
     modes = net.modes
     c_half = np.sqrt(reference_capacitance(grid, params))
     # the dense Q, formed by applying the factored transforms to the identity:
@@ -212,7 +210,7 @@ def test_closed_form_basis_matches_the_dense_operator(case):
 @example((make_grid(12, 1), ThermalParams(), 2))
 def test_factored_transforms_agree_however_applied_and_invert_each_other(case):
     # a stack of rows at once, row by row and stored column by column (as
-    # the period template forms them), and from_modal into strided outs:
+    # the period template forms them), and from_modal into a strided out:
     # the same values; to_modal and from_modal undo each other
     grid, params, seed = case
     modes = build_network(grid, params).modes
@@ -226,10 +224,11 @@ def test_factored_transforms_agree_however_applied_and_invert_each_other(case):
         assert np.abs(by_column.reshape(x.shape) - batched).max() <= tol
     nodes = modes.from_modal(x)
     tol = 1e-12 * np.abs(nodes).max()
-    for strided in (np.zeros((2, 3, x.shape[-1] + 2))[..., 1:-1],  # a slice of wider rows
-                    np.zeros((3, 2, x.shape[-1])).transpose(1, 0, 2)):  # axes that do not merge
-        assert modes.from_modal(x, out=strided) is strided
-        assert np.abs(strided - nodes).max() <= tol
+    strided = np.zeros((2, 3, x.shape[-1] + 2))[..., 1:-1]  # a slice of wider rows
+    assert modes.from_modal(x, out=strided) is strided
+    assert np.abs(strided - nodes).max() <= tol
+    with pytest.raises(ValueError, match="must merge"):  # no view holds its rows
+        modes.from_modal(x, out=np.zeros((3, 2, x.shape[-1])).transpose(1, 0, 2))
     scale = np.abs(x).max()
     assert np.abs(modes.from_modal(modes.to_modal(x)) - x).max() <= 1e-12 * scale
     assert np.abs(modes.to_modal(modes.from_modal(x)) - x).max() <= 1e-12 * scale
@@ -438,6 +437,23 @@ def test_march_matches_sequential_dense_backward_euler(case):
     # off the default step length, through the explicit dt
     rows = TransientSolver(net, 1e-6).march(start, p1, count, dt)
     assert np.max(np.abs(rows - np.array(exact))) <= 1e-9
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 50),
+       st.sampled_from([1e-6, 7.44e-7, 2.56e-7, 3e-3]), st.integers(0, 2**32 - 1))
+def test_march_equals_the_rows_of_a_one_run_template(nx, ny, count, dt, seed):
+    # march forms a zero start's rows directly; a template of the same one
+    # run, started at zero, gives the same node rows bit for bit
+    net = build_network(make_grid(nx, ny), ThermalParams())
+    solver = TransientSolver(net, 1e-6)
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.0, 2.0, net.n_blocks)
+    start = steady_state(net, rng.uniform(0.0, 2.0, net.n_blocks)).temps
+    fixed = net.modes.to_modal(steady_state(net, p).temps - start)
+    template = solver.template([(count, dt, fixed, False)])
+    zero = np.zeros((1, net.n_nodes))
+    rows = solver.nodes(template.rows(zero, zero, 0, count)[0], start)
+    assert np.array_equal(solver.march(start, p, count, dt), rows)
 
 
 def test_transient_step_conserves_energy():

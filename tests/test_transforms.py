@@ -175,13 +175,30 @@ def test_parse_function_tags():
     assert parse_function("translate_xy:2:3", dy=7) == translate_xy(2, 7)
 
 
+PARSE_FAULTS = (  # (tag, keyword offsets, the message's start)
+    ("swirl", {}, "unknown migration function 'swirl'"),
+    ("swirl:1", {"dx": 1}, "unknown migration function 'swirl:1'"),
+    ("rotation:1", {}, "rotation takes no offsets"),
+    ("rotation:a", {}, "rotation takes no offsets"),
+    ("mirror_x", {"dx": 1}, "mirror_x takes no offsets"),
+    ("identity", {"dx": 0, "dy": 0}, "identity takes no offsets"),
+    ("translate_x:a", {"dy": 1}, "translate_x moves along one axis"),
+    ("translate_x:a", {}, "bad offsets in function tag 'translate_x:a'"),
+    ("translate_xy:a:1", {"dx": 1}, "bad offsets in function tag 'translate_xy:a:1'"),
+    ("translate_x:", {}, "bad offsets in function tag 'translate_x:'"),
+    ("translate_xy:1", {}, "wrong number of offsets in function tag 'translate_xy:1'"),
+    ("translate_x:1:2", {}, "wrong number of offsets in function tag 'translate_x:1:2'"),
+    ("translate_y:1:2", {"dy": 1}, "wrong number of offsets in function tag 'translate_y:1:2'"),
+)
+
+
 def test_parse_function_rejects_garbage():
-    for bad in ("swirl", "rotation:1", "translate_x:a", "translate_xy:1",
-                "translate_x:1:2"):
-        with pytest.raises(ConfigurationError):
-            parse_function(bad)
-    with pytest.raises(ConfigurationError):
-        parse_function("mirror_x", dx=1)
+    # unknown kind, offsets on a kind that takes none, an offset on the axis
+    # not moved, a non-integer offset, a wrong count: the first that applies
+    for tag, offsets, message in PARSE_FAULTS:
+        with pytest.raises(ConfigurationError) as info:
+            parse_function(tag, **offsets)
+        assert str(info.value).startswith(message), (tag, offsets)
     with pytest.raises(ConfigurationError):
         MigrationFunction("sideways")
 
@@ -194,6 +211,14 @@ def test_parse_function_rejects_an_offset_on_the_axis_not_moved():
             parse_function(tag, **offsets)
     assert parse_function("translate_x", dx=3) == translate_x(3)
     assert parse_function("translate_y", dy=-2) == translate_y(-2)
+
+
+def test_labels_name_only_the_offsets_a_kind_takes():
+    labels = {kind: MigrationFunction(kind, 3, -2).label() for kind in KINDS}
+    assert labels == {"identity": "identity", "rotation": "rotation", "mirror_x": "mirror_x",
+                      "mirror_y": "mirror_y", "mirror_xy": "mirror_xy",
+                      "translate_x": "translate_x:3", "translate_y": "translate_y:-2",
+                      "translate_xy": "translate_xy:3:-2"}
 
 
 def test_labels_round_trip_through_parse():
