@@ -19,15 +19,18 @@ Every period, and the tail as the start of one more, is marched from one
 period template (TransientSolver.template) in modal coordinates, diagonal
 in the modes: the state at each event follows z_{k+1} = D z_k + f + B
 z_act(k), O(n) per event, with z_act(k) the steady state of the power the
-k-th event's placement dissipates. Node rows are formed only where they
-are read, in blocks of whole periods: those after warm-up for the
-statistics, and for a run's trace the blocks before warm-up as well, but
-only when the trace's temps are first read. A sweep cell keeps no trace,
-so neither it nor a run whose trace is never read forms a row that ends
-before warm-up. A step cut short by the run's end is the run's one lone
-step. Statistics are taken over the window after warm-up so they describe
-settled behavior rather than the decay of the initial condition; they are
-accumulated block by block.
+k-th event's placement dissipates. Node rows are formed in bounded blocks
+of whole periods, by two consumers of the template. The statistics take
+the blocks from warm-up's period on, the same in a run and in a sweep
+cell, each stored along its long axis: node by node when it holds more
+rows than nodes, row by row otherwise, so their reductions run along
+contiguous memory. A row's block mean is read off the two modal
+coordinates that carry it. The trace's rows, all of them, are formed only
+when its temps are first read, so run() writes no trace row and a sweep
+cell keeps no trace. A step cut short by the run's end is the run's one
+lone step. Statistics are taken over the window after warm-up so they
+describe settled behavior rather than the decay of the initial condition;
+they are accumulated block by block.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from .transforms import MigrationFunction
 _TIME_EPS_DT = 1e-3
 
 # Bound on the rows x nodes of one block of node rows formed from the
-# period template. A block's modal rows and the basis's y-pass of them are
-# two such arrays in flight.
+# period template. A statistics block's modal rows, then its node rows over
+# them, and the basis's y-pass are two such arrays in flight.
 _MARCH_ELEMENTS = 1 << 15
 
 # Bound on the steps x nodes of a traced run (1 GiB of float64) and on the steps of any run.
@@ -87,25 +90,23 @@ class Trace:
     times (m,), the sample instants in s, the first at t = 0, and temps
     (m, n_blocks + 1) in deg C.
 
-    run() forms the rows that end before warm-up, which its statistics
-    never read, only on the first read of temps: pending, if given, writes
-    them into temps in place, once, and is then dropped with all it holds.
-    Every read returns the same array, so a read trace costs the work of
-    an eager one, and an unread one neither that work nor the memory of
-    the pages it would have written.
+    run() forms no row of temps: form, if given, forms the whole array on
+    the first read of temps, once, and is then dropped with all it holds.
+    Every read returns the same array, so a read trace costs one pass over
+    the run's rows on top of the statistics, and an unread one neither
+    that pass nor the memory of its array.
     """
 
-    def __init__(self, times: np.ndarray, temps: np.ndarray,
-                 pending: Callable[[np.ndarray], None] | None = None):
+    def __init__(self, times: np.ndarray, temps: np.ndarray | None = None,
+                 form: Callable[[], np.ndarray] | None = None):
         self.times = times
         self._temps = temps
-        self._pending = pending
+        self._form = form
 
     @property
     def temps(self) -> np.ndarray:
-        if self._pending is not None:
-            self._pending(self._temps)
-            self._pending = None
+        if self._temps is None:
+            self._temps, self._form = self._form(), None
         return self._temps
 
 
@@ -251,10 +252,12 @@ def _max_steps(cfg: ScenarioConfig, migrates: bool) -> float:
 
 class _Window:
     """Peak, largest spread and time-weighted mean of the block temperatures
-    over the steps from index start on, taken block of rows by block. The
-    mean sums one term per step in a single sum over the window, so it does
-    not depend on how the rows are grouped (a sweep cell's blocks are not a
-    run's)."""
+    over the steps from index start on, taken block of rows by block. A
+    block's rows may be stored row by row or node by node: its peak and
+    spread are exact either way, and each row's block mean comes with it,
+    taken element by element (ModalBasis.block_mean), so the mean, a single
+    sum of one term per step over the window, depends neither on how the
+    rows are stored nor on how they are grouped."""
 
     def __init__(self, times: np.ndarray, start: int, n_blocks: int):
         self.weights = np.diff(times)
@@ -262,8 +265,9 @@ class _Window:
         self.peak = self.spread = -math.inf
         self.terms: list[np.ndarray] = []
 
-    def add(self, first: int, rows: np.ndarray) -> None:
-        """Take in the node rows of steps first, first + 1, ..."""
+    def add(self, first: int, rows: np.ndarray, means: np.ndarray) -> None:
+        """Take in the node rows of steps first, first + 1, ... and their
+        block means."""
         lo = max(self.start - first, 0)  # rows that end before warm-up
         if lo >= len(rows):
             return
@@ -271,7 +275,7 @@ class _Window:
         row_max = blocks.max(axis=1)
         self.peak = max(self.peak, float(row_max.max()))
         self.spread = max(self.spread, float((row_max - blocks.min(axis=1)).max()))
-        self.terms.append(blocks.mean(axis=1) * self.weights[first + lo:first + len(rows)])
+        self.terms.append(means[lo:] * self.weights[first + lo:first + len(rows)])
 
     def result(self) -> tuple[float, float, float]:
         """(peak, time-weighted mean, largest spread)."""
@@ -280,15 +284,11 @@ class _Window:
 
 
 def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
-           temps0: np.ndarray, mplan: MigrationPlan | None, sched: _Schedule,
-           trace: np.ndarray | None
-           ) -> tuple[tuple[float, float, float], Callable[[np.ndarray], None] | None]:
+           temps0: np.ndarray, mplan: MigrationPlan | None, sched: _Schedule
+           ) -> tuple[tuple[float, float, float], Callable[[], np.ndarray]]:
     """Backward-Euler march of the migrated run from the baseline temps0:
-    its window statistics (see _Window) and what forms the rest of the
-    trace. trace, if given, receives the node temps at every step end: the
-    rows of the blocks that end after warm-up at once, and of the tail's
-    last block, from which a cut step starts; the others only when the
-    returned pending is called with it (Trace.temps), else None.
+    its window statistics (see _Window), and what forms its trace, the node
+    temps at t = 0 and at every step end (Trace.temps).
 
     Every period, and the tail as the first steps of one more, is marched
     from one template over the idle and pulse powers and the active power
@@ -297,18 +297,20 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     executes the plan once; its active power is the previous one gathered
     through the plan's inverse permutation (MigrationPlan.sources), exactly
     power_vector of the executed mapping.
+
+    The statistics take the blocks of _blocks from warm-up's period on,
+    each stored along its long axis: node by node when it holds more rows
+    than nodes, row by row otherwise. A row's block mean is read off its
+    two modal coordinates that carry it (ModalBasis.block_mean); the head's
+    rows sit at temps0 and the cut step's row is averaged. The trace is
+    formed from all the blocks, into its own rows, only when called.
     """
     n_blocks, n_nodes = cfg.grid.n_cells, cfg.grid.n_cells + 1
+    base_mean = temps0[:n_blocks].mean()
     stats = _Window(sched.times, sched.window, n_blocks)
-    i = sched.head
-    stats.add(0, np.broadcast_to(temps0, (i, n_nodes)))
-    # a trace's rows that end before warm-up are left pending: the head's
-    # (at temps0) when it does, and the blocks' below
-    early = 0 if trace is None or i > sched.window else i
-    if trace is not None:
-        trace[1 + early:1 + i] = temps0
+    stats.add(0, np.broadcast_to(temps0, (sched.head, n_nodes)), np.full(sched.head, base_mean))
     if not sched.events:
-        return stats.result(), None
+        return stats.result(), partial(_form_trace, solver, temps0, sched)
     stalled = idle_vector(cfg.profile, cfg.grid)
     pulse = np.zeros(n_blocks)
     src_idx = np.flatnonzero(mplan.sources != np.arange(n_blocks))
@@ -331,60 +333,70 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     actives -= z0
     # period k runs from event k + 1 on, from starts[k]; the last is the tail
     starts = template.starts(np.zeros(n_nodes), actives[:-1])
-    form = partial(_form_rows, solver, template, starts, actives, temps0)
-    # blocks of whole periods, or of one period's steps when a period is
-    # longer than a block; a sweep cell starts at warm-up's period, and
-    # its node rows need an array of their own, so its blocks are halved
-    steps, periods = template.steps, sched.events - 1
-    values = _MARCH_ELEMENTS if trace is not None else _MARCH_ELEMENTS // 2
-    span = min(steps, max(1, values // n_nodes))
-    per = max(1, values // (steps * n_nodes))
-    k_first = 0 if trace is not None else max(sched.window - i, 0) // steps
-    blocks = [(k0, min(k0 + per, periods), steps) for k0 in range(k_first, periods, per)]
-    pending = []
-    for k0, k1, stop in blocks + [(periods, periods + 1, sched.tail)]:
-        for s0 in range(0, stop, span):
-            s1 = min(s0 + span, stop)
-            lo = i + k0 * steps + s0
-            # a cut step starts from the tail's last row
-            if (trace is not None and (k0 < periods or s1 < stop)
-                    and lo + (k1 - k0) * (s1 - s0) <= sched.window):
-                pending.append((k0, k1, s0, s1, lo))
-            else:
-                rows = form((k0, k1, s0, s1, lo), trace)
-                stats.add(lo, rows)
-    if sched.cut is not None:
+    modal = partial(_modal_rows, template, starts, actives)
+    blocks = list(_blocks(sched, template.steps, n_nodes,
+                          max(sched.window - sched.head, 0) // template.steps))
+    # one array holds every block: its modal rows, then its node rows over
+    # them, stored along the block's long axis
+    work = np.empty(n_nodes * max(((k1 - k0) * (s1 - s0) for k0, k1, s0, s1, _ in blocks),
+                                  default=0))
+    for block in blocks:
+        z = modal(block, work)
+        means = base_mean + solver.net.modes.block_mean(z)
+        rows = solver.nodes(z, temps0, z if len(z) > n_nodes else work[:z.size].reshape(z.shape))
+        stats.add(block[-1], rows, means)
+    cut = None
+    if sched.cut is not None:  # from the tail's last row, the loop's last
         length, idle, pulsed = sched.cut
-        i += periods * steps + sched.tail
         x = rows[-1] if sched.tail else solver.nodes(starts[-1], temps0)
         p = stalled if idle else active
-        rows = solver.step(x, p + pulse if pulsed else p, length)[None]
-        if trace is not None:
-            trace[i + 1] = rows[0]
-        stats.add(i, rows)
-    if not (early or pending):
-        return stats.result(), None
-    return stats.result(), partial(_form_pending, form, temps0, early, pending)
+        cut = solver.step(x, p + pulse if pulsed else p, length)
+        stats.add(len(sched.times) - 2, cut[None], cut[None, :n_blocks].mean(axis=1))
+    return stats.result(), partial(_form_trace, solver, temps0, sched, cut, modal,
+                                   template.steps)
 
 
-def _form_rows(solver: TransientSolver, template: PeriodTemplate, starts: np.ndarray,
-               actives: np.ndarray, temps0: np.ndarray, block: tuple,
-               trace: np.ndarray | None) -> np.ndarray:
-    """Node rows of a block (k0, k1, s0, s1, lo): steps s0..s1 - 1 of the
-    periods k0..k1 - 1, whose first row is that of step lo; into its rows
-    of trace if given."""
-    k0, k1, s0, s1, lo = block
-    z = template.rows(starts[k0:k1], actives[k0:k1], s0, s1).reshape(-1, len(temps0))
-    return solver.nodes(z, temps0, None if trace is None else trace[1 + lo:1 + lo + len(z)])
+def _blocks(sched: _Schedule, steps: int, n_nodes: int, k_first: int):
+    """The blocks (k0, k1, s0, s1, lo) of at most _MARCH_ELEMENTS node
+    values that cover the periods from k_first on and then the tail: steps
+    s0..s1 - 1 of the periods k0..k1 - 1, whose first row is that of step
+    lo. A block is whole periods, or one period's steps when a period is
+    longer than a block."""
+    periods = sched.events - 1
+    span = min(steps, max(1, _MARCH_ELEMENTS // n_nodes))
+    per = max(1, _MARCH_ELEMENTS // (steps * n_nodes))
+    runs = [(k0, min(k0 + per, periods), steps) for k0 in range(k_first, periods, per)]
+    for k0, k1, stop in runs + [(periods, periods + 1, sched.tail)]:
+        for s0 in range(0, stop, span):
+            yield k0, k1, s0, min(s0 + span, stop), sched.head + k0 * steps + s0
 
 
-def _form_pending(form, temps0: np.ndarray, head: int, blocks: list,
-                  trace: np.ndarray) -> None:
-    """The trace rows _march left pending: head rows at temps0, then the
-    blocks, each formed as _march would have formed it."""
-    trace[1:1 + head] = temps0
-    for block in blocks:
-        form(block, trace)
+def _modal_rows(template: PeriodTemplate, starts: np.ndarray, actives: np.ndarray,
+                block: tuple, work: np.ndarray | None = None) -> np.ndarray:
+    """The modal rows of a block of _blocks, (rows, n_nodes), stored mode by
+    mode, at the start of work if given."""
+    k0, k1, s0, s1, _ = block
+    n = starts.shape[1]
+    out = None if work is None else (
+        work[:n * (k1 - k0) * (s1 - s0)].reshape(n, k1 - k0, s1 - s0).transpose(1, 2, 0))
+    return template.rows(starts[k0:k1], actives[k0:k1], s0, s1, out).reshape(-1, n)
+
+
+def _form_trace(solver: TransientSolver, temps0: np.ndarray, sched: _Schedule,
+                cut: np.ndarray | None = None, modal=None, steps: int = 0) -> np.ndarray:
+    """A run's trace temps: temps0 up to the head's end, then every block
+    of _blocks (of a template of steps steps, its modal rows from modal)
+    formed into its rows, then the cut step's row if any."""
+    trace = np.empty((len(sched.times), len(temps0)))
+    trace[:1 + sched.head] = temps0
+    if modal is not None:
+        for block in _blocks(sched, steps, len(temps0), 0):
+            z = modal(block)
+            lo = block[-1]
+            solver.nodes(z, temps0, trace[1 + lo:1 + lo + len(z)])
+    if cut is not None:
+        trace[-1] = cut
+    return trace
 
 
 def _start(cfg: ScenarioConfig, net):
@@ -417,13 +429,9 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
               keep_trace: bool) -> tuple[RunSummary, Trace | None]:
     """The migrated run of a validated cfg against its static baseline."""
     sched = _schedule(cfg, mplan)
-    events, times = sched.events, sched.times
-    temps = None
-    if keep_trace:
-        temps = np.empty((len(times), solver.net.n_nodes))
-        temps[0] = baseline.temps
-    (mig_peak, time_avg, spread), pending = _march(solver, cfg, mapping0, baseline.temps,
-                                                   mplan, sched, temps)
+    events = sched.events
+    (mig_peak, time_avg, spread), form = _march(solver, cfg, mapping0, baseline.temps,
+                                                mplan, sched)
     base_peak = peak(baseline)
 
     penalty = 0.0 if mplan is None else mplan.downtime / cfg.period
@@ -438,7 +446,7 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
         migration_count=events,
         total_migration_energy=energy,
     )
-    return summary, (Trace(times, temps, pending) if keep_trace else None)
+    return summary, (Trace(sched.times, form=form) if keep_trace else None)
 
 
 def _check_trace_size(cfg: ScenarioConfig) -> None:

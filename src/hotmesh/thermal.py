@@ -138,7 +138,9 @@ class ModalBasis:
         return z
 
     def from_modal(self, z, out: np.ndarray | None = None) -> np.ndarray:
-        """Node rows (deviations from ambient) of modal rows z."""
+        """Node rows (deviations from ambient) of modal rows z, into out if
+        given. out may be z's own memory, in either order: z is read in
+        full before out is written."""
         z = np.asarray(z, dtype=float)
         ny, nx = len(self.dy), len(self.dx)
         n = nx * ny
@@ -157,6 +159,15 @@ class ModalBasis:
         np.matmul(self._from_x, v.reshape(ny, nx, r), out=flat[:, :n].T.reshape(ny, nx, r))
         flat[:, n] = sink
         return out
+
+    def block_mean(self, z) -> np.ndarray:
+        """Mean over the blocks of from_modal(z), per modal row, in closed
+        form: of the block modes only the uniform one has a nonzero sum, so
+        it is that mode rotated back out of the sink, (cos z[..., 0] - sin
+        z[..., n]) / sqrt(n c_b). Taken element by element, it depends
+        neither on how the rows are stored nor on how they are grouped."""
+        n = len(self.dx) * len(self.dy)
+        return (self.cos * z[..., 0] - self.sin * z[..., n]) / (math.sqrt(n) * self.sqrt_cb)
 
     # the DCT factors with the blocks' C^1/2 and C^-1/2 folded in
     @cached_property
@@ -420,11 +431,14 @@ class PeriodTemplate:
             z[k + 1] += decay * z[k]
         return z
 
-    def rows(self, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int) -> np.ndarray:
+    def rows(self, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int,
+             out: np.ndarray | None = None) -> np.ndarray:
         """Modal states after steps s0..s1 - 1 of the periods started at
         z0[k] under z_var[k], both (periods, n): (periods, s1 - s0, n),
-        stored mode by mode, which from_modal reads without a copy."""
-        out = np.empty((z0.shape[1], len(z0), s1 - s0)).transpose(1, 2, 0)
+        stored mode by mode, which from_modal reads without a copy; into
+        out if given, an array of that shape and order."""
+        if out is None:
+            out = np.empty((z0.shape[1], len(z0), s1 - s0)).transpose(1, 2, 0)
         z = z0
         for a, b, fixed, varies in zip(self.bounds, self.bounds[1:], self.fixed, self.varies):
             if a >= s1:

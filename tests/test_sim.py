@@ -503,6 +503,9 @@ def template_cases(draw):
 @example(tail_case(10.0, 32.2, 2.5))      # a tail that ends inside the stall
 @example(tail_case(10.0, 40.0, 1.5))      # a tail of exactly one period: nothing cut
 @example(tail_case(7.3, 12.4, 1.744))     # a single event: no full period
+@example(tail_case(10.0, 10.4, 1.744))    # a single event, cut at it: no block at all
+# statistics of the cut step alone, after a tail of no steps
+@example((replace(tail_case(10.0, 30.4, 1.744)[0], warmup=30e-6), 1 << 15))
 @example(tail_case(10.0, 32.7444, 1.744))  # a run end 0.4 ns past a period's step end
 @example(tail_case(10.0, 32.7436, 1.744))  # and 0.4 ns short of one
 @example(tail_case(2.0, 9.0, 2.5))        # a downtime longer than the period
@@ -595,20 +598,18 @@ def test_node_rows_are_formed_in_bounded_blocks(monkeypatch):
     assert max(sizes) <= 1 << 10
 
 
-def _trace_rows_formed(monkeypatch):
-    """Patch TransientSolver.nodes to record, per call that writes into a
-    trace, the (first step, count) of its rows; return the record."""
-    formed = []
+def _nodes_outs(monkeypatch):
+    """Patch TransientSolver.nodes to record the out of every call (None
+    when it has none), keeping each alive; return the record."""
+    outs = []
     real_nodes = hotmesh.thermal.TransientSolver.nodes
 
     def recorded(self, z, origin, out=None):
-        if out is not None:
-            offset = out.__array_interface__["data"][0] - out.base.__array_interface__["data"][0]
-            formed.append((offset // out.strides[0] - 1, len(out)))
+        outs.append(out)
         return real_nodes(self, z, origin, out)
 
     monkeypatch.setattr(hotmesh.thermal.TransientSolver, "nodes", recorded)
-    return formed
+    return outs
 
 
 # warm-up (us) of a 2 ms band run: 18 events at 109 us, then a tail of
@@ -617,33 +618,68 @@ def _trace_rows_formed(monkeypatch):
 @pytest.mark.parametrize("warmup_us", [0.0, 50.0, 1090.0, 1234.5, 1980.0, 1999.9])
 def test_a_trace_forms_its_rows_before_warm_up_only_when_read(monkeypatch, warmup_us,
                                                               block):
-    # at 0, inside the head, at an event, inside a period, in the tail and
-    # at the cut step; with periods split into blocks and batched whole
+    # and every other row too: run() forms no trace row, the first read forms
+    # each row from the head's end to the tail's end once and writes the cut
+    # step's row, and a second read forms nothing. Warm-up at 0, inside the
+    # head, at an event, inside a period, in the tail and at the cut step;
+    # with periods split into blocks and batched whole
     cfg = band_cfg(sim_duration=2e-3, warmup=warmup_us * 1e-6)
     if block is not None:
         monkeypatch.setattr(hotmesh.sim, "_MARCH_ELEMENTS", block)
     sched = hotmesh.sim._schedule(cfg, hotmesh.sim._plan(cfg))
     assert sched.events == 18 and sched.cut is not None
     expected, oracle_trace = sequential_run(cfg)
-    formed = _trace_rows_formed(monkeypatch)
+    outs = _nodes_outs(monkeypatch)
+    cut_rows = []
+    real_step = TransientSolver.step
+    monkeypatch.setattr(TransientSolver, "step", lambda self, *args: cut_rows.append(
+        real_step(self, *args)) or cut_rows[-1])
     summary, trace = run(cfg)
-    # no block formed ends before warm-up, but for the tail's last block
-    # when the warm-up leaves only the cut step, which starts from its last row
-    cut = len(sched.times) - 2
-    assert all(lo + count > sched.window or lo + count == sched.window == cut
-               for lo, count in formed)
+    in_run = len(outs)
     temps = trace.temps
-    read = len(formed)
-    assert trace.temps is temps and len(formed) == read  # a second read forms nothing
-    # every row from the head's end to the cut step formed exactly once
-    times_formed = np.zeros(len(sched.times) - 1, dtype=int)
-    for lo, count in formed:
-        times_formed[lo:lo + count] += 1
-    assert times_formed[sched.head:-1].tolist() == [1] * (len(times_formed) - 1 - sched.head)
-    assert not times_formed[:sched.head].any() and times_formed[-1] == 0
+    in_read = len(outs)
+    assert trace.temps is temps and len(outs) == in_read  # a second read forms nothing
+    assert not any(out is not None and np.shares_memory(out, temps) for out in outs[:in_run])
+    times_formed = np.zeros(len(temps), dtype=int)
+    for out in outs[in_run:]:
+        assert np.shares_memory(out, temps)
+        first = ((out.__array_interface__["data"][0] - temps.__array_interface__["data"][0])
+                 // temps.strides[0])
+        times_formed[first:first + len(out)] += 1
+    cut = len(temps) - 1
+    assert times_formed[1 + sched.head:cut].tolist() == [1] * (cut - 1 - sched.head)
+    assert not times_formed[:1 + sched.head].any() and times_formed[cut] == 0
+    assert len(cut_rows) == 1 and np.array_equal(temps[cut], cut_rows[0])
     assert np.array_equal(trace.times, oracle_trace.times)
     assert np.abs(temps - oracle_trace.temps).max() <= 1e-9
     assert np.allclose(astuple(summary), astuple(expected), rtol=0.0, atol=1e-9)
+
+
+def test_the_summary_does_not_depend_on_how_the_blocks_are_stored(monkeypatch):
+    # 17 nodes: blocks of 16 rows are stored row by row, blocks of one or
+    # more whole periods of 110 steps node by node; the peak and spread are
+    # exact either way, and every row's block mean is the same bits
+    cfg = band_cfg(sim_duration=2e-3, warmup=0.5e-3)
+    outs = _nodes_outs(monkeypatch)
+    means = {}
+    real_add = hotmesh.sim._Window.add
+
+    def recorded(self, first, rows, row_means):
+        means.update(zip(range(first, first + len(rows)), row_means.tolist()))
+        return real_add(self, first, rows, row_means)
+
+    monkeypatch.setattr(hotmesh.sim._Window, "add", recorded)
+    summaries, row_means, node_major = [], [], []
+    for block in (17 * 16, 17 * 110, hotmesh.sim._MARCH_ELEMENTS):
+        monkeypatch.setattr(hotmesh.sim, "_MARCH_ELEMENTS", block)
+        outs.clear()
+        means.clear()
+        summaries.append(run(cfg)[0])
+        row_means.append(dict(means))
+        node_major.append({out.strides[0] == out.itemsize for out in outs if out is not None})
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert row_means[0] == row_means[1] == row_means[2]
+    assert node_major == [{False}, {True}, {True}]
 
 
 def test_the_summary_does_not_depend_on_when_the_trace_is_read():

@@ -229,6 +229,14 @@ def test_factored_transforms_agree_however_applied_and_invert_each_other(case):
     assert np.abs(strided - nodes).max() <= tol
     with pytest.raises(ValueError, match="must merge"):  # no view holds its rows
         modes.from_modal(x, out=np.zeros((3, 2, x.shape[-1])).transpose(1, 0, 2))
+    # out may be the memory of z itself, in either order: the same values
+    for node_major in (True, False):
+        memory = np.empty(x[0].size)
+        z = memory.reshape(x.shape[-1], -1).T  # stored mode by mode
+        z[...] = x[0]
+        out = z if node_major else memory.reshape(z.shape)
+        assert modes.from_modal(z, out=out) is out
+        assert np.abs(out - nodes[0]).max() <= tol
     scale = np.abs(x).max()
     assert np.abs(modes.from_modal(modes.to_modal(x)) - x).max() <= 1e-12 * scale
     assert np.abs(modes.to_modal(modes.from_modal(x)) - x).max() <= 1e-12 * scale
@@ -454,6 +462,23 @@ def test_march_equals_the_rows_of_a_one_run_template(nx, ny, count, dt, seed):
     zero = np.zeros((1, net.n_nodes))
     rows = solver.nodes(template.rows(zero, zero, 0, count)[0], start)
     assert np.array_equal(solver.march(start, p, count, dt), rows)
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_the_modal_row_mean_is_the_block_mean_of_the_node_rows(nx, ny, count, by_mode, seed):
+    # the mean block temperature of a row, read off the two modal coordinates
+    # that carry it, is the mean of the blocks of its node row
+    net = build_network(make_grid(nx, ny), ThermalParams())
+    solver = TransientSolver(net, 1e-6)
+    rng = np.random.default_rng(seed)
+    origin = steady_state(net, rng.uniform(0.0, 2.0, net.n_blocks)).temps
+    z = net.modes.to_modal(rng.uniform(-10.0, 10.0, (count, net.n_nodes)))
+    if by_mode:  # as PeriodTemplate.rows stores them
+        z = np.asfortranarray(z)
+    rows = solver.nodes(z, origin)
+    modal = origin[:-1].mean() + net.modes.block_mean(z)
+    assert np.abs(modal - rows[:, :-1].mean(axis=1)).max() <= 1e-12
 
 
 def test_transient_step_conserves_energy():
