@@ -2,7 +2,7 @@
 
 The objective is the steady-state peak block temperature. Steady state is
 linear, so the block temperatures are T - T_amb = R p, where R holds the
-block rows and columns of G^-1, read off the modal basis without a solve
+block rows and columns of G^-1, the unit powers' steady states in one solve
 (see :mod:`hotmesh.thermal`). anneal() computes R once and keeps the
 placement as a block index per workload plus the power vector it induces:
 a swap exchanges two entries of each, and a move costs one matvec instead
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Coord, GridSpec, Mapping, PowerProfile, identity_mapping, power_vector
-from .thermal import ThermalNetwork, peak, steady_state
+from .thermal import ThermalNetwork, _modal_steady_state, peak, steady_state
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,9 @@ def evaluate(mapping: Mapping, profile: PowerProfile, net: ThermalNetwork) -> fl
 def _block_response(net: ThermalNetwork) -> np.ndarray:
     """R with T_blocks - T_amb = R p: row i of the product is steady_state()
     of one watt on block i, so R[j, i] is block j's rise per watt on block i."""
-    n, m = net.n_blocks, net.modes
-    z = m.to_modal(np.eye(n, n + 1) / net.c_b)
-    z /= m.mu
-    return m.from_modal(z, out=z)[:, :n].T
+    n = net.n_blocks
+    z = _modal_steady_state(net, np.eye(n))
+    return net.modes.from_modal(z, out=z)[:, :n].T
 
 
 def anneal(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,

@@ -255,8 +255,13 @@ def _profile(grid: GridSpec, given: dict, kind_keys: dict) -> tuple[PowerProfile
         if key not in keys and not (generate is None and _WORKLOAD_KEY.fullmatch(key)):
             raise ConfigurationError(f"[profile] has unknown key {key!r}")
     if generate is None:
-        powers = {int(_WORKLOAD_KEY.fullmatch(key).group(1)): float(value)
-                  for key, value in kind_keys.items()}
+        powers, named = {}, {}  # workload id -> power, and the key that gave it
+        for key, value in kind_keys.items():
+            wid = int(_WORKLOAD_KEY.fullmatch(key).group(1))
+            if wid in named:
+                raise ConfigurationError(
+                    f"[profile] keys {named[wid]!r} and {key!r} both name workload {wid}")
+            named[wid], powers[wid] = key, float(value)
         if not powers:
             raise ConfigurationError("explicit profile lists no workload_<id>_w keys")
         profile, mapping = PowerProfile(powers), identity_mapping(grid)

@@ -43,12 +43,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import thermal
 from .errors import ConfigurationError, HotmeshError
 from .grid import Mapping, identity_mapping, idle_vector, power_vector
 from .migration import MigrationPlan, execute, plan
 from .placement import place
 from .scenario import ScenarioConfig
-from .thermal import PeriodTemplate, ThermalState, TransientSolver, build_network, peak
+from .thermal import (PeriodTemplate, ThermalState, TransientSolver, build_network, peak,
+                      steady_state)
 from .transforms import MigrationFunction
 
 # Collapses float noise when laying out the steps, as a fraction of dt: far
@@ -292,11 +294,9 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
 
     Every period, and the tail as the first steps of one more, is marched
     from one template over the idle and pulse powers and the active power
-    of each event's placement, in modal deviations from the baseline; a
-    last step cut short by the run's end is one solver.step. Each event
-    executes the plan once; its active power is the previous one gathered
-    through the plan's inverse permutation (MigrationPlan.sources), exactly
-    power_vector of the executed mapping.
+    of each event's placement (_steady_states), in modal deviations from
+    the baseline; a last step cut short by the run's end is one
+    solver.step.
 
     The statistics take the blocks of _blocks from warm-up's period on,
     each stored along its long axis: node by node when it holds more rows
@@ -311,26 +311,12 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     stats.add(0, np.broadcast_to(temps0, (sched.head, n_nodes)), np.full(sched.head, base_mean))
     if not sched.events:
         return stats.result(), partial(_form_trace, solver, temps0, sched)
-    stalled = idle_vector(cfg.profile, cfg.grid)
-    pulse = np.zeros(n_blocks)
-    src_idx = np.flatnonzero(mplan.sources != np.arange(n_blocks))
-    pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
-    active = power_vector(mapping, cfg.profile)
-    # modal deviations from the baseline, the steady state of mapping's
-    # power: small, so rounding stays small
-    z0 = solver.modal_steady(active)
-    z_idle = solver.modal_steady(stalled) - z0
-    z_pulse = solver.modal_steady(pulse)
+    (stalled, pulse, active), z_idle, z_pulse, actives = _steady_states(
+        solver, cfg, mapping, mplan, sched.events)
     template = solver.template(
         [(count, cfg.dt if length is None else length,
           (z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0), not idle)
          for length, idle, pulsed, count in sched.body])
-    actives = np.empty((sched.events, n_nodes))
-    for k in range(sched.events):
-        mapping = execute(mapping, mplan)
-        active = active[mplan.sources]
-        actives[k] = solver.modal_steady(active)
-    actives -= z0
     # period k runs from event k + 1 on, from starts[k]; the last is the tail
     starts = template.starts(np.zeros(n_nodes), actives[:-1])
     modal = partial(_modal_rows, template, starts, actives)
@@ -354,6 +340,28 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
         stats.add(len(sched.times) - 2, cut[None], cut[None, :n_blocks].mean(axis=1))
     return stats.result(), partial(_form_trace, solver, temps0, sched, cut, modal,
                                    template.steps)
+
+
+def _steady_states(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
+                   mplan: MigrationPlan, events: int):
+    """((idle, pulse, last active power), z_idle, z_pulse, actives): modal
+    steady states of the idle and pulse powers and of the active power after
+    each event (which executes the plan once), in one solve of one stack;
+    idle and active relative to the baseline's, small, so rounding stays
+    small. actives is allocated first and the stack freed on return: held
+    through the march, it raised a 32x32 run's peak RSS by ~0.4 MB and made
+    glibc trim and refault its heap after every run."""
+    actives = np.empty((events, cfg.grid.n_cells + 1))
+    powers = np.zeros((events + 3, cfg.grid.n_cells))
+    powers[0] = idle_vector(cfg.profile, cfg.grid)
+    src_idx = np.flatnonzero(mplan.sources != np.arange(cfg.grid.n_cells))
+    powers[1, src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
+    powers[2] = power_vector(mapping, cfg.profile)
+    for k in range(3, len(powers)):
+        mapping = execute(mapping, mplan)
+        powers[k] = powers[k - 1][mplan.sources]
+    z = thermal._modal_steady_state(solver.net, powers)
+    return powers[[0, 1, -1]], z[0] - z[2], z[1].copy(), np.subtract(z[3:], z[2], out=actives)
 
 
 def _blocks(sched: _Schedule, steps: int, n_nodes: int, k_first: int):
@@ -402,10 +410,10 @@ def _form_trace(solver: TransientSolver, temps0: np.ndarray, sched: _Schedule,
 def _start(cfg: ScenarioConfig, net):
     """(initial placement, its steady state, solver): what every run of one
     configuration starts from. The steady state is the static baseline,
-    solved once by the solver, in the modal form _march starts from."""
+    solved once by steady_state() for all the configuration's runs."""
     mapping = _resolve_initial_mapping(cfg, net)
-    solver = TransientSolver(net, cfg.dt)
-    return mapping, solver.steady(power_vector(mapping, cfg.profile)), solver
+    return (mapping, steady_state(net, power_vector(mapping, cfg.profile)),
+            TransientSolver(net, cfg.dt))
 
 
 def _resolve_initial_mapping(cfg: ScenarioConfig, net) -> Mapping:

@@ -30,8 +30,8 @@ rotation mixes that mode with the sink node and gives the last two
 eigenvalues. Q is never formed either: ModalBasis keeps the two 1-D DCT
 matrices, the rotation and C^1/2, and applies Q to a stack of rows as one
 DCT product along y, one along x and the rotation of two columns, O(nx +
-ny) per value. The basis is built once per network and serves both solvers
-(placement's block response is the steady state of each unit power):
+ny) per value. The basis is built once per network; every steady state,
+of one power vector or a stack of them, is one solve on it:
 
     steady state:  x = C^-1/2 Q diag(1/mu) Q^T C^-1/2 P
 
@@ -289,16 +289,21 @@ def _modal_basis(net: ThermalNetwork) -> ModalBasis:
 def steady_state(net: ThermalNetwork, power) -> ThermalState:
     """Equilibrium temperatures for a constant per-block power vector:
     x = C^-1/2 Q diag(1/mu) Q^T C^-1/2 p on the network's modal basis."""
+    if np.ndim(power) != 1:
+        raise ValueError(f"steady_state takes one power vector, got shape {np.shape(power)}")
     return ThermalState(temps=net.modes.from_modal(_modal_steady_state(net, power)) + net.ambient)
 
 
-def _modal_steady_state(net: ThermalNetwork, power) -> np.ndarray:
-    """The steady-state solve, in modal coordinates: z = Q^T C^1/2 x =
-    to_modal(C^-1 p) / mu over all nodes, the sink dissipating nothing."""
-    power = np.asarray(power, dtype=float)
-    if power.shape != (net.n_blocks,):
-        raise ValueError(f"power vector must have shape ({net.n_blocks},), got {power.shape}")
-    return net.modes.to_modal(np.append(power, 0.0) / net.c_b) / net.modes.mu
+def _modal_steady_state(net: ThermalNetwork, powers) -> np.ndarray:
+    """The one steady-state solve, in modal coordinates, of a power vector
+    or a stack of them: z = Q^T C^1/2 x = to_modal(C^-1 p) / mu over all
+    nodes, the sink dissipating nothing."""
+    powers = np.asarray(powers, dtype=float)
+    if powers.shape[-1:] != (net.n_blocks,):
+        raise ValueError(f"power vectors must have {net.n_blocks} values, got {powers.shape}")
+    heat = np.zeros((*powers.shape[:-1], net.n_nodes))
+    np.divide(powers, net.c_b, out=heat[..., :-1])
+    return np.divide(net.modes.to_modal(heat), net.modes.mu, out=heat)
 
 
 class TransientSolver:
@@ -308,9 +313,7 @@ class TransientSolver:
     mode 1 - lambda^j of its way (_approach): template() lays out a repeating
     sequence of such runs in modal coordinates, nodes() turns modal rows
     into node temperatures, and march() forms the rows of one run directly
-    (step() its one-row case). The steady state of each distinct power
-    vector is solved once, in modal coordinates (modal_steady()), and kept
-    for the solver's life.
+    (step() its one-row case).
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
@@ -319,11 +322,6 @@ class TransientSolver:
         self.dt = dt
         self._modes = net.modes
         self._mu = net.modes.mu
-        self._modal_by_power: dict[bytes, np.ndarray] = {}
-
-    def steady(self, power) -> ThermalState:
-        """steady_state() of a power vector, bit for bit, from modal_steady()."""
-        return ThermalState(temps=self.nodes(self.modal_steady(power), self.net.ambient))
 
     def march(self, temps: np.ndarray, power, count: int, dt: float | None = None) -> np.ndarray:
         """Node temperatures after each of count steps of length dt at constant
@@ -335,7 +333,7 @@ class TransientSolver:
             raise ValueError(f"count must be at least 1, got {count}")
         dt = self.dt if dt is None else dt
         _check_dt(dt)
-        fixed = self._modes.to_modal(self.steady(power).temps - temps)
+        fixed = self._modes.to_modal(steady_state(self.net, power).temps - temps)
         return self.nodes(self._approach(dt, count) * fixed, temps)
 
     def _approach(self, dt: float, count: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -352,17 +350,6 @@ class TransientSolver:
     def step(self, temps: np.ndarray, power, dt: float | None = None) -> np.ndarray:
         """Advance node temperatures by dt (defaults to the solver's own)."""
         return self.march(temps, power, 1, dt)[0]
-
-    def modal_steady(self, power) -> np.ndarray:
-        """Modal coordinates z = to_modal(x - ambient) of the steady state x
-        of a power vector: nodes(z, ambient) is steady_state(net,
-        power).temps bit for bit. Solved once per distinct vector."""
-        power = np.asarray(power, dtype=float)
-        key = power.tobytes()
-        z = self._modal_by_power.get(key)
-        if z is None:
-            z = self._modal_by_power[key] = _modal_steady_state(self.net, power)
-        return z
 
     def nodes(self, z: np.ndarray, origin: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,32 @@ seed = 1
     assert main(["place", str(scenario), "--out", str(out_b), "--seed", "1"]) == 0
     # same seed (explicit or from the file) gives identical mapping bytes
     assert (out_a / "mapping.csv").read_bytes() == (out_b / "mapping.csv").read_bytes()
+
+
+# sha256 of each file the CLI writes for the shipped scenarios: the
+# summary and trace of `hotmesh run --trace` and the mapping of `hotmesh
+# place`. A change that keeps the numbers keeps these bytes.
+GOLDEN = {
+    ("run", "center_hotspot_5x5"): {
+        "summary.csv": "bafce3276ee86314d01e12cb3069868fd4f50353742f5170e5e3c05fab00f2c8",
+        "trace.csv": "bc44c08f830d5665f90ec36cbd2ca4dc2a33ea3df09242cf0307f96ba0c5fe5e",
+    },
+    ("run", "warm_band_4x4"): {
+        "summary.csv": "350b9a496c91486b55b1a062a960ed32b1dbca8b1ec887e6d5395ded4114a6e6",
+        "trace.csv": "048fd2a58b17dcdbab66f854f7a3e02a6d4bdd90da72086e7748a43df0fb6ce0",
+    },
+    ("place", "warm_band_4x4"): {
+        "mapping.csv": "5c59bef9aaaaf93b326dd9a64bea25372ac7f314f3e6ea4b5a3883503df9024a",
+    },
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(GOLDEN))
+def test_shipped_scenarios_write_the_golden_bytes(tmp_path, command, name):
+    flags = ["--trace"] if command == "run" else []
+    assert main([command, str(SCENARIOS / f"{name}.ini"), *flags, "--out", str(tmp_path)]) == 0
+    digests = GOLDEN[command, name]
+    assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests} == digests
 
 
 def test_import_loads_no_scipy():

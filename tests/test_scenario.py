@@ -219,6 +219,8 @@ workload_0_w = 1.0
     ("workload_3_w = inf", "workload 3 needs a finite power"),
     ("workload_3_w = nan", "workload 3 needs a finite power"),
     ("workload_99_w = 1.0", r"workloads \[99\] have a power entry but no PE"),
+    ("workload_1_w = 2.0\nworkload_01_w = 3.0",
+     "keys 'workload_1_w' and 'workload_01_w' both name workload 1"),
 ])
 def test_explicit_profile_powers_are_checked(tmp_path, line, message):
     with pytest.raises(ConfigurationError, match=message):

@@ -67,22 +67,38 @@ def test_baseline_matches_initial_steady_state():
     assert summary.peak_overall == pytest.approx(peak(ss), abs=1e-4)
 
 
-def test_baseline_is_solved_once(monkeypatch):
-    # the baseline and the identity run's x_ss are one steady-state solve,
-    # which steady_state() and the solver's modal cache share
+def count_solves(monkeypatch):
+    """The shapes of the powers of every steady-state solve from here on."""
     calls = []
     solve = hotmesh.thermal._modal_steady_state
 
-    def counted(net, power):
-        calls.append(power)
-        return solve(net, power)
+    def counted(net, powers):
+        calls.append(np.shape(powers))
+        return solve(net, powers)
 
     monkeypatch.setattr(hotmesh.thermal, "_modal_steady_state", counted)
+    return calls
+
+
+def test_baseline_is_solved_once(monkeypatch):
+    # the baseline and the identity run's x_ss are one steady-state solve
+    calls = count_solves(monkeypatch)
     cfg = band_cfg(migration_fn=IDENTITY, sim_duration=1e-3, warmup=0.5e-3)
     summary, trace = run(cfg)
-    assert len(calls) == 1
+    assert calls == [(16,)]
     assert summary.peak_reduction == 0.0
     assert np.array_equal(trace.temps[-1], trace.temps[0])
+
+
+@pytest.mark.parametrize("duration,events", [(0.2e-3, 1), (1e-3, 9), (8e-3, 73)])
+def test_a_migrating_run_makes_three_steady_state_solves(monkeypatch, duration, events):
+    # the baseline, one stack of the idle, pulse and initial powers and of
+    # every event's active power, and the step the run's end cuts short:
+    # three solves whatever the event count
+    calls = count_solves(monkeypatch)
+    summary, _ = run(band_cfg(sim_duration=duration, warmup=duration / 2))
+    assert summary.migration_count == events
+    assert calls == [(16,), (events + 3, 16), (16,)]
 
 
 def test_trace_steps_end_on_every_breakpoint():

@@ -276,8 +276,12 @@ def test_placement_block_response_matches_a_dense_solve(case):
 
 def test_power_vector_shape_checked():
     net = build_network(make_grid(2, 2), ThermalParams())
-    with pytest.raises(ValueError):
-        steady_state(net, np.ones(5))
+    for bad in (np.ones(5), np.ones((2, 4)), 1.0):
+        with pytest.raises(ValueError):
+            steady_state(net, bad)
+    for bad in (np.ones((3, 5)), np.ones((4, 3)), 1.0):
+        with pytest.raises(ValueError):
+            thermal._modal_steady_state(net, bad)
 
 
 def test_transient_fixed_point_and_cooling():
@@ -308,9 +312,23 @@ def test_modal_steady_state_is_the_steady_state_in_modal_coordinates():
     net = build_network(make_grid(3, 5), ThermalParams())
     solver = TransientSolver(net, 1e-6)
     for p in np.random.default_rng(5).uniform(0.0, 2.0, (4, 15)):
-        z = solver.modal_steady(p)
+        z = thermal._modal_steady_state(net, p)
         assert np.array_equal(solver.nodes(z, net.ambient), steady_state(net, p).temps)
-        assert solver.modal_steady(p.copy()) is z  # solved once per distinct vector
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_a_stack_of_powers_is_solved_row_by_row(nx, ny, rows, seed):
+    # one solve of a stack of power vectors gives each row's own solve, and
+    # a row's own solve is steady_state() bit for bit
+    net = build_network(make_grid(nx, ny), ThermalParams())
+    solver = TransientSolver(net, 1e-6)
+    powers = np.random.default_rng(seed).uniform(0.0, 3.0, (rows, net.n_blocks))
+    stack = thermal._modal_steady_state(net, powers)
+    assert stack.shape == (rows, net.n_nodes)
+    for p, z in zip(powers, stack):
+        single = solver.nodes(thermal._modal_steady_state(net, p), net.ambient)
+        assert np.array_equal(single, steady_state(net, p).temps)
+        assert np.abs(solver.nodes(z, net.ambient) - single).max() <= 1e-12
 
 
 def test_period_template_matches_march_run_by_run():
@@ -323,11 +341,12 @@ def test_period_template_matches_march_run_by_run():
     actives = rng.uniform(0.0, 2.0, (6, 12))
     layout = [(1, 1e-6, idle + pulse, False), (1, 7.44e-7, idle, False),
               (9, 1e-6, 0.0, True), (1, 3e-7, 0.0, True)]
-    template = solver.template([(count, dt, solver.modal_steady(np.broadcast_to(p, 12)),
-                                 varies) for count, dt, p, varies in layout])
+    fixed = thermal._modal_steady_state(net, [np.broadcast_to(p, 12) for _, _, p, _ in layout])
+    template = solver.template([(count, dt, z, varies)
+                                for (count, dt, _, varies), z in zip(layout, fixed)])
     assert template.steps == 12
-    z_var = np.array([solver.modal_steady(a) for a in actives])
-    starts = template.starts(solver.modal_steady(actives[0]), z_var)
+    z_var = thermal._modal_steady_state(net, actives)
+    starts = template.starts(z_var[0], z_var)
     x = steady_state(net, actives[0]).temps
     for k, active in enumerate(actives):
         marched = []
@@ -352,7 +371,7 @@ def test_template_approach_rows_hold_for_any_step_count():
     net = build_network(make_grid(3, 3), ThermalParams())
     solver = TransientSolver(net, 1e-6)
     p = np.linspace(0.1, 1.7, 9)
-    z = solver.modal_steady(p)
+    z = thermal._modal_steady_state(net, p)
     for steps in range(2, 18):
         layout = [(1, 1e-6), (steps - 2, 7.44e-7), (1, 3e-7)] if steps > 2 else [(1, 1e-6)] * 2
         template = solver.template([(count, dt, z, False) for count, dt in layout])
