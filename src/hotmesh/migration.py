@@ -95,20 +95,12 @@ class MigrationPlan:
     @cached_property
     def targets(self) -> np.ndarray:
         """Per block, the block the event moves its workload onto (the
-        permutation's index array)."""
+        permutation's index array): the event gathers a placement's blocks
+        through it (execute) and scatters its power vector p through it,
+        q[targets] = p giving the power vector q after the event."""
         targets = np.array(self.permutation.forward, dtype=np.intp)
         targets.setflags(write=False)
         return targets
-
-    @cached_property
-    def sources(self) -> np.ndarray:
-        """Per block, the block whose workload the event moves onto it (the
-        inverse permutation's index array): p[sources] is the power vector
-        after the event of a placement whose power vector is p."""
-        sources = np.empty(self.grid.n_cells, dtype=np.intp)
-        sources[self.targets] = np.arange(self.grid.n_cells)
-        sources.setflags(write=False)
-        return sources
 
 
 def plan(fn: MigrationFunction, grid: GridSpec,

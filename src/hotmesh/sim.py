@@ -7,7 +7,7 @@ migrated run is one backward-Euler march with one event per period: the
 plan's downtime stalls every PE at idle power, the transfer energy lands
 as a one-timestep heat pulse on the source PEs, and the placement
 permutes. Of the plan a run reads only the closed-form hops and energy,
-the downtime and the inverse permutation, so in default timing its
+the downtime and the permutation's index array, so in default timing its
 phases are never packed. Between events, stall end and pulse end the
 power is constant, so the schedule is laid out once as runs of equal
 steps: a head up to the first event, which stays at the baseline and is
@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -92,24 +92,21 @@ class Trace:
     times (m,), the sample instants in s, the first at t = 0, and temps
     (m, n_blocks + 1) in deg C.
 
-    run() forms no row of temps: form, if given, forms the whole array on
-    the first read of temps, once, and is then dropped with all it holds.
-    Every read returns the same array, so a read trace costs one pass over
-    the run's rows on top of the statistics, and an unread one neither
-    that pass nor the memory of its array.
+    run() forms no row of temps: form forms the whole array on the first
+    read of temps, once, and is then dropped with all it holds. Every read
+    returns the same array, so a read trace costs one pass over the run's
+    rows on top of the statistics, and an unread one neither that pass nor
+    the memory of its array.
     """
 
-    def __init__(self, times: np.ndarray, temps: np.ndarray | None = None,
-                 form: Callable[[], np.ndarray] | None = None):
+    def __init__(self, times: np.ndarray, form: Callable[[], np.ndarray]):
         self.times = times
-        self._temps = temps
         self._form = form
 
-    @property
+    @cached_property
     def temps(self) -> np.ndarray:
-        if self._temps is None:
-            self._temps, self._form = self._form(), None
-        return self._temps
+        temps, self._form = self._form(), None
+        return temps
 
 
 class _Schedule(NamedTuple):
@@ -118,7 +115,7 @@ class _Schedule(NamedTuple):
     event and body is the runs (see _segment) of every event-to-event
     period. After the last event come the period's first tail steps, then,
     unless cut is None, one step cut short by the run's end: cut is its
-    (length or None for dt, stalled, pulsed)."""
+    (length, stalled, pulsed)."""
 
     times: np.ndarray
     window: int
@@ -143,20 +140,20 @@ class SweepCell:
 def _segment(length: float, dt: float, stall: float, pulse: float):
     """Runs of steps over [0, length] after an event, and the step ends: dt
     steps, cut where the stall (PEs idle before it) or the heat pulse ends.
-    A run is (length or None for dt, stalled, pulsed, count): count equal
-    steps."""
+    A run is (length, stalled, pulsed, count): count equal steps, of length
+    dt itself for a full one."""
     ends = _step_ends(length, dt, (stall, pulse))
     if not len(ends):
         return [], ends
     eps = _TIME_EPS_DT * dt
     starts = np.append(0.0, ends[:-1])
     h = ends - starts
-    is_dt = np.abs(h - dt) < eps
+    h[np.abs(h - dt) < eps] = dt
     stalled, pulsed = starts < stall - eps, starts < pulse - eps
     # a run opens at the first step and at every step whose key differs from the last one's
-    keys = np.stack([np.where(is_dt, -1.0, h), stalled, pulsed])
+    keys = np.stack([h, stalled, pulsed])
     opens = np.flatnonzero(np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))).tolist()
-    runs = [(None if is_dt[lo] else float(h[lo]), bool(stalled[lo]), bool(pulsed[lo]), hi - lo)
+    runs = [(float(h[lo]), bool(stalled[lo]), bool(pulsed[lo]), hi - lo)
             for lo, hi in zip(opens, [*opens[1:], len(ends)])]
     return runs, ends
 
@@ -314,8 +311,7 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     (stalled, pulse, active), z_idle, z_pulse, actives = _steady_states(
         solver, cfg, mapping, mplan, sched.events)
     template = solver.template(
-        [(count, cfg.dt if length is None else length,
-          (z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0), not idle)
+        [(count, length, (z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0), not idle)
          for length, idle, pulsed, count in sched.body])
     # period k runs from event k + 1 on, from starts[k]; the last is the tail
     starts = template.starts(np.zeros(n_nodes), actives[:-1])
@@ -346,20 +342,21 @@ def _steady_states(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mappin
                    mplan: MigrationPlan, events: int):
     """((idle, pulse, last active power), z_idle, z_pulse, actives): modal
     steady states of the idle and pulse powers and of the active power after
-    each event (which executes the plan once), in one solve of one stack;
-    idle and active relative to the baseline's, small, so rounding stays
-    small. actives is allocated first and the stack freed on return: held
-    through the march, it raised a 32x32 run's peak RSS by ~0.4 MB and made
-    glibc trim and refault its heap after every run."""
+    each event (which executes the plan once and scatters the power through
+    its targets), in one solve of one stack; idle and active relative to
+    the baseline's, small, so rounding stays small. actives is allocated
+    first and the stack freed on return: held through the march, it raised
+    a 32x32 run's peak RSS by ~0.4 MB and made glibc trim and refault its
+    heap after every run."""
     actives = np.empty((events, cfg.grid.n_cells + 1))
     powers = np.zeros((events + 3, cfg.grid.n_cells))
     powers[0] = idle_vector(cfg.profile, cfg.grid)
-    src_idx = np.flatnonzero(mplan.sources != np.arange(cfg.grid.n_cells))
-    powers[1, src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
+    moved = np.flatnonzero(mplan.targets != np.arange(cfg.grid.n_cells))
+    powers[1, moved] = mplan.energy / (len(moved) * cfg.dt)
     powers[2] = power_vector(mapping, cfg.profile)
     for k in range(3, len(powers)):
         mapping = execute(mapping, mplan)
-        powers[k] = powers[k - 1][mplan.sources]
+        powers[k][mplan.targets] = powers[k - 1]
     z = thermal._modal_steady_state(solver.net, powers)
     return powers[[0, 1, -1]], z[0] - z[2], z[1].copy(), np.subtract(z[3:], z[2], out=actives)
 
@@ -381,13 +378,9 @@ def _blocks(sched: _Schedule, steps: int, n_nodes: int, k_first: int):
 
 def _modal_rows(template: PeriodTemplate, starts: np.ndarray, actives: np.ndarray,
                 block: tuple, work: np.ndarray | None = None) -> np.ndarray:
-    """The modal rows of a block of _blocks, (rows, n_nodes), stored mode by
-    mode, at the start of work if given."""
+    """The modal rows of a block of _blocks (PeriodTemplate.rows)."""
     k0, k1, s0, s1, _ = block
-    n = starts.shape[1]
-    out = None if work is None else (
-        work[:n * (k1 - k0) * (s1 - s0)].reshape(n, k1 - k0, s1 - s0).transpose(1, 2, 0))
-    return template.rows(starts[k0:k1], actives[k0:k1], s0, s1, out).reshape(-1, n)
+    return template.rows(starts[k0:k1], actives[k0:k1], s0, s1, work)
 
 
 def _form_trace(solver: TransientSolver, temps0: np.ndarray, sched: _Schedule,
@@ -433,8 +426,7 @@ def _plan(cfg: ScenarioConfig) -> MigrationPlan | None:
 
 
 def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mapping,
-              baseline: ThermalState, solver: TransientSolver,
-              keep_trace: bool) -> tuple[RunSummary, Trace | None]:
+              baseline: ThermalState, solver: TransientSolver) -> tuple[RunSummary, Trace]:
     """The migrated run of a validated cfg against its static baseline."""
     sched = _schedule(cfg, mplan)
     events = sched.events
@@ -454,7 +446,7 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
         migration_count=events,
         total_migration_energy=energy,
     )
-    return summary, (Trace(sched.times, form=form) if keep_trace else None)
+    return summary, Trace(sched.times, form)
 
 
 def _check_trace_size(cfg: ScenarioConfig) -> None:
@@ -473,8 +465,7 @@ def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
     """Simulate one scenario (migrated run against the static baseline)."""
     cfg.validate()
     _check_trace_size(cfg)
-    return _simulate(cfg, _plan(cfg), *_start(cfg, build_network(cfg.grid, cfg.thermal)),
-                     True)
+    return _simulate(cfg, _plan(cfg), *_start(cfg, build_network(cfg.grid, cfg.thermal)))
 
 
 def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
@@ -511,7 +502,7 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
                     start = _start(cell_cfg, net)
                 if fn not in plans:  # depends on neither the period nor the power
                     plans[fn] = _plan(cell_cfg)
-                summary, _ = _simulate(cell_cfg, plans[fn], *start, False)
+                summary, _ = _simulate(cell_cfg, plans[fn], *start)
                 rows.append(SweepCell(base.name, fn, period, summary, None))
             except HotmeshError as exc:
                 rows.append(SweepCell(base.name, fn, period, None, str(exc)))

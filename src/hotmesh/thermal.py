@@ -297,13 +297,21 @@ def steady_state(net: ThermalNetwork, power) -> ThermalState:
 def _modal_steady_state(net: ThermalNetwork, powers) -> np.ndarray:
     """The one steady-state solve, in modal coordinates, of a power vector
     or a stack of them: z = Q^T C^1/2 x = to_modal(C^-1 p) / mu over all
-    nodes, the sink dissipating nothing."""
+    nodes, the sink dissipating nothing. Powers and constants each in range
+    may still overflow it; a result that is not finite is refused."""
     powers = np.asarray(powers, dtype=float)
     if powers.shape[-1:] != (net.n_blocks,):
         raise ValueError(f"power vectors must have {net.n_blocks} values, got {powers.shape}")
     heat = np.zeros((*powers.shape[:-1], net.n_nodes))
-    np.divide(powers, net.c_b, out=heat[..., :-1])
-    return np.divide(net.modes.to_modal(heat), net.modes.mu, out=heat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(powers, net.c_b, out=heat[..., :-1])
+        z = np.divide(net.modes.to_modal(heat), net.modes.mu, out=heat)
+    if not np.isfinite(z).all():
+        raise ConfigurationError(
+            "the steady state is not finite in float64: check the [profile] powers, the "
+            "migration energy ([migration] state_bits x e_bit_hop_j) and the [thermal] "
+            "constants")
+    return z
 
 
 class TransientSolver:
@@ -419,13 +427,14 @@ class PeriodTemplate:
         return z
 
     def rows(self, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int,
-             out: np.ndarray | None = None) -> np.ndarray:
+             work: np.ndarray | None = None) -> np.ndarray:
         """Modal states after steps s0..s1 - 1 of the periods started at
-        z0[k] under z_var[k], both (periods, n): (periods, s1 - s0, n),
-        stored mode by mode, which from_modal reads without a copy; into
-        out if given, an array of that shape and order."""
-        if out is None:
-            out = np.empty((z0.shape[1], len(z0), s1 - s0)).transpose(1, 2, 0)
+        z0[k] under z_var[k], both (periods, n): (periods * (s1 - s0), n)
+        rows, period by period, stored mode by mode, which from_modal reads
+        without a copy; at the start of the flat buffer work if given."""
+        n, size = z0.shape[1], z0.size * (s1 - s0)
+        flat = np.empty(size) if work is None else work[:size]
+        out = flat.reshape(n, len(z0), s1 - s0).transpose(1, 2, 0)
         z = z0
         for a, b, fixed, varies in zip(self.bounds, self.bounds[1:], self.fixed, self.varies):
             if a >= s1:
@@ -437,7 +446,7 @@ class PeriodTemplate:
                 np.multiply(self.approach[lo:hi], dev[:, None], out=block)
                 np.subtract(z[:, None], block, out=block)
             z = z - self.approach[b - 1] * dev
-        return out
+        return out.reshape(-1, n)
 
 
 def _check_dt(dt: float) -> None:

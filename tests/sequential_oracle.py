@@ -38,7 +38,7 @@ def walk_segment(length, dt, stall, pulse):
             if t + eps < brk < t_next - eps:
                 t_next = brk
         h = t_next - t
-        key = (None if abs(h - dt) < eps else h, t < stall - eps, t < pulse - eps)
+        key = (dt if abs(h - dt) < eps else h, t < stall - eps, t < pulse - eps)
         if runs and runs[-1][:3] == key:
             runs[-1] = (*key, runs[-1][3] + 1)
         else:
@@ -51,8 +51,8 @@ def walk_segment(length, dt, stall, pulse):
 def walked_schedule(cfg, mplan):
     """(times, window, events, runs) of the migrated run: the head up to the
     first event, each event-to-event period and the tail after the last
-    event walked by walk_segment. A run is (length or None for dt, stalled,
-    pulsed, fires, count); the first run after each event fires it."""
+    event walked by walk_segment. A run is (length, stalled, pulsed, fires,
+    count); the first run after each event fires it."""
     period, dt, duration = cfg.period, cfg.dt, cfg.sim_duration
     eps = TIME_EPS_DT * dt
     events = 0
@@ -121,4 +121,4 @@ def sequential_run(cfg):
         migration_count=events,
         total_migration_energy=0.0 if mplan is None else events * mplan.energy,
     )
-    return summary, Trace(times=times, temps=temps)
+    return summary, Trace(times, lambda: temps)

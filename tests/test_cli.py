@@ -237,15 +237,45 @@ GOLDEN = {
     ("place", "warm_band_4x4"): {
         "mapping.csv": "5c59bef9aaaaf93b326dd9a64bea25372ac7f314f3e6ea4b5a3883503df9024a",
     },
+    ("sweep", "warm_band_4x4"): {
+        "sweep.csv": "5f7a9624051982a930b9c8bf321419379010e04df3589ea714c1dba272faa526",
+    },
 }
+FLAGS = {"run": ["--trace"], "place": [],
+         "sweep": ["--functions", "translate_x:1", "rotation", "mirror_xy", "translate_xy:1:1",
+                   "--periods-us", "109", "437.2"]}
 
 
 @pytest.mark.parametrize("command,name", sorted(GOLDEN))
 def test_shipped_scenarios_write_the_golden_bytes(tmp_path, command, name):
-    flags = ["--trace"] if command == "run" else []
-    assert main([command, str(SCENARIOS / f"{name}.ini"), *flags, "--out", str(tmp_path)]) == 0
+    args = [command, str(SCENARIOS / f"{name}.ini"), *FLAGS[command], "--out", str(tmp_path)]
+    assert main(args) == 0
     digests = GOLDEN[command, name]
     assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests} == digests
+
+
+OVERFLOWS = {
+    "run, migration energy": ("run", "dy = 1", "dy = 1\nstate_bits = 1e300\ne_bit_hop_j = 1e10"),
+    "run, band power": ("run", "band_power_w = 2.0", "band_power_w = 1e306"),
+    "place, band power": ("place", "band_power_w = 2.0", "band_power_w = 1e306"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,old,new", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_a_steady_state_that_overflows_is_refused(tmp_path, capsys, command, old, new):
+    # each input is in range but a product of them is not: the energy is
+    # inf J, or a block's heat per capacitance overflows; once these wrote
+    # a peak of -inf or nan and exited 0
+    text = (SCENARIOS / "warm_band_4x4.ini").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "big.ini"
+    path.write_text(text.replace(old, new))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the steady state is not finite")
+    assert "[migration] state_bits x e_bit_hop_j" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_loads_no_scipy():

@@ -285,7 +285,7 @@ def test_execute_moves_the_warm_band():
             assert new.y == 2  # band advanced one row
 
 
-def test_gathered_power_equals_the_power_of_the_executed_mapping():
+def test_scattered_power_equals_the_power_of_the_executed_mapping():
     # over two full orbits of every function kind, on a square and a
     # rectangular mesh, with a distinct power per workload (fillers at idle)
     for grid in (make_grid(5, 5), make_grid(4, 3)):
@@ -303,7 +303,9 @@ def test_gathered_power_equals_the_power_of_the_executed_mapping():
                 orbit += 1
             for _ in range(2 * orbit):
                 mapping = execute(mapping, mplan)
-                power = power[mplan.sources]
+                moved = np.empty_like(power)
+                moved[mplan.targets] = power
+                power = moved
                 assert power.tobytes() == power_vector(mapping, profile).tobytes(), kind
             assert mapping == start
 

@@ -707,8 +707,6 @@ def test_the_summary_does_not_depend_on_when_the_trace_is_read():
     run(band_cfg(migration_fn=ROTATION))  # another run in between
     assert unread == first == second
     assert np.array_equal(late.temps, early_temps)
-    eager = hotmesh.sim.Trace(times=late.times, temps=early_temps)
-    assert eager.temps is early_temps
 
 
 def test_traced_runs_over_the_memory_limit_are_refused(monkeypatch):
@@ -749,6 +747,20 @@ def test_a_sweep_cell_of_too_many_steps_is_an_error_row():
     for row in rows:
         assert row.error == ("a run of 8000000000000 steps (sim_duration / dt, and up to 3 "
                              "more per migration) exceeds the limit of 134217728 steps")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sweep_cell_whose_steady_state_overflows_is_an_error_row():
+    # each input is in range but a product of them is not: a migration
+    # energy of inf J fails the migrating cell alone, a band power whose
+    # heat overflows fails every cell, and no numpy warning escapes
+    costly = band_cfg(cost=MigrationCostParams(state_bits=1e300, e_bit_hop=1e10))
+    hot = band_cfg(profile=generate_warm_band(make_grid(4, 4), 0.5, 1e306, 1)[0])
+    for cfg, failed in ((costly, [False, True]), (hot, [True, True])):
+        rows = sweep(cfg, [IDENTITY, ROTATION], [109e-6])
+        assert [r.summary is None for r in rows] == failed
+        for row in rows:
+            assert row.error is None or "is not finite" in row.error
 
 
 def test_a_run_is_bounded_by_the_steps_its_events_cut(monkeypatch):
@@ -816,8 +828,8 @@ def test_the_schedule_does_not_depend_on_the_time_unit(dt, deposit):
     for got_runs, want_runs in ((got.body, want.body), ([got.cut], [want.cut])):
         assert [r[1:] for r in got_runs] == [r[1:] for r in want_runs]
         for g, w in zip(got_runs, want_runs):
-            assert (g[0] is None) == (w[0] is None)
-            if w[0] is not None:
+            assert (g[0] == small.dt) == (w[0] == cfg.dt)
+            if w[0] != cfg.dt:
                 assert g[0] == pytest.approx(w[0] * 1e-3, rel=1e-9)
 
 

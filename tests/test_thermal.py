@@ -354,13 +354,12 @@ def test_period_template_matches_march_run_by_run():
             rows = solver.march(x, p + active if varies else np.broadcast_to(p, 12), count, dt)
             marched.extend(rows)
             x = rows[-1]
-        rows = solver.nodes(template.rows(starts[k:k + 1], z_var[k:k + 1], 0, 12)[0],
-                            net.ambient)
+        rows = solver.nodes(template.rows(starts[k:k + 1], z_var[k:k + 1], 0, 12), net.ambient)
         assert np.abs(rows - np.array(marched)).max() <= 1e-10
         assert np.abs(solver.nodes(starts[k + 1], net.ambient) - x).max() <= 1e-10
         # any slice of the period: the same rows
         for s0, s1 in ((0, 1), (1, 2), (2, 7), (5, 12), (11, 12)):
-            part = template.rows(starts[k:k + 1], z_var[k:k + 1], s0, s1)[0]
+            part = template.rows(starts[k:k + 1], z_var[k:k + 1], s0, s1)
             assert np.abs(solver.nodes(part, net.ambient) - rows[s0:s1]).max() <= 1e-12
 
 
@@ -479,8 +478,27 @@ def test_march_equals_the_rows_of_a_one_run_template(nx, ny, count, dt, seed):
     fixed = net.modes.to_modal(steady_state(net, p).temps - start)
     template = solver.template([(count, dt, fixed, False)])
     zero = np.zeros((1, net.n_nodes))
-    rows = solver.nodes(template.rows(zero, zero, 0, count)[0], start)
+    rows = solver.nodes(template.rows(zero, zero, 0, count), start)
     assert np.array_equal(solver.march(start, p, count, dt), rows)
+
+
+def test_template_rows_into_work_are_the_rows_without_it():
+    # rows(..., work) forms its rows in the start of the flat buffer work,
+    # mode by mode, bit for bit the rows formed without it
+    net = build_network(make_grid(3, 2), ThermalParams())
+    solver = TransientSolver(net, 1e-6)
+    rng = np.random.default_rng(5)
+    fixed = net.modes.to_modal(rng.uniform(-5.0, 5.0, (2, net.n_nodes)))
+    template = solver.template([(3, 1e-6, fixed[0], False), (5, 7.44e-7, fixed[1], True)])
+    z0, z_var = net.modes.to_modal(rng.uniform(-5.0, 5.0, (2, 3, net.n_nodes)))
+    for s0, s1 in ((0, 8), (2, 6), (7, 8)):
+        want = template.rows(z0, z_var, s0, s1)
+        assert want.shape == (3 * (s1 - s0), net.n_nodes)
+        work = np.full(want.size + 9, np.nan)
+        got = template.rows(z0, z_var, s0, s1, work)
+        assert np.shares_memory(got, work) and got.strides[0] == got.itemsize
+        assert got.tobytes("F") == want.tobytes("F") == work[:want.size].tobytes()
+        assert np.isnan(work[want.size:]).all()
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), st.booleans(),
