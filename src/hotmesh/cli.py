@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import HotmeshError
+from .errors import ConfigurationError, HotmeshError
 from .grid import identity_mapping, make_grid
 from .migration import MigrationCostParams, format_plan, plan
 from .placement import anneal, evaluate, write_mapping_csv
@@ -87,17 +87,20 @@ def _ensure_out(args) -> Path:
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    summary, trace = run(cfg)
+    if args.trace:  # bounded by the trace's size
+        summary, trace = run(cfg)
+        cell = SweepCell(cfg.name, cfg.migration_fn, cfg.period, summary, None)
+    else:  # the one cell of a sweep, which keeps no trace
+        [cell] = sweep(cfg, [cfg.migration_fn], [cfg.period])
+        if cell.summary is None:
+            raise ConfigurationError(cell.error)
     out = _ensure_out(args)
-    report([SweepCell(cfg.name, cfg.migration_fn, cfg.period, summary, None)],
-           out / "summary.csv")
-    print(format_run(cfg, summary))
-    written = [out / "summary.csv"]
+    report([cell], out / "summary.csv")
+    print(format_run(cfg, cell.summary))
+    print(f"wrote {out / 'summary.csv'}")
     if args.trace:
         write_trace_csv(trace.times, trace.temps, out / "trace.csv")
-        written.append(out / "trace.csv")
-    for path in written:
-        print(f"wrote {path}")
+        print(f"wrote {out / 'trace.csv'}")
     return 0
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of an integer count."""
+
+import operator
 
 
 class HotmeshError(Exception):
@@ -20,3 +22,11 @@ class BoundsError(HotmeshError):
 class ModelError(HotmeshError):
     """Thermal network the model cannot solve: a conductance or capacitance
     that is not positive and finite, or a non-finite ambient."""
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BoundsError, ConfigurationError
+from .errors import BoundsError, ConfigurationError, require_integer
 
 # Fillers default to this fraction of the mean active power when a profile
 # does not set idle_power explicitly.
@@ -41,6 +41,8 @@ class GridSpec:
     cell_area: float = 4.36
 
     def __post_init__(self) -> None:
+        require_integer("nx", self.nx)
+        require_integer("ny", self.ny)
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError(f"mesh dimensions must be >= 1, got {self.nx}x{self.ny}")
         if not 0 < self.cell_area < math.inf:
@@ -73,19 +75,6 @@ class GridSpec:
         """Every coordinate, row-major, built once: coord() and cells() hand
         out these objects, so dict and set lookups on them hit by identity."""
         return tuple(Coord(i % self.nx, i // self.nx) for i in range(self.n_cells))
-
-    @cached_property
-    def _links(self) -> tuple[tuple[Coord, Coord], ...]:
-        """Every directed link between neighbouring blocks, built once and
-        listed so that a straight run of links is one slice: per row, its
-        nx - 1 east-going links from the west end, then its west-going ones
-        from the east end; after the rows, per column, its south-going links
-        from the top, then its north-going ones from the bottom."""
-        c, nx, links = self._coords, self.nx, []
-        for line in [c[i:i + nx] for i in range(0, len(c), nx)] + [c[x::nx] for x in range(nx)]:
-            ahead = list(zip(line, line[1:]))
-            links += ahead + [(b, a) for a, b in ahead[::-1]]
-        return tuple(links)
 
 
 def make_grid(nx: int, ny: int, cell_area: float = GridSpec.cell_area) -> GridSpec:

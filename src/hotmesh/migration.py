@@ -51,15 +51,18 @@ class MigrationCostParams:
 
 @dataclass(frozen=True)
 class Transfer:
-    """State movement of one workload from src to dst along its XY route."""
+    """State movement of one workload from src to dst; its XY route is built when read."""
 
     src: Coord
     dst: Coord
-    route: tuple[Link, ...]
+
+    @property
+    def route(self) -> tuple[Link, ...]:
+        return xy_route(self.src, self.dst)
 
     @property
     def hops(self) -> int:
-        return len(self.route)
+        return abs(self.dst.x - self.src.x) + abs(self.dst.y - self.src.y)
 
 
 def xy_route(src: Coord, dst: Coord) -> tuple[Link, ...]:
@@ -72,10 +75,9 @@ def xy_route(src: Coord, dst: Coord) -> tuple[Link, ...]:
 
 @dataclass(frozen=True)
 class MigrationPlan:
-    """Executable migration event: what moves, at what cost and, packed on
-    first read, in which phase."""
+    """Executable migration event: what moves (a permutation of its mesh), at
+    what cost and, packed on first read, in which phase."""
 
-    grid: GridSpec
     permutation: Permutation
     total_hops: int
     energy: float
@@ -84,7 +86,7 @@ class MigrationPlan:
     @cached_property
     def phases(self) -> tuple[tuple[Transfer, ...], ...]:
         """The transfers in congestion-free phases (see _pack_phases)."""
-        return _pack_phases(self.grid, self.permutation)
+        return _pack_phases(self.permutation)
 
     def transfers(self) -> list[Transfer]:
         return [t for ph in self.phases for t in ph]
@@ -116,8 +118,7 @@ def plan(fn: MigrationFunction, grid: GridSpec,
     y0, x0 = np.divmod(np.arange(grid.n_cells), grid.nx)
     y1, x1 = np.divmod(np.array(perm.forward), grid.nx)
     hops = int(np.abs(x1 - x0).sum() + np.abs(y1 - y0).sum())
-    mplan = MigrationPlan(grid=grid, permutation=perm, total_hops=hops, energy=0.0,
-                          downtime=0.0)
+    mplan = MigrationPlan(permutation=perm, total_hops=hops, energy=0.0, downtime=0.0)
     # set on this plan rather than on a replace()d copy, which would drop
     # the phases that detailed timing packs
     object.__setattr__(mplan, "energy", migration_energy(mplan, params))
@@ -125,19 +126,21 @@ def plan(fn: MigrationFunction, grid: GridSpec,
     return mplan
 
 
-def _pack_phases(grid: GridSpec, perm: Permutation) -> tuple[tuple[Transfer, ...], ...]:
+def _pack_phases(perm: Permutation) -> tuple[tuple[Transfer, ...], ...]:
     """First-fit phases of the moved blocks' transfers, in row-major source
     order.
 
-    An XY route is at most two straight legs, a row's then a column's, each
-    one slice of the mesh's link table (GridSpec._links). Per link an int
-    has bit k set when phase k uses the link, so a transfer's phase is the
-    lowest bit clear in the OR over its legs, and joining it is one slice
+    Per directed link an int has bit k set when phase k uses the link. The
+    links are laid out so that a straight run is one slice: per row, its
+    east-going links from the west end, then its west-going ones from the
+    east end; after the rows, the same per column, south then north. An XY
+    route is a row's leg then a column's, so a transfer's phase is the
+    lowest bit clear in the OR over two slices, and joining it is one slice
     update per leg: O(hops) per transfer, with no cap on the phase count.
     """
-    nx, ny, coords, links = grid.nx, grid.ny, grid._coords, grid._links
-    masks = [0] * len(links)
+    nx, ny, coords = perm.grid.nx, perm.grid.ny, perm.grid._coords
     row_len, col_len = 2 * (nx - 1), 2 * (ny - 1)
+    masks = [0] * (row_len * ny + col_len * nx)
     phases: list[list[Transfer]] = []
     for src, dst in enumerate(perm.forward):
         if src == dst:
@@ -154,7 +157,7 @@ def _pack_phases(grid: GridSpec, perm: Permutation) -> tuple[tuple[Transfer, ...
         bit = (used + 1) & ~used
         masks[h] = [m | bit for m in row]
         masks[v] = [m | bit for m in col]
-        t = Transfer(src=coords[src], dst=coords[dst], route=links[h] + links[v])
+        t = Transfer(src=coords[src], dst=coords[dst])
         if bit >> len(phases):
             phases.append([])
         phases[bit.bit_length() - 1].append(t)
@@ -186,7 +189,7 @@ def execute(mapping: Mapping, plan_: MigrationPlan) -> Mapping:
     workload's block through the plan's targets. The permutation is a
     bijection of the blocks, so the placement it yields is one too and is
     not validated again."""
-    if mapping.grid != plan_.grid:
+    if mapping.grid != plan_.permutation.grid:
         raise ConfigurationError("plan was built for a different mesh")
     return Mapping._placed(mapping.grid, mapping.workloads, plan_.targets[mapping.blocks])
 

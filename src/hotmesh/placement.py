@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer
 from .grid import Coord, GridSpec, Mapping, PowerProfile, identity_mapping, power_vector
 from .thermal import ThermalNetwork, _modal_steady_state, peak, steady_state
 
@@ -34,6 +34,7 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integer("iterations", self.iterations)
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if not math.inf > self.t_start > self.t_end > 0:

@@ -21,7 +21,6 @@ and their parsing are read from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +127,8 @@ def _image(fn: MigrationFunction, x, y, grid: GridSpec):
 
 @dataclass(frozen=True)
 class Permutation:
-    """Total bijection of mesh blocks, stored as a row-major index map."""
+    """Total bijection of mesh blocks, stored as a row-major index map: the
+    image of a coordinate is read through it."""
 
     grid: GridSpec
     forward: tuple[int, ...]
@@ -138,14 +138,7 @@ class Permutation:
             raise ConfigurationError("index map is not a bijection of the mesh")
 
     def __call__(self, c: Coord) -> Coord:
-        return self.images[self.grid.index(c)]
-
-    @cached_property
-    def images(self) -> tuple[Coord, ...]:
-        """The image Coord of every block, row-major: the Coord -> Coord
-        table, built once."""
-        cells = tuple(self.grid.cells())
-        return tuple(cells[i] for i in self.forward)
+        return self.grid.coord(self.forward[self.grid.index(c)])
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.forward)

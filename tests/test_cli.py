@@ -80,9 +80,22 @@ def test_run_rejects_invalid_scenario(tmp_path, capsys):
 def test_run_refuses_a_trace_over_the_memory_limit(tmp_path, capsys):
     bad = tmp_path / "fine.ini"
     bad.write_text(SCENARIO.replace("duration_us = 1000", "duration_us = 32000\ndt_us = 0.001"))
-    rc = main(["run", str(bad), "--out", str(tmp_path / "o")])
+    rc = main(["run", str(bad), "--trace", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "exceeds the limit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_untraced_run_is_not_refused_by_the_trace_limit(scenario_file, tmp_path,
+                                                           monkeypatch):
+    # ~1 000 steps x 17 nodes: past a limit of 5 000 values, but not of 5 000 steps
+    traced = tmp_path / "traced"
+    assert main(["run", str(scenario_file), "--trace", "--out", str(traced)]) == 0
+    monkeypatch.setattr(hotmesh.sim, "_TRACE_VALUES", 5000)
+    assert main(["run", str(scenario_file), "--trace", "--out", str(tmp_path / "o")]) == 2
+    untraced = tmp_path / "untraced"
+    assert main(["run", str(scenario_file), "--out", str(untraced)]) == 0
+    assert (untraced / "summary.csv").read_bytes() == (traced / "summary.csv").read_bytes()
 
 
 def test_a_downtime_not_shorter_than_the_period_exits_2(tmp_path, capsys):

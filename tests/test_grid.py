@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hotmesh.errors import BoundsError, ConfigurationError
@@ -12,6 +13,7 @@ def test_make_grid_standard_chip_dimensions():
     g = make_grid(4, 4, 4.36)
     assert g.n_cells == 16
     assert make_grid(5, 5, 4.36).n_cells == 25
+    assert make_grid(np.int64(3), np.int32(2)).n_cells == 6  # numpy integers are counts
 
 
 def test_make_grid_single_cell():
@@ -21,7 +23,8 @@ def test_make_grid_single_cell():
 
 @pytest.mark.parametrize("nx,ny,area", [
     (0, 4, 4.36), (4, 0, 4.36), (-1, 4, 4.36), (4, 4, 0.0), (4, 4, -2.0),
-    (2, 2, math.nan), (2, 2, math.inf),
+    (2, 2, math.nan), (2, 2, math.inf), (2.5, 2, 4.36), (2, 2.0, 4.36),
+    (math.nan, 2, 4.36), ("3", 3, 4.36),
 ])
 def test_make_grid_rejects_bad_arguments(nx, ny, area):
     with pytest.raises(ConfigurationError):

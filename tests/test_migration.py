@@ -134,7 +134,7 @@ def coordinate_plan(fn, grid, params):
     for c in grid.cells():
         if perm(c) == c:
             continue
-        t = Transfer(src=c, dst=perm(c), route=xy_route(c, perm(c)))
+        t = Transfer(src=c, dst=perm(c))
         for ph, used in zip(phases, busy):
             if not used & set(t.route):
                 ph.append(t)
@@ -143,12 +143,12 @@ def coordinate_plan(fn, grid, params):
         else:
             phases.append([t])
             busy.append(set(t.route))
-    hops = sum(t.hops for ph in phases for t in ph)
+    hops = sum(len(t.route) for ph in phases for t in ph)
     downtime = 0.0
     if hops:
         downtime = params.downtime_fixed
         if params.detailed_timing:
-            max_hops = max(t.hops for ph in phases for t in ph)
+            max_hops = max(len(t.route) for ph in phases for t in ph)
             downtime = len(phases) * params.state_bits * params.t_bit_hop * max_hops
     return (perm, tuple(tuple(ph) for ph in phases), hops,
             hops * params.state_bits * params.e_bit_hop, downtime)
@@ -181,13 +181,14 @@ def test_plan_equals_the_coordinate_reference_on_random_cases(grid, fn, detailed
     params = MigrationCostParams(detailed_timing=detailed)
     p = plan(fn, grid, params)
     perm, phases, total_hops, energy, downtime = coordinate_plan(fn, grid, params)
-    assert p.grid == grid and p.permutation == perm
+    assert p.permutation.grid == grid and p.permutation == perm
     # the closed-form hops first, before anything reads the phases
     assert p.total_hops == total_hops
     assert p.energy == energy
     assert p.downtime == downtime
     assert p.phases == phases
     assert p.total_hops == sum(t.hops for ph in p.phases for t in ph)
+    assert all(t.hops == len(t.route) for ph in p.phases for t in ph)
 
 
 def test_a_plan_packs_its_phases_once_and_only_for_detailed_timing(monkeypatch):

@@ -136,8 +136,9 @@ def test_same_seed_same_mapping():
 
 
 def test_anneal_config_validation():
-    with pytest.raises(ConfigurationError):
-        AnnealConfig(iterations=0)
+    for iterations in (0, 1.5, 20000.0, "20000", math.nan):
+        with pytest.raises(ConfigurationError, match="iterations"):
+            AnnealConfig(iterations=iterations)
     with pytest.raises(ConfigurationError):
         AnnealConfig(t_start=1e-3, t_end=1.0)
     for t_start, t_end in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
