@@ -5,9 +5,10 @@ linear, so the block temperatures are T - T_amb = R p, where R holds the
 block rows and columns of G^-1, the unit powers' steady states in one solve
 (see :mod:`hotmesh.thermal`). anneal() computes R once and keeps the
 placement as a block index per workload plus the power vector it induces:
-a swap exchanges two entries of each, and a move costs one matvec instead
-of a solve. The same p gives the same R p, so equal-power swaps stay exact
-ties. A sweep anneals once and hands the placement to every cell.
+a swap exchanges two entries of each. A swap of two equal powers leaves p,
+and so R p, unchanged bit for bit: it is an exact tie, taken with no
+matvec. Every other swap costs one matvec instead of a solve. A sweep
+anneals once and hands the placement to every cell.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +37,7 @@ class AnnealConfig:
 
     def __post_init__(self) -> None:
         require_integer("iterations", self.iterations)
+        require_integer("seed", self.seed)
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if not math.inf > self.t_start > self.t_end > 0:
@@ -64,38 +67,70 @@ def _block_response(net: ThermalNetwork) -> np.ndarray:
     return net.modes.from_modal(z, out=z)[:, :n].T
 
 
+# random.sample(population, 2) draws from a copied list of the population
+# when it has at most this many items and by rejection against a set
+# otherwise: CPython's Lib/random.py, `setsize = 21` for k <= 5.
+_SAMPLE_POOL_MAX = 21
+
+
+def _pairs(rng: random.Random, n: int):
+    """Endless pairs of distinct indices below n, each drawn from rng's
+    stream as rng.sample(range(n), 2) would draw it, without its list copy."""
+    draw, pooled = rng.randrange, n <= _SAMPLE_POOL_MAX
+    while True:
+        a = draw(n)
+        if pooled:
+            b = draw(n - 1)  # the pool's last item moved into a's slot
+            if b == a:
+                b = n - 1
+        else:
+            b = draw(n)  # rejection against the items already taken
+            while b == a:
+                b = draw(n)
+        yield a, b
+
+
 def anneal(profile: PowerProfile, grid: GridSpec, net: ThermalNetwork,
            cfg: AnnealConfig) -> PlacementResult:
-    """Anneal pairwise workload swaps starting from the identity placement."""
+    """Anneal pairwise workload swaps starting from the identity placement.
+
+    Pairs are drawn as rng.sample(range(n), 2) draws them, and a swap of equal
+    powers is accepted unscored, so the placement is bit for bit the one that
+    scoring every move would give."""
     if net.grid != grid:
         raise ConfigurationError("thermal network was built for a different mesh")
     rng = random.Random(cfg.seed)
-    ids = list(range(grid.n_cells))
-    block = ids.copy()  # workload id -> block index
+    n = grid.n_cells
+    block = list(range(n))  # workload id -> block index
     power = power_vector(identity_mapping(grid), profile)
     best = block.copy()
-    if len(ids) >= 2:
+    if n >= 2:
         response, ambient = _block_response(net), net.ambient
-        rise = np.empty(len(ids))  # R p, rewritten by every move
-        cur_obj = best_obj = float(np.matmul(response, power, out=rise).max()) + ambient
+        watts = power.tolist()  # power as Python floats, swapped with it
+        rise = np.empty(n)  # R p, rewritten by every scored move
+        highest = np.maximum.reduce
+        cur_obj = best_obj = float(highest(np.matmul(response, power, out=rise))) + ambient
         cooling = (cfg.t_end / cfg.t_start) ** (1.0 / max(cfg.iterations - 1, 1))
         temp = cfg.t_start
-        sample, uniform, exp = rng.sample, rng.random, math.exp
-        for _ in range(cfg.iterations):
-            a, b = sample(ids, 2)
+        uniform, exp = rng.random, math.exp
+        for a, b in islice(_pairs(rng, n), cfg.iterations):
             i, j = block[a], block[b]
-            block[a], block[b] = j, i
-            power[i], power[j] = power[j], power[i]
-            obj = float(np.matmul(response, power, out=rise).max()) + ambient
-            delta = obj - cur_obj
-            if delta <= 0 or uniform() < exp(-delta / temp):
-                cur_obj = obj
-                if obj < best_obj:
-                    best_obj = obj
-                    best = block.copy()
+            wi, wj = watts[i], watts[j]
+            if wi == wj:  # same p, same R p: delta == 0 accepts
+                block[a], block[b] = j, i
             else:
-                block[a], block[b] = i, j
-                power[i], power[j] = power[j], power[i]
+                power[i], power[j] = wj, wi
+                obj = float(highest(np.matmul(response, power, out=rise))) + ambient
+                delta = obj - cur_obj
+                if delta <= 0 or uniform() < exp(-delta / temp):
+                    block[a], block[b] = j, i
+                    watts[i], watts[j] = wj, wi
+                    cur_obj = obj
+                    if obj < best_obj:
+                        best_obj = obj
+                        best = block.copy()
+                else:
+                    power[i], power[j] = wi, wj
             temp *= cooling
     mapping = Mapping(grid, {w: grid.coord(i) for w, i in enumerate(best)})
     return PlacementResult(mapping=mapping, peak_c=evaluate(mapping, profile, net))

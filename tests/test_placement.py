@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotmesh.grid import (Coord, Mapping, PowerProfile, generate_warm_band,
-                          identity_mapping, make_grid, power_vector)
-from hotmesh.placement import (AnnealConfig, _block_response, anneal, evaluate, place,
-                               read_mapping_csv, write_mapping_csv)
+from hotmesh.grid import (Coord, Mapping, PowerProfile, generate_center_hotspot,
+                          generate_warm_band, identity_mapping, make_grid, power_vector)
+from hotmesh.placement import (AnnealConfig, _block_response, _pairs, anneal, evaluate,
+                               place, read_mapping_csv, write_mapping_csv)
 from hotmesh.errors import ConfigurationError
 from hotmesh.thermal import ThermalParams, build_network
 
@@ -139,6 +139,9 @@ def test_anneal_config_validation():
     for iterations in (0, 1.5, 20000.0, "20000", math.nan):
         with pytest.raises(ConfigurationError, match="iterations"):
             AnnealConfig(iterations=iterations)
+    for seed in (1.5, math.nan, "7"):
+        with pytest.raises(ConfigurationError, match="seed"):
+            AnnealConfig(seed=seed)
     with pytest.raises(ConfigurationError):
         AnnealConfig(t_start=1e-3, t_end=1.0)
     for t_start, t_end in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
@@ -218,3 +221,46 @@ def test_anneal_matches_the_reference_loop_on_seeded_warm_bands():
         want = reference_anneal(profile, grid, net, cfg)
         assert result.mapping == want, seed
         assert result.peak_c == evaluate(want, profile, net), seed
+
+
+def _oracle_profiles(grid):
+    """Profiles for the oracle comparison: few power levels, so that most
+    draws are equal-power swaps, and all powers distinct, so that none is."""
+    n = grid.n_cells
+    profiles = {
+        "warm band": generate_warm_band(grid, 0.5, 2.0, grid.ny // 2)[0],
+        "explicit, idle fill": PowerProfile({0: 2.0, n - 1: 1.0}, idle_power=0.1),
+        "explicit, three levels": PowerProfile({w: (0.2, 1.0, 1.7)[w % 3] for w in range(n)}),
+        "explicit, distinct": PowerProfile({w: 0.3 + 0.137 * w for w in range(n)}),
+    }
+    if grid.nx % 2 and grid.ny % 2:
+        profiles["center hotspot"] = generate_center_hotspot(grid, 0.5, 3.0)[0]
+    return profiles
+
+
+# 2, 4 and 15 blocks draw pairs as random.sample's list pool does, 25 and 54
+# as its set does
+@pytest.mark.parametrize("nx,ny", [(2, 1), (2, 2), (3, 5), (4, 4), (5, 5), (6, 9)])
+def test_anneal_matches_the_reference_loop_across_meshes_and_profiles(nx, ny):
+    grid = make_grid(nx, ny)
+    net = build_network(grid, ThermalParams())
+    for name, profile in _oracle_profiles(grid).items():
+        for seed in (0, 11):
+            cfg = AnnealConfig(iterations=400, t_start=0.5, seed=seed)
+            result = anneal(profile, grid, net, cfg)
+            want = reference_anneal(profile, grid, net, cfg)
+            assert result.mapping == want, (name, seed)
+            assert result.peak_c == evaluate(want, profile, net), (name, seed)
+
+
+def test_pair_draw_follows_random_sample():
+    # the annealer's stream must not move if CPython's sample() changes
+    # how it draws: this then fails instead of every placement shifting
+    for n in range(2, 81):
+        for seed in range(4):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            pairs = _pairs(ours, n)
+            for k in range(40):
+                assert next(pairs) == tuple(theirs.sample(range(n), 2)), (n, seed, k)
+                if k % 3 != 2:  # the acceptance draw some moves take
+                    assert ours.random() == theirs.random()
