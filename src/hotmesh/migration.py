@@ -88,12 +88,6 @@ class MigrationPlan:
         """The transfers in congestion-free phases (see _pack_phases)."""
         return _pack_phases(self.permutation)
 
-    def transfers(self) -> list[Transfer]:
-        return [t for ph in self.phases for t in ph]
-
-    def source_cells(self) -> list[Coord]:
-        return [t.src for ph in self.phases for t in ph]
-
     @cached_property
     def targets(self) -> np.ndarray:
         """Per block, the block the event moves its workload onto (the

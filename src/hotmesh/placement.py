@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -42,6 +43,13 @@ class AnnealConfig:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if not math.inf > self.t_start > self.t_end > 0:
             raise ConfigurationError("annealing temperatures need inf > t_start > t_end > 0")
+        # t_end / t_start may underflow to 0, and the cooling factor and the
+        # temperature with it; a normal t_end and ratio keep every move's > 0
+        if min(self.t_end, self.t_end / self.t_start) < sys.float_info.min:
+            raise ConfigurationError(
+                f"the annealing schedule cools to zero in float64: t_end and t_end / t_start "
+                f"must be at least {sys.float_info.min}, got t_start = {self.t_start!r} and "
+                f"t_end = {self.t_end!r}")
 
 
 @dataclass(frozen=True)

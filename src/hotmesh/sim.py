@@ -19,26 +19,27 @@ Every period, and the tail as the start of one more, is marched from one
 period template (TransientSolver.template) in modal coordinates, diagonal
 in the modes: the state at each event follows z_{k+1} = D z_k + f + B
 z_act(k), O(n) per event, with z_act(k) the steady state of the power the
-k-th event's placement dissipates. Node rows are formed in bounded blocks
-of whole periods, by two consumers of the template. The statistics take
-the blocks from warm-up's period on, the same in a run and in a sweep
-cell, each stored along its long axis: node by node when it holds more
-rows than nodes, row by row otherwise, so their reductions run along
-contiguous memory. A row's block mean is read off the two modal
-coordinates that carry it. The trace's rows, all of them, are formed only
-when its temps are first read, so run() writes no trace row and a sweep
-cell keeps no trace. A step cut short by the run's end is the run's one
-lone step. Statistics are taken over the window after warm-up so they
-describe settled behavior rather than the decay of the initial condition;
-they are accumulated block by block.
+k-th event's placement dissipates. One walk over bounded blocks of whole
+periods forms their modal rows from the template, and both consumers read
+it. The statistics walk from warm-up's period on, the same in a run and in
+a sweep cell, and store each block's node rows along its long axis: node
+by node when it holds more rows than nodes, row by row otherwise, so their
+reductions run along contiguous memory. A row's block mean is read off
+the two modal coordinates that carry it. The trace walks from the first
+period, into its own rows, only when its temps are first read, so run()
+writes no trace row and a sweep cell keeps no trace. A step cut short by
+the run's end is the run's one lone step. Statistics are taken over the
+window after warm-up so they describe settled behavior rather than the
+decay of the initial condition; they are accumulated block by block, and
+refused when they are not finite in float64.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,8 +50,7 @@ from .grid import Mapping, identity_mapping, idle_vector, power_vector
 from .migration import MigrationPlan, execute, plan
 from .placement import place
 from .scenario import ScenarioConfig
-from .thermal import (PeriodTemplate, ThermalState, TransientSolver, build_network, peak,
-                      steady_state)
+from .thermal import ThermalState, TransientSolver, build_network, peak, steady_state
 from .transforms import MigrationFunction
 
 # Collapses float noise when laying out the steps, as a fraction of dt: far
@@ -295,19 +295,21 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     the baseline; a last step cut short by the run's end is one
     solver.step.
 
-    The statistics take the blocks of _blocks from warm-up's period on,
-    each stored along its long axis: node by node when it holds more rows
-    than nodes, row by row otherwise. A row's block mean is read off its
-    two modal coordinates that carry it (ModalBasis.block_mean); the head's
-    rows sit at temps0 and the cut step's row is averaged. The trace is
-    formed from all the blocks, into its own rows, only when called.
+    One walk, modal_blocks, forms the modal rows of the blocks of _blocks,
+    and both consumers read it. The statistics walk from warm-up's period
+    on and form each block's node rows over its modal rows, stored along
+    the block's long axis: node by node when it holds more rows than nodes,
+    row by row otherwise. A row's block mean is read off its two modal
+    coordinates that carry it (ModalBasis.block_mean); the head's rows sit
+    at temps0 and the cut step's row is averaged. The trace walks from
+    period 0, into its own rows, only when formed.
     """
     n_blocks, n_nodes = cfg.grid.n_cells, cfg.grid.n_cells + 1
     base_mean = temps0[:n_blocks].mean()
     stats = _Window(sched.times, sched.window, n_blocks)
     stats.add(0, np.broadcast_to(temps0, (sched.head, n_nodes)), np.full(sched.head, base_mean))
-    if not sched.events:
-        return stats.result(), partial(_form_trace, solver, temps0, sched)
+    if not sched.events:  # the head is the whole run
+        return stats.result(), lambda: np.tile(temps0, (len(sched.times), 1))
     (stalled, pulse, active), z_idle, z_pulse, actives = _steady_states(
         solver, cfg, mapping, mplan, sched.events)
     template = solver.template(
@@ -315,27 +317,40 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
          for length, idle, pulsed, count in sched.body])
     # period k runs from event k + 1 on, from starts[k]; the last is the tail
     starts = template.starts(np.zeros(n_nodes), actives[:-1])
-    modal = partial(_modal_rows, template, starts, actives)
-    blocks = list(_blocks(sched, template.steps, n_nodes,
-                          max(sched.window - sched.head, 0) // template.steps))
-    # one array holds every block: its modal rows, then its node rows over
-    # them, stored along the block's long axis
-    work = np.empty(n_nodes * max(((k1 - k0) * (s1 - s0) for k0, k1, s0, s1, _ in blocks),
-                                  default=0))
-    for block in blocks:
-        z = modal(block, work)
+
+    def modal_blocks(k_first: int):
+        """(first step, modal rows) of each block of _blocks from period
+        k_first on (PeriodTemplate.rows), all in one buffer sized by the
+        first block, the largest."""
+        work = None
+        for k0, k1, s0, s1, lo in _blocks(sched, template.steps, n_nodes, k_first):
+            if work is None:
+                work = np.empty((k1 - k0) * (s1 - s0) * n_nodes)
+            yield lo, template.rows(starts[k0:k1], actives[k0:k1], s0, s1, work)
+
+    for lo, z in modal_blocks(max(sched.window - sched.head, 0) // template.steps):
         means = base_mean + solver.net.modes.block_mean(z)
-        rows = solver.nodes(z, temps0, z if len(z) > n_nodes else work[:z.size].reshape(z.shape))
-        stats.add(block[-1], rows, means)
+        # node rows over z's own memory (mode by mode, z.T row-major)
+        rows = solver.nodes(z, temps0, z if len(z) > n_nodes else z.T.reshape(z.shape))
+        stats.add(lo, rows, means)
     cut = None
-    if sched.cut is not None:  # from the tail's last row, the loop's last
+    if sched.cut is not None:  # from the tail's last row, the walk's last
         length, idle, pulsed = sched.cut
         x = rows[-1] if sched.tail else solver.nodes(starts[-1], temps0)
         p = stalled if idle else active
         cut = solver.step(x, p + pulse if pulsed else p, length)
         stats.add(len(sched.times) - 2, cut[None], cut[None, :n_blocks].mean(axis=1))
-    return stats.result(), partial(_form_trace, solver, temps0, sched, cut, modal,
-                                   template.steps)
+
+    def form() -> np.ndarray:
+        trace = np.empty((len(sched.times), n_nodes))
+        trace[:1 + sched.head] = temps0
+        for lo, z in modal_blocks(0):
+            solver.nodes(z, temps0, trace[1 + lo:1 + lo + len(z)])
+        if cut is not None:
+            trace[-1] = cut
+        return trace
+
+    return stats.result(), form
 
 
 def _steady_states(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
@@ -366,7 +381,7 @@ def _blocks(sched: _Schedule, steps: int, n_nodes: int, k_first: int):
     values that cover the periods from k_first on and then the tail: steps
     s0..s1 - 1 of the periods k0..k1 - 1, whose first row is that of step
     lo. A block is whole periods, or one period's steps when a period is
-    longer than a block."""
+    longer than a block; none is larger than the first."""
     periods = sched.events - 1
     span = min(steps, max(1, _MARCH_ELEMENTS // n_nodes))
     per = max(1, _MARCH_ELEMENTS // (steps * n_nodes))
@@ -374,30 +389,6 @@ def _blocks(sched: _Schedule, steps: int, n_nodes: int, k_first: int):
     for k0, k1, stop in runs + [(periods, periods + 1, sched.tail)]:
         for s0 in range(0, stop, span):
             yield k0, k1, s0, min(s0 + span, stop), sched.head + k0 * steps + s0
-
-
-def _modal_rows(template: PeriodTemplate, starts: np.ndarray, actives: np.ndarray,
-                block: tuple, work: np.ndarray | None = None) -> np.ndarray:
-    """The modal rows of a block of _blocks (PeriodTemplate.rows)."""
-    k0, k1, s0, s1, _ = block
-    return template.rows(starts[k0:k1], actives[k0:k1], s0, s1, work)
-
-
-def _form_trace(solver: TransientSolver, temps0: np.ndarray, sched: _Schedule,
-                cut: np.ndarray | None = None, modal=None, steps: int = 0) -> np.ndarray:
-    """A run's trace temps: temps0 up to the head's end, then every block
-    of _blocks (of a template of steps steps, its modal rows from modal)
-    formed into its rows, then the cut step's row if any."""
-    trace = np.empty((len(sched.times), len(temps0)))
-    trace[:1 + sched.head] = temps0
-    if modal is not None:
-        for block in _blocks(sched, steps, len(temps0), 0):
-            z = modal(block)
-            lo = block[-1]
-            solver.nodes(z, temps0, trace[1 + lo:1 + lo + len(z)])
-    if cut is not None:
-        trace[-1] = cut
-    return trace
 
 
 def _start(cfg: ScenarioConfig, net):
@@ -430,8 +421,9 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
     """The migrated run of a validated cfg against its static baseline."""
     sched = _schedule(cfg, mplan)
     events = sched.events
-    (mig_peak, time_avg, spread), form = _march(solver, cfg, mapping0, baseline.temps,
-                                                mplan, sched)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        (mig_peak, time_avg, spread), form = _march(solver, cfg, mapping0, baseline.temps,
+                                                    mplan, sched)
     base_peak = peak(baseline)
 
     penalty = 0.0 if mplan is None else mplan.downtime / cfg.period
@@ -446,6 +438,10 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mappin
         migration_count=events,
         total_migration_energy=energy,
     )
+    if not all(map(math.isfinite, astuple(summary))):
+        raise ConfigurationError(
+            "the run's statistics are not finite in float64: check the [thermal] ambient_c "
+            "and the [profile] powers")
     return summary, Trace(sched.times, form)
 
 

@@ -21,6 +21,7 @@ from hotmesh.grid import idle_vector, power_vector
 from hotmesh.migration import execute
 from hotmesh.sim import RunSummary, Trace, _plan, _start
 from hotmesh.thermal import build_network, peak
+from hotmesh.transforms import apply
 
 # The walk's own tolerance on times, as a fraction of dt (sim._TIME_EPS_DT).
 TIME_EPS_DT = 1e-3
@@ -86,7 +87,8 @@ def sequential_run(cfg):
     stalled = idle_vector(cfg.profile, cfg.grid)
     pulse = np.zeros(n_blocks)
     if mplan is not None:
-        src_idx = [cfg.grid.index(c) for c in mplan.source_cells()]
+        src_idx = [cfg.grid.index(c) for c in cfg.grid.cells()
+                   if apply(cfg.migration_fn, c, cfg.grid) != c]
         pulse[src_idx] = mplan.energy / (len(src_idx) * cfg.dt)
     temps = np.empty((len(times), n_blocks + 1))
     temps[0] = baseline.temps

@@ -291,6 +291,42 @@ def test_a_steady_state_that_overflows_is_refused(tmp_path, capsys, command, old
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_statistics_that_overflow_exit_2(tmp_path, capsys):
+    # every block is finite at an ambient of 1e308 deg C but their mean's sum
+    # is not: once this wrote time_avg_mean_c = inf and exited 0
+    path = tmp_path / "hot.ini"
+    path.write_text(SCENARIO + "\n[thermal]\nambient_c = 1e308\n")
+    message = "the run's statistics are not finite in float64"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--functions", "translate_xy", "--periods-us", "109",
+                 "--out", str(out)]) == 0
+    (row,) = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert row.endswith(message + ": check the [thermal] ambient_c and the [profile] powers")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["run", "place", "sweep"])
+def test_an_annealing_schedule_that_cools_to_zero_exits_2(tmp_path, capsys, command):
+    # t_end / t_start underflows to 0: once every command ended in a
+    # ZeroDivisionError traceback at the first scored move
+    path = tmp_path / "cold.ini"
+    path.write_text(SCENARIO.replace(
+        "seed = 3", "seed = 3\nplacement = auto\nanneal_t_start = 1e308\nanneal_t_end = 1e-308"))
+    sweep_args = ["--functions", "translate_xy", "--periods-us", "109"]
+    args = [command, str(path), *(sweep_args if command == "sweep" else []),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the annealing schedule cools to zero")
+    assert not (tmp_path / "out").exists()
+
+
 def test_import_loads_no_scipy():
     # every CLI call pays the import; scipy.linalg alone used to cost more
     # than half of it

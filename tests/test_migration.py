@@ -116,7 +116,7 @@ def test_random_plans_are_congestion_free_and_move_each_cell_once(grid, fn):
     for phase in p.phases:
         links = [link for t in phase for link in t.route]
         assert len(links) == len(set(links))  # no directed link used twice in a phase
-    transfers = p.transfers()
+    transfers = [t for phase in p.phases for t in phase]
     for t in transfers:
         assert t.dst == apply(fn, t.src, grid) != t.src
         assert t.route == xy_route(t.src, t.dst)
@@ -203,7 +203,7 @@ def test_a_plan_packs_its_phases_once_and_only_for_detailed_timing(monkeypatch):
     p = plan(ROTATION, grid, detailed)
     assert len(calls) == 1
     assert p.downtime == migration_downtime(p, detailed) > 0
-    assert len(p.phases) == 5 and format_plan(p) and p.transfers()
+    assert len(p.phases) == 5 and format_plan(p) and any(p.phases)
     assert len(calls) == 1
 
 
@@ -214,7 +214,7 @@ def test_phase_count_has_no_cap():
     for phase in p.phases:
         links = [link for t in phase for link in t.route]
         assert len(links) == len(set(links))
-    assert all(t.route == xy_route(t.src, t.dst) for t in p.transfers())
+    assert all(t.route == xy_route(t.src, t.dst) for phase in p.phases for t in phase)
     assert p.total_hops == manhattan_total(ROTATION, make_grid(66, 66))
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ def test_anneal_config_validation():
                            (math.inf, math.inf)):
         with pytest.raises(ConfigurationError):
             AnnealConfig(t_start=t_start, t_end=t_end)
+    # t_end or t_end / t_start below the smallest normal float: at (1e308,
+    # 1e-308) the ratio was 0, so the temperature fell to 0 after the first
+    # move and a later uphill move divided by it
+    tiny = sys.float_info.min
+    for t_start, t_end in ((1e308, 1e-308), (1.0, 1e-308), (1.0, 5e-324), (2.0, tiny),
+                           (1e10, 1e-300)):
+        with pytest.raises(ConfigurationError, match="t_end / t_start"):
+            AnnealConfig(t_start=t_start, t_end=t_end)
+    # the coldest schedule accepted anneals: every scored move divides by a
+    # temperature of at least about tiny
+    grid = make_grid(3, 3)
+    profile = PowerProfile({w: 0.1 * (w + 1) for w in range(9)})
+    anneal(profile, grid, build_network(grid, ThermalParams()),
+           AnnealConfig(iterations=300, t_start=1.0, t_end=tiny))
 
 
 def test_mapping_csv_round_trip(tmp_path):

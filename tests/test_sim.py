@@ -23,7 +23,7 @@ from hotmesh.sim import RunSummary, SweepCell, report, run, summarize, sweep
 from hotmesh.thermal import (ThermalNetwork, TransientSolver, build_network, peak,
                              spatial_spread, steady_state)
 from hotmesh.transforms import (IDENTITY, KINDS, MIRROR_XY, ROTATION, MigrationFunction,
-                                translate_x, translate_xy)
+                                apply, translate_x, translate_xy)
 from dataclasses import replace
 from pathlib import Path
 from sequential_oracle import sequential_run, walk_segment
@@ -204,8 +204,10 @@ def test_run_marches_from_the_template_but_for_one_lone_step(monkeypatch):
 
 
 def test_online_window_statistics_match_the_full_trace():
-    # the statistics are accumulated run by run; recompute them from the
-    # returned trace over the steps that end after warm-up
+    # the statistics are accumulated block by block; recompute them from the
+    # returned trace over the steps that end after warm-up. The trace's rows
+    # are formed by the same walk, so the peak and spread are the same bits;
+    # the mean is summed in another order
     for cfg in (band_cfg(), band_cfg(migration_fn=ROTATION, warmup=0.0, sim_duration=2e-3),
                 band_cfg(migration_fn=IDENTITY, warmup=1.2345e-3, sim_duration=2e-3)):
         summary, trace = run(cfg)
@@ -213,11 +215,10 @@ def test_online_window_statistics_match_the_full_trace():
                                      side="right"))
         w = np.diff(trace.times)[window:]
         blocks = trace.temps[1 + window:, :cfg.grid.n_cells]
-        assert abs(summary.peak_overall - blocks.max()) <= 1e-12
+        assert summary.peak_overall == blocks.max()
         assert abs(summary.time_avg_mean_temp
                    - (blocks.mean(axis=1) * w).sum() / w.sum()) <= 1e-12
-        assert abs(summary.max_spatial_spread
-                   - (blocks.max(axis=1) - blocks.min(axis=1)).max()) <= 1e-12
+        assert summary.max_spatial_spread == (blocks.max(axis=1) - blocks.min(axis=1)).max()
 
 
 def test_warmup_that_leaves_no_step_is_a_configuration_error():
@@ -572,7 +573,8 @@ def test_migrated_trace_conserves_energy_row_to_row():
         c = reference_capacitance(cfg.grid, cfg.thermal)
         stalled = idle_vector(cfg.profile, cfg.grid)
         pulse = np.zeros(cfg.grid.n_cells)
-        sources = [cfg.grid.index(s) for s in mplan.source_cells()]
+        sources = [cfg.grid.index(cell) for cell in cfg.grid.cells()
+                   if apply(cfg.migration_fn, cell, cfg.grid) != cell]
         pulse[sources] = mplan.energy / (len(sources) * cfg.dt)
         mapping, actives = cfg.initial_mapping, [power_vector(cfg.initial_mapping, cfg.profile)]
         for _ in range(summary.migration_count):
@@ -761,6 +763,22 @@ def test_a_sweep_cell_whose_steady_state_overflows_is_an_error_row():
         assert [r.summary is None for r in rows] == failed
         for row in rows:
             assert row.error is None or "is not finite" in row.error
+
+
+@pytest.mark.filterwarnings("error")
+def test_statistics_that_overflow_are_refused():
+    # each block is finite at an ambient of 1e308 deg C, but their sum is not:
+    # once the run wrote a mean of inf and a numpy warning. A run and every
+    # sweep cell are refused, migrating or not; 1e307 still sums
+    hot = band_cfg(sim_duration=1e-3, warmup=0.5e-3)
+    hot = replace(hot, thermal=replace(hot.thermal, ambient=1e308))
+    with pytest.raises(ConfigurationError, match="statistics are not finite"):
+        run(hot)
+    rows = sweep(hot, [IDENTITY, ROTATION], [109e-6])
+    assert [r.summary for r in rows] == [None, None]
+    assert all("statistics are not finite" in r.error for r in rows)
+    summary, _ = run(replace(hot, thermal=replace(hot.thermal, ambient=1e307)))
+    assert all(map(math.isfinite, astuple(summary)))
 
 
 def test_a_run_is_bounded_by_the_steps_its_events_cut(monkeypatch):
