@@ -64,18 +64,13 @@ import numpy as np
 from .errors import ConfigurationError, ModelError
 from .grid import GridSpec
 
-# Values per block of rows formatted by write_trace_csv: its buffers stay a
-# few hundred kB however long or wide the trace is.
-_CSV_BLOCK_VALUES = 1 << 15
-# Decimal places of the time column and of every temperature column.
-_TIME_DECIMALS, _TEMP_DECIMALS = 9, 6
-# "0000".."9999", one uint32 word of four ASCII digits each.
+# Values per block of rows that write_trace_csv formats, so its buffers stay a
+# few hundred kB, and the decimals of the time column and of each temperature.
+_CSV_BLOCK_VALUES, _TIME_DECIMALS, _TEMP_DECIMALS = 1 << 15, 9, 6
+# "0000".."9999", one little-endian word of four ASCII digits each.
 _DIGITS4 = (np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
-                                 indexing="ij"), axis=-1)
-            .reshape(10_000, 4).view(np.uint32).ravel())
-# The punctuation of a CSV row, two words, and the byte offset of each mark.
-_PUNCT = np.frombuffer(b"-.,\r\n\0\0\0", dtype=np.uint32)
-_MINUS, _DOT, _COMMA, _CR, _LF = range(5)
+                                 indexing="ij"), axis=-1).reshape(10_000, 4).view("<u4")[:, 0])
+_POWERS_OF_TEN = np.array([10 ** k for k in range(16)], dtype=float)  # those below 2^52
 
 
 @dataclass(frozen=True)
@@ -466,27 +461,26 @@ def spatial_spread(state: ThermalState) -> float:
 
 
 def write_trace_csv(times, temps, path) -> None:
-    """Emit a trace as CSV with columns time_s, t_block_0.., t_sink.
-
-    Times are printed as %.9f and temperatures as %.6f, one block of rows
-    at a time, so memory stays bounded however long the trace is. A block
-    in which every column keeps one sign and one integer-digit count is
-    formatted by a fixed-width kernel (_fixed_point_rows); any other block
-    by the %-template (_template_rows), whose bytes the kernel reproduces.
-    """
+    """Emit a trace as CSV with columns time_s, t_block_0.., t_sink: times
+    as %.9f and temperatures as %.6f, one block of rows at a time, so memory
+    stays bounded. Blocks whose columns each keep one sign and digit count go
+    through a fixed-width kernel (_fixed_point_rows), others through the
+    %-template (_template_rows), whose bytes the kernel reproduces."""
     times = np.asarray(times, dtype=float)
     temps = np.asarray(temps, dtype=float)
-    n_blocks = temps.shape[1] - 1
-    header = ["time_s"] + [f"t_block_{i}" for i in range(n_blocks)] + ["t_sink"]
+    if temps.ndim != 2 or temps.shape[1] == 0 or times.shape != temps.shape[:1]:
+        raise ValueError("a trace is times of shape (rows,) and temps of shape (rows, nodes), "
+                         f"got times {times.shape} and temps {temps.shape}")
+    header = ["time_s"] + [f"t_block_{i}" for i in range(temps.shape[1] - 1)] + ["t_sink"]
     decimals = (_TIME_DECIMALS,) + (_TEMP_DECIMALS,) * temps.shape[1]
     block_rows = max(1, _CSV_BLOCK_VALUES // len(decimals))
-    layouts: dict[tuple, tuple[np.ndarray, int]] = {}
+    plans: dict[tuple, tuple] = {}
     with open(path, "wb") as f:
         f.write((",".join(header) + "\r\n").encode("ascii"))
         for lo in range(0, len(temps), block_rows):
-            block = np.column_stack((times[lo:lo + block_rows], temps[lo:lo + block_rows]))
-            rows = _fixed_point_rows(block, decimals, layouts)
-            f.write(_template_rows(block, decimals) if rows is None else rows)
+            parts = (times[lo:lo + block_rows, None], temps[lo:lo + block_rows])
+            rows = _fixed_point_rows(parts, plans)
+            f.write(_template_rows(np.column_stack(parts), decimals) if rows is None else rows)
 
 
 def _template_rows(block: np.ndarray, decimals) -> bytes:
@@ -495,74 +489,80 @@ def _template_rows(block: np.ndarray, decimals) -> bytes:
     return ((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
 
 
-def _fixed_point_rows(block: np.ndarray, decimals, layouts: dict) -> np.ndarray | None:
-    """The bytes of _template_rows(block, decimals) as a (rows, width) uint8
-    array, or None when a column changes sign or integer-digit count or a
-    value is non-finite or at least 2^52 once scaled.
-
-    A value v with d decimals prints the integer q = rint(|v| 10^d). The
-    float product differs from the exact |v| 10^d by at most 2^-53 of its
-    size, so rint rounds it as %-formatting does (half to even on the exact
-    binary value) unless a tie lies in between. Values whose product lies
-    within 1e-6 + 2^-50 * (the block's largest product) of a tie are
-    therefore rounded by %-formatting, one at a time. q is cut into
-    base-10^4 groups whose ASCII digits are looked up in _DIGITS4, and an
-    index built once per layout (_row_layout) picks every row's bytes from
-    those digit words and the punctuation.
-    """
-    n_rows, n_cols = block.shape
-    scaled = np.abs(block) * 10.0 ** np.asarray(decimals)
-    top = scaled.max()
-    if not top < 2.0 ** 52:  # also false for nan and inf
-        return None
-    q = np.rint(scaled)
-    near_tie = np.abs(scaled - q) >= 0.5 - 1e-6 - top * 2.0 ** -50
-    for i in np.flatnonzero(near_tie).tolist():
-        r, c = divmod(i, n_cols)
-        q[r, c] = float(("%.*f" % (decimals[c], abs(block[r, c]))).replace(".", ""))
-    sign_bits = block.view(np.int64)  # negative exactly where the sign bit is set
-    negative = (sign_bits.max(axis=0) < 0).tolist()
-    if negative != (sign_bits.min(axis=0) < 0).tolist():
-        return None
-    widths = []  # digits printed per column, at least one before the point
-    for lo, hi, d in zip(q.min(axis=0).tolist(), q.max(axis=0).tolist(), decimals):
-        width = max(len(str(int(lo))), d + 1)
-        if width != max(len(str(int(hi))), d + 1):
+def _fixed_point_rows(parts, plans: dict) -> np.ndarray | None:
+    """The bytes of _template_rows of the block (times (rows, 1), temps
+    (rows, nodes)) as (rows, row bytes) uint8, or None if _column_groups
+    refuses a part; each run of a column group's digit bytes is one look-up."""
+    rows, layout, words = len(parts[0]), (), []
+    for x, d in zip(parts, (_TIME_DECIMALS, _TEMP_DECIMALS)):
+        q, groups = _column_groups(x, d)
+        if groups is None:
             return None
-        widths.append(width)
-    key = (tuple(widths), tuple(negative))
-    if key not in layouts:
-        layouts[key] = _row_layout(widths, negative, decimals)
-    index, groups = layouts[key]
-    # per row: groups digit words per column, then the punctuation words
-    words = np.empty((n_rows, n_cols + 1, groups), dtype=np.uint32)
-    q = q.astype(np.int64)
-    for j in range(groups - 1, 0, -1):
-        high = q // 10_000
-        words[:, :n_cols, j] = _DIGITS4[q - high * 10_000]
-        q = high
-    words[:, :n_cols, 0] = _DIGITS4[q]
-    words[:, n_cols, :len(_PUNCT)] = _PUNCT
-    return np.take(words.reshape(n_rows, -1).view(np.uint8), index, axis=1)  # C order
+        for a, b, width, negative in groups:
+            layout += ((b - a, negative, width, d),)
+            q_group = q[:, a:b].astype(np.intp)
+            for _ in range(-(-width // 4) - 1):  # the digit words, least significant first
+                high = q_group // 10_000
+                words.append(q_group - high * 10_000)
+                q_group = high
+            words.append(q_group)
+    out, runs = plans.get(layout) or plans.setdefault(layout, _row_plan(layout, rows))
+    for word, table, view in runs:
+        np.copyto(view[:rows], table.take(words[word], mode="wrap"))  # each word < 10^4
+    return out[:rows]
 
 
-def _row_layout(widths, negative, decimals) -> tuple[np.ndarray, int]:
-    """(index, groups) of one block layout: the digit words per value, and
-    the byte offset in a row of the kernel's word buffer of each byte of a
-    CSV row (per column an optional minus, the integer digits, the point
-    and the decimals, then a comma, or CRLF after the last column)."""
-    groups = max(-(-max(widths) // 4), len(_PUNCT))
-    stride = 4 * groups  # bytes per column; its digits end at the column's end
-    punct = len(widths) * stride
-    index = []
-    for c, (width, neg, d) in enumerate(zip(widths, negative, decimals)):
-        end = (c + 1) * stride
-        if neg:
-            index.append(punct + _MINUS)
-        index += range(end - width, end - d)
-        index.append(punct + _DOT)
-        index += range(end - d, end)
-        index.append(punct + _COMMA)
-    index[-1] = punct + _CR
-    index.append(punct + _LF)
-    return np.array(index, dtype=np.intp), groups
+def _column_groups(x: np.ndarray, d: int):
+    """(q, groups) of values x (rows, columns) printed with d decimals: q the
+    integers rint(|x| 10^d) printed, groups the runs (start, stop, width,
+    negative) of adjacent columns of one sign and digit count, or (None, None)
+    if a column changes either or a value is not below 2^52 once scaled. Float
+    |v| 10^d is within 2^-53 of its size of the exact product, so rint rounds
+    it as %-formatting does unless a tie lies in between: products within
+    1e-6 + 2^-50 * (the largest product) of a tie are %-formatted one by one."""
+    scaled = np.abs(x)
+    top = float(scaled.max()) * 10.0 ** d  # the largest product, as scaling is monotonic
+    if not top < 2.0 ** 52:  # also false for nan and inf, and so no product overflows
+        return None, None
+    q = np.rint(np.multiply(scaled, 10.0 ** d, out=scaled))
+    off = np.abs(np.subtract(scaled, q, out=scaled), out=scaled)
+    near = 0.5 - 1e-6 - top * 2.0 ** -50
+    for i in np.flatnonzero(off >= near).tolist() if off.max() >= near else ():
+        q.flat[i] = float(("%.*f" % (d, abs(x.flat[i]))).replace(".", ""))
+
+    def code(bits, q):  # 2 width + negative; of the width digits printed, d are decimals
+        return 2 * (d + 1 + _POWERS_OF_TEN[d + 1:].searchsorted(q, "right")) + (bits < 0)
+    sign_bits = x.view(np.int64)  # negative exactly where the sign bit is set
+    layout = code(sign_bits.min(), q.min())
+    if layout != code(sign_bits.max(), q.max()):  # per column only if the block's differ
+        layout = code(sign_bits.min(axis=0), q.min(axis=0))
+        if (layout != code(sign_bits.max(axis=0), q.max(axis=0))).any():
+            return None, None
+    if layout.ndim == 0:
+        return q, [(0, x.shape[1], *divmod(int(layout), 2))]
+    bounds = [0, *(np.flatnonzero(np.diff(layout)) + 1).tolist(), x.shape[1]]
+    return q, [(a, b, *divmod(int(layout[a]), 2)) for a, b in zip(bounds, bounds[1:])]
+
+
+def _row_plan(layout, rows: int) -> tuple[np.ndarray, list]:
+    """(out, runs) of a layout of column groups (columns, negative, width,
+    decimals): out (rows, row bytes) holds every row's punctuation; each run
+    of 1, 2 or 4 group digit bytes in one word and on one side of the point
+    is (word, table, view): its bytes of all 10^4 words, its place in out."""
+    cells = [b"-" * neg + b"0" * (w - d) + b"." + b"0" * d + b"," for _, neg, w, d in layout]
+    text = b"".join(cell * group[0] for cell, group in zip(cells, layout))[:-1] + b"\r\n"
+    out = np.empty((rows, len(text)), dtype=np.uint8)
+    out[:] = np.frombuffer(text, dtype=np.uint8)
+    runs, start, word = [], 0, 0
+    for cell, (columns, negative, width, d) in zip(cells, layout):
+        size = 4 * -(-width // 4)  # bytes of the group's words, the digits at their end
+        first, point = size - width, size - d
+        bounds = sorted({first, point, *range(4, size + 1, 4)})
+        bounds = sorted({*bounds, *(b + 2 for b, e in zip(bounds, bounds[1:]) if e - b == 3)})
+        for b, e in zip(bounds, bounds[1:]):
+            table = np.ascontiguousarray(np.ndarray(10_000, f"<u{e - b}", _DIGITS4, b % 4, 4))
+            runs.append((word + (size - 1 - b) // 4, table, np.ndarray(
+                (rows, columns), table.dtype, out, start + negative + b - first + (b >= point),
+                (len(text), len(cell)))))
+        start, word = start + len(cell) * columns, word + size // 4
+    return out, runs

@@ -310,6 +310,18 @@ def test_statistics_that_overflow_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_trace_too_hot_for_the_csv_kernel_is_written_without_a_warning(tmp_path, capsys):
+    # at 1e305 deg C every |v| 10^6 is past float64: once writing the trace
+    # raised "RuntimeWarning: overflow encountered in multiply"
+    path = tmp_path / "hot.ini"
+    path.write_text(SCENARIO + "\n[thermal]\nambient_c = 1e305\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--trace"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[1]) > 1e304
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["run", "place", "sweep"])
 def test_an_annealing_schedule_that_cools_to_zero_exits_2(tmp_path, capsys, command):
     # t_end / t_start underflows to 0: once every command ended in a

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -684,3 +685,95 @@ def test_trace_csv_template_takes_blocks_the_kernel_cannot(tmp_path, monkeypatch
         _csv_writer_reference(times, temps, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert template_blocks == [3] * 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_trace_csv_template_takes_a_column_that_overflows_when_scaled(tmp_path, monkeypatch):
+    # |v| 10^6 is past float64 above about 1.8e302 deg C: once this raised
+    # "RuntimeWarning: overflow encountered in multiply", an error here
+    template_blocks = _count_template_blocks(monkeypatch)
+    times = np.array([0.0, 1e-6, 2e-6])
+    temps = np.column_stack((np.full(3, 45.0), [1e305, -2e305, 3e305]))
+    write_trace_csv(times, temps, tmp_path / "fast.csv")
+    _csv_writer_reference(times, temps, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert template_blocks == [3]
+
+
+@pytest.mark.parametrize("times,temps", [(np.zeros(3), np.zeros(3)),  # one node row, not a trace
+                                         (np.zeros(2), np.zeros((3, 5))),
+                                         (np.zeros(4), np.zeros((3, 5))),
+                                         (np.zeros((3, 1)), np.zeros((3, 5))),
+                                         (np.zeros(3), np.zeros((3, 0)))])
+def test_trace_csv_refuses_times_and_temps_that_are_not_one_trace(tmp_path, times, temps):
+    # a 1-D temps once raised an IndexError, and a times shorter than temps
+    # would misalign the rows once nothing stacks the two
+    shapes = f"got times {times.shape} and temps {temps.shape}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        write_trace_csv(times, temps, tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_an_empty_trace_writes_only_the_header(tmp_path):
+    times, temps = np.empty(0), np.empty((0, 17))
+    write_trace_csv(times, temps, tmp_path / "fast.csv")
+    _csv_writer_reference(times, temps, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "fast.csv").read_bytes().count(b"\r\n") == 1
+
+
+@st.composite
+def trace_cases(draw):
+    """(times, temps, block_rows): two to four blocks of block_rows rows, the
+    last one maybe short, in which each of 1-40 columns draws a sign and an
+    integer-digit count per block, sprinkled with exact binary ties of the
+    6th (temps) and 9th (times) decimal, -0.0 and values that print as the
+    next power of ten."""
+    columns, block_rows = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    blocks = draw(st.integers(2, 4))
+    rows = block_rows * blocks - draw(st.integers(0, block_rows - 1))
+    layouts = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 9)),
+                            min_size=blocks * columns, max_size=blocks * columns))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    temps = np.empty((rows, columns))
+    for i, (negative, digits) in enumerate(layouts):
+        block = temps[i // columns * block_rows:(i // columns + 1) * block_rows, i % columns]
+        low = 0.0 if digits == 1 else 10.0 ** (digits - 1)
+        block[:] = rng.uniform(low, 10.0 ** digits, len(block))
+        special = rng.integers(len(block))
+        block[special] = rng.choice([
+            np.floor(block[special]) + (2 * rng.integers(64) + 1) / 128,  # a tie of the 6th
+            low - 4e-7 if digits > 1 else 0.0,  # prints as low, or as 0.000000
+            10.0 ** digits - 4e-7,  # prints with one digit more than the column
+            block[special]])
+        block *= -1.0 if negative else 1.0
+    temps[rng.random(temps.shape) < 0.02] = -0.0
+    step = draw(st.sampled_from([1e-6, 1e-3, 0.7, 40.0]))
+    times = np.cumsum(rng.uniform(0.0, step, rows))
+    ties = rng.random(rows) < 0.2
+    times[ties] = (2 * rng.integers(512, size=int(ties.sum())) + 1) / 1024  # ties of the 9th
+    return times, temps, block_rows
+
+
+def _printed_layouts(values, decimals):
+    """The (sign, integer digits) of values as %-formatting prints them."""
+    return {(text[0] == "-", len(text.lstrip("-").split(".")[0]))
+            for text in ("%.*f" % (decimals, v) for v in values)}
+
+
+@given(trace_cases())
+def test_trace_csv_kernel_matches_csv_writer_bytes_on_any_layout(tmp_path_factory, case):
+    times, temps, block_rows = case
+    path = tmp_path_factory.getbasetemp()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thermal, "_CSV_BLOCK_VALUES", block_rows * (1 + temps.shape[1]))
+        template_blocks = _count_template_blocks(patch)
+        write_trace_csv(times, temps, path / "fast.csv")
+    _csv_writer_reference(times, temps, path / "ref.csv")
+    assert (path / "fast.csv").read_bytes() == (path / "ref.csv").read_bytes()
+    # exactly the blocks in which some column prints two signs or digit counts
+    mixed = [len(block) for block in (np.column_stack((times, temps))[lo:lo + block_rows]
+                                      for lo in range(0, len(times), block_rows))
+             if any(len(_printed_layouts(column, d)) > 1
+                    for column, d in zip(block.T, (9,) + (6,) * temps.shape[1]))]
+    assert template_blocks == mixed
