@@ -67,12 +67,23 @@ def evaluate(mapping: Mapping, profile: PowerProfile, net: ThermalNetwork) -> fl
     return peak(steady_state(net, power_vector(mapping, profile)))
 
 
+# Bound on the unit powers x blocks that _block_response solves at once: a
+# 16x16 mesh's 256 in one block, so its R is that of one stacked solve.
+_RESPONSE_BLOCK = 1 << 16
+
+
 def _block_response(net: ThermalNetwork) -> np.ndarray:
     """R with T_blocks - T_amb = R p: row i of the product is steady_state()
-    of one watt on block i, so R[j, i] is block j's rise per watt on block i."""
+    of one watt on block i, so R[j, i] is block j's rise per watt on block i.
+    The unit powers are solved in blocks of rows, each into its rows of the
+    one array that R views, so that building R takes little more than R."""
     n = net.n_blocks
-    z = _modal_steady_state(net, np.eye(n))
-    return net.modes.from_modal(z, out=z)[:, :n].T
+    rises = np.empty((n, n + 1))
+    rows = max(1, _RESPONSE_BLOCK // n)
+    for i in range(0, n, rows):
+        z = _modal_steady_state(net, np.eye(min(rows, n - i), n, i))
+        net.modes.from_modal(z, out=rises[i:i + len(z)])
+    return rises[:, :n].T
 
 
 # random.sample(population, 2) draws from a copied list of the population
@@ -83,18 +94,25 @@ _SAMPLE_POOL_MAX = 21
 
 def _pairs(rng: random.Random, n: int):
     """Endless pairs of distinct indices below n, each drawn from rng's
-    stream as rng.sample(range(n), 2) would draw it, without its list copy."""
-    draw, pooled = rng.randrange, n <= _SAMPLE_POOL_MAX
+    stream as rng.sample(range(n), 2) would draw it, without its list copy.
+    An index below m is drawn as CPython's _randbelow_with_getrandbits
+    draws it: getrandbits(m.bit_length()) until one is below m."""
+    bits, pooled = rng.getrandbits, n <= _SAMPLE_POOL_MAX
+    k, k_pool = n.bit_length(), (n - 1).bit_length()
     while True:
-        a = draw(n)
-        if pooled:
-            b = draw(n - 1)  # the pool's last item moved into a's slot
+        a = bits(k)
+        while a >= n:
+            a = bits(k)
+        if pooled:  # b below n - 1: the pool's last item moved into a's slot
+            b = bits(k_pool)
+            while b >= n - 1:
+                b = bits(k_pool)
             if b == a:
                 b = n - 1
-        else:
-            b = draw(n)  # rejection against the items already taken
-            while b == a:
-                b = draw(n)
+        else:  # by rejection against the items already taken
+            b = bits(k)
+            while b >= n or b == a:
+                b = bits(k)
         yield a, b
 
 

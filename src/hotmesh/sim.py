@@ -13,25 +13,30 @@ power is constant, so the schedule is laid out once as runs of equal
 steps: a head up to the first event, which stays at the baseline and is
 never marched, and one period from event to event. The tail after the
 last event takes the period's steps up to the run's end, whose last one
-the end may cut short.
+the end may cut short. The schedule and the period's layout of steps
+(TransientSolver.layout) depend only on the period and the plan's
+downtime, so a sweep runs its cells period by period and lays out each
+(period, downtime) once for the cells that follow one another with it,
+which share it read-only; run() takes the same path for its one run.
 
 Every period, and the tail as the start of one more, is marched from one
-period template (TransientSolver.template) in modal coordinates, diagonal
-in the modes: the state at each event follows z_{k+1} = D z_k + f + B
-z_act(k), O(n) per event, with z_act(k) the steady state of the power the
-k-th event's placement dissipates. One walk over bounded blocks of whole
-periods forms their modal rows from the template, and both consumers read
-it. The statistics walk from warm-up's period on, the same in a run and in
-a sweep cell, and store each block's node rows along its long axis: node
-by node when it holds more rows than nodes, row by row otherwise, so their
-reductions run along contiguous memory. A row's block mean is read off
-the two modal coordinates that carry it. The trace walks from the first
-period, into its own rows, only when its temps are first read, so run()
-writes no trace row and a sweep cell keeps no trace. A step cut short by
-the run's end is the run's one lone step. Statistics are taken over the
-window after warm-up so they describe settled behavior rather than the
-decay of the initial condition; they are accumulated block by block, and
-refused when they are not finite in float64.
+period template (PeriodLayout.template: the layout and the run's powers)
+in modal coordinates, diagonal in the modes: the state at each event
+follows z_{k+1} = D z_k + f + B z_act(k), O(n) per event, with z_act(k)
+the steady state of the power the k-th event's placement dissipates. One
+walk over bounded blocks of whole periods forms their modal rows from the
+template, and both consumers read it. The statistics walk from warm-up's
+period on, the same in a run and in a sweep cell, and store each block's
+node rows along its long axis: node by node when it holds more rows than
+nodes, row by row otherwise, so their reductions run along contiguous
+memory. A row's block mean is read off the two modal coordinates that
+carry it. The trace walks from the first period, into its own rows, only
+when its temps are first read, so run() writes no trace row and a sweep
+cell keeps no trace. A step cut short by the run's end is the run's one
+lone step. Statistics are taken over the window after warm-up so they
+describe settled behavior rather than the decay of the initial condition;
+they are accumulated block by block, and refused when they are not finite
+in float64.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import astuple, dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -115,7 +120,8 @@ class _Schedule(NamedTuple):
     event and body is the runs (see _segment) of every event-to-event
     period. After the last event come the period's first tail steps, then,
     unless cut is None, one step cut short by the run's end: cut is its
-    (length, stalled, pulsed)."""
+    (length, stalled, pulsed). times is read-only: a sweep shares one
+    schedule among its cells."""
 
     times: np.ndarray
     window: int
@@ -222,6 +228,7 @@ def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
     window = int(np.searchsorted(times[1:], cfg.effective_warmup + eps, side="right"))
     if window == len(times) - 1:
         raise ConfigurationError("warmup leaves no step to take statistics over")
+    times.setflags(write=False)
     return _Schedule(times, window, events, len(parts[0]), body, tail, cut)
 
 
@@ -258,8 +265,8 @@ class _Window:
     sum of one term per step over the window, depends neither on how the
     rows are stored nor on how they are grouped."""
 
-    def __init__(self, times: np.ndarray, start: int, n_blocks: int):
-        self.weights = np.diff(times)
+    def __init__(self, weights: np.ndarray, start: int, n_blocks: int):
+        self.weights = weights
         self.start, self.n_blocks = start, n_blocks
         self.peak = self.spread = -math.inf
         self.terms: list[np.ndarray] = []
@@ -283,17 +290,19 @@ class _Window:
 
 
 def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
-           temps0: np.ndarray, mplan: MigrationPlan | None, sched: _Schedule
+           temps0: np.ndarray, mplan: MigrationPlan | None, sched: _Schedule,
+           weights: np.ndarray, get_layout: Callable[[], thermal.PeriodLayout]
            ) -> tuple[tuple[float, float, float], Callable[[], np.ndarray]]:
     """Backward-Euler march of the migrated run from the baseline temps0:
-    its window statistics (see _Window), and what forms its trace, the node
-    temps at t = 0 and at every step end (Trace.temps).
+    its window statistics (see _Window; weights are the step lengths), and
+    what forms its trace, the node temps at t = 0 and at every step end
+    (Trace.temps), which holds neither weights nor stats.
 
     Every period, and the tail as the first steps of one more, is marched
-    from one template over the idle and pulse powers and the active power
-    of each event's placement (_steady_states), in modal deviations from
-    the baseline; a last step cut short by the run's end is one
-    solver.step.
+    from one template: the period's layout (get_layout), and the idle and
+    pulse powers and the active power of each event's placement
+    (_steady_states), in modal deviations from the baseline; a last step
+    cut short by the run's end is one solver.step.
 
     One walk, modal_blocks, forms the modal rows of the blocks of _blocks,
     and both consumers read it. The statistics walk from warm-up's period
@@ -306,15 +315,15 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     """
     n_blocks, n_nodes = cfg.grid.n_cells, cfg.grid.n_cells + 1
     base_mean = temps0[:n_blocks].mean()
-    stats = _Window(sched.times, sched.window, n_blocks)
+    stats = _Window(weights, sched.window, n_blocks)
     stats.add(0, np.broadcast_to(temps0, (sched.head, n_nodes)), np.full(sched.head, base_mean))
     if not sched.events:  # the head is the whole run
         return stats.result(), lambda: np.tile(temps0, (len(sched.times), 1))
     (stalled, pulse, active), z_idle, z_pulse, actives = _steady_states(
         solver, cfg, mapping, mplan, sched.events)
-    template = solver.template(
-        [(count, length, (z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0), not idle)
-         for length, idle, pulsed, count in sched.body])
+    layout = get_layout()  # built on first use, after the steady states (_simulate)
+    template = layout.template([(z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0)
+                                for _, idle, pulsed, _ in sched.body])
     # period k runs from event k + 1 on, from starts[k]; the last is the tail
     starts = template.starts(np.zeros(n_nodes), actives[:-1])
 
@@ -323,12 +332,12 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
         k_first on (PeriodTemplate.rows), all in one buffer sized by the
         first block, the largest."""
         work = None
-        for k0, k1, s0, s1, lo in _blocks(sched, template.steps, n_nodes, k_first):
+        for k0, k1, s0, s1, lo in _blocks(sched, layout.steps, n_nodes, k_first):
             if work is None:
                 work = np.empty((k1 - k0) * (s1 - s0) * n_nodes)
             yield lo, template.rows(starts[k0:k1], actives[k0:k1], s0, s1, work)
 
-    for lo, z in modal_blocks(max(sched.window - sched.head, 0) // template.steps):
+    for lo, z in modal_blocks(max(sched.window - sched.head, 0) // layout.steps):
         means = base_mean + solver.net.modes.block_mean(z)
         # node rows over z's own memory (mode by mode, z.T row-major)
         rows = solver.nodes(z, temps0, z if len(z) > n_nodes else z.T.reshape(z.shape))
@@ -416,14 +425,34 @@ def _plan(cfg: ScenarioConfig) -> MigrationPlan | None:
     return mplan if mplan.total_hops else None  # e.g. zero-offset translation
 
 
-def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, mapping0: Mapping,
-              baseline: ThermalState, solver: TransientSolver) -> tuple[RunSummary, Trace]:
-    """The migrated run of a validated cfg against its static baseline."""
-    sched = _schedule(cfg, mplan)
+def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, layouts: dict,
+              mapping0: Mapping, baseline: ThermalState, solver: TransientSolver
+              ) -> tuple[RunSummary, Trace]:
+    """The migrated run of a validated cfg against its static baseline.
+
+    Its schedule, its step lengths (the window's weights) and its period's
+    layout (TransientSolver.layout) depend in a sweep only on the period
+    and the plan's downtime, or on nothing without a plan, whose run is its
+    head: they are found in layouts under that key, or laid out and put
+    there, read-only, in place of any other key's, so that a sweep holds
+    one layout at a time. A refused schedule is not put there, so it is
+    refused again for every run of its key. The layout is built on its
+    first use, after that run's steady states: built before them, its
+    approach array made glibc trim and refault ~0.8 MB of heap in every
+    32x32 run."""
+    key = None if mplan is None else (cfg.period, mplan.downtime)
+    if key not in layouts:
+        layouts.clear()
+        sched = _schedule(cfg, mplan)
+        weights = np.diff(sched.times)
+        weights.setflags(write=False)
+        runs = [(count, length, not idle) for length, idle, _, count in sched.body]
+        layouts[key] = (sched, weights, cache(partial(solver.layout, runs)))
+    sched, weights, layout = layouts[key]
     events = sched.events
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
         (mig_peak, time_avg, spread), form = _march(solver, cfg, mapping0, baseline.temps,
-                                                    mplan, sched)
+                                                    mplan, sched, weights, layout)
     base_peak = peak(baseline)
 
     penalty = 0.0 if mplan is None else mplan.downtime / cfg.period
@@ -461,7 +490,7 @@ def run(cfg: ScenarioConfig) -> tuple[RunSummary, Trace]:
     """Simulate one scenario (migrated run against the static baseline)."""
     cfg.validate()
     _check_trace_size(cfg)
-    return _simulate(cfg, _plan(cfg), *_start(cfg, build_network(cfg.grid, cfg.thermal)))
+    return _simulate(cfg, _plan(cfg), {}, *_start(cfg, build_network(cfg.grid, cfg.thermal)))
 
 
 def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
@@ -470,8 +499,12 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
 
     The network, an "auto" placement, the baseline and the solver are built
     once and shared by every cell, which keeps no trace; each distinct
-    function is planned once. A failing cell records its error instead of
-    aborting the sweep; a failing placement is recorded in every cell.
+    function is planned once. The cells run period by period, so the cells
+    of one period whose plans stall as long follow one another and share,
+    read-only, one schedule and period layout (_simulate), laid out once;
+    one layout is held at a time. A failing cell records its error instead
+    of aborting the sweep; a failing placement is recorded in every cell.
+    Nothing is kept from one sweep to the next.
     """
     functions = list(functions)
     periods = list(periods)
@@ -488,9 +521,10 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
         base = replace(base, initial_mapping=mapping)
     start = None
     plans: dict[MigrationFunction, MigrationPlan | None] = {}
-    rows = []
-    for fn in functions:
-        for period in periods:
+    layouts: dict = {}
+    rows: list = [None] * (len(functions) * len(periods))
+    for j, period in enumerate(periods):
+        for i, fn in enumerate(functions):
             try:
                 cell_cfg = replace(base, migration_fn=fn, period=period)
                 cell_cfg.validate()
@@ -498,10 +532,10 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
                     start = _start(cell_cfg, net)
                 if fn not in plans:  # depends on neither the period nor the power
                     plans[fn] = _plan(cell_cfg)
-                summary, _ = _simulate(cell_cfg, plans[fn], *start)
-                rows.append(SweepCell(base.name, fn, period, summary, None))
+                summary, _ = _simulate(cell_cfg, plans[fn], layouts, *start)
+                rows[i * len(periods) + j] = SweepCell(base.name, fn, period, summary, None)
             except HotmeshError as exc:
-                rows.append(SweepCell(base.name, fn, period, None, str(exc)))
+                rows[i * len(periods) + j] = SweepCell(base.name, fn, period, None, str(exc))
     return rows
 
 

@@ -58,6 +58,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -313,10 +314,10 @@ class TransientSolver:
     """Backward-Euler stepper over one network, dt being its default step.
 
     Every step is one formula, step j of a run of equal steps moving each
-    mode 1 - lambda^j of its way (_approach): template() lays out a repeating
-    sequence of such runs in modal coordinates, nodes() turns modal rows
-    into node temperatures, and march() forms the rows of one run directly
-    (step() its one-row case).
+    mode 1 - lambda^j of its way (_approach): layout() lays out a repeating
+    sequence of such runs in modal coordinates, its template() adds what
+    heats them, nodes() turns modal rows into node temperatures, and
+    march() forms the rows of one run directly (step() its one-row case).
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
@@ -363,62 +364,74 @@ class TransientSolver:
         out += origin
         return out
 
-    def template(self, runs) -> PeriodTemplate:
-        """The PeriodTemplate of consecutive runs of equal steps, each run
-        (count, dt, fixed, varies): count steps of length dt towards the
-        modal steady state fixed, plus the varying source if varies."""
+    def layout(self, runs) -> PeriodLayout:
+        """The PeriodLayout of consecutive runs of equal steps, each run
+        (count, dt, varies): count steps of length dt, heated by the
+        period's varying source if varies. Its arrays are read-only, so one
+        layout serves every period of the same steps."""
         n = self.net.n_nodes
         bounds = (0, *np.cumsum([run[0] for run in runs]).tolist())
         approach = np.empty((n, bounds[-1])).T  # mode-major, as rows() forms its rows
-        for (count, dt, _, _), start in zip(runs, bounds):
+        decay, gain = np.ones(n), np.zeros(n)
+        for (count, dt, varies), start in zip(runs, bounds):
             _check_dt(dt)
-            self._approach(dt, count, out=approach[start:start + count])
-        fixed = np.array([np.broadcast_to(run[2], n) for run in runs])
-        return PeriodTemplate(bounds, approach, fixed, tuple(bool(run[3]) for run in runs))
+            w = self._approach(dt, count, out=approach[start:start + count])[-1]
+            decay = decay - w * decay
+            gain = gain - w * (gain - float(varies))
+        for a in (approach, decay, gain):
+            a.setflags(write=False)
+        return PeriodLayout(bounds, approach, tuple(bool(run[2]) for run in runs), decay, gain)
 
 
-@dataclass(frozen=True)
-class PeriodTemplate:
-    """One event-to-event period in modal coordinates, diagonal in the modes.
-
-    Run r takes steps bounds[r]..bounds[r + 1] - 1 towards the modal steady
-    state fixed[r], plus the period's varying source z_var if varies[r].
-    Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss) (see the
-    module docstring), so a period maps its start z0 to its end D z0 + f +
-    B z_var (period_map).
-    """
+class PeriodLayout(NamedTuple):
+    """The steps of one event-to-event period in modal coordinates, whatever
+    powers them: run r takes steps bounds[r]..bounds[r + 1] - 1, heated by
+    the period's varying source if varies[r]. D and B of the period's map
+    (PeriodTemplate) depend on the steps alone, composed run by run from
+    the last approach row of each."""
 
     bounds: tuple[int, ...]
     approach: np.ndarray      # (steps, n), mode-major: 1 - lambda^j of step j = 1.. of its run
-    fixed: np.ndarray         # (runs, n)
     varies: tuple[bool, ...]
+    decay: np.ndarray         # (n,), D
+    gain: np.ndarray          # (n,), B
 
     @property
     def steps(self) -> int:
         return self.bounds[-1]
 
-    @cached_property
-    def period_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(D, f, B), each (n,), composed run by run from the last approach
-        row of each: built on first use by starts()."""
+    def template(self, fixed) -> PeriodTemplate:
+        """The PeriodTemplate of this layout whose run r heads for the modal
+        steady state fixed[r] (a row, or 0.0 for none)."""
         n = self.approach.shape[1]
-        decay, offset, gain = np.ones(n), np.zeros(n), np.zeros(n)
-        for end, fixed, varies in zip(self.bounds[1:], self.fixed, self.varies):
-            w = self.approach[end - 1]
-            decay = decay - w * decay
-            offset = offset - w * (offset - fixed)
-            gain = gain - w * (gain - float(varies))
-        return decay, offset, gain
+        return PeriodTemplate(self, np.array([np.broadcast_to(f, n) for f in fixed]))
+
+
+class PeriodTemplate(NamedTuple):
+    """One event-to-event period in modal coordinates, diagonal in the modes:
+    a layout, and per run the modal steady state fixed[r] it heads for,
+    plus the period's varying source z_var if varies[r].
+
+    Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss) (see the
+    module docstring), so a period maps its start z0 to its end D z0 + f +
+    B z_var, with f composed like D and B (PeriodLayout).
+    """
+
+    layout: PeriodLayout
+    fixed: np.ndarray         # (runs, n)
 
     def starts(self, z0: np.ndarray, z_var: np.ndarray) -> np.ndarray:
         """z0 and the start of every later period, z_{k+1} = D z_k + f + B
         z_var[k]: O(n) per period, (len(z_var) + 1, n)."""
-        decay, offset, gain = self.period_map
+        layout = self.layout
+        offset = np.zeros(len(z0))
+        for end, fixed in zip(layout.bounds[1:], self.fixed):
+            offset = offset - layout.approach[end - 1] * (offset - fixed)
         z = np.empty((len(z_var) + 1, len(z0)))
         z[0] = z0
-        z[1:] = gain * z_var + offset
+        z[1:] = layout.gain * z_var + offset
         for k in range(len(z_var)):
-            z[k + 1] += decay * z[k]
+            z[k + 1] += layout.decay * z[k]
         return z
 
     def rows(self, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int,
@@ -430,17 +443,18 @@ class PeriodTemplate:
         n, size = z0.shape[1], z0.size * (s1 - s0)
         flat = np.empty(size) if work is None else work[:size]
         out = flat.reshape(n, len(z0), s1 - s0).transpose(1, 2, 0)
+        bounds, approach = self.layout.bounds, self.layout.approach
         z = z0
-        for a, b, fixed, varies in zip(self.bounds, self.bounds[1:], self.fixed, self.varies):
+        for a, b, fixed, varies in zip(bounds, bounds[1:], self.fixed, self.layout.varies):
             if a >= s1:
                 break
             dev = z - (fixed + z_var if varies else fixed)
             lo, hi = max(a, s0), min(b, s1)
             if lo < hi:
                 block = out[:, lo - s0:hi - s0]
-                np.multiply(self.approach[lo:hi], dev[:, None], out=block)
+                np.multiply(approach[lo:hi], dev[:, None], out=block)
                 np.subtract(z[:, None], block, out=block)
-            z = z - self.approach[b - 1] * dev
+            z = z - approach[b - 1] * dev
         return out.reshape(-1, n)
 
 

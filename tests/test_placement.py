@@ -1,18 +1,20 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hotmesh.placement
 from hotmesh.grid import (Coord, Mapping, PowerProfile, generate_center_hotspot,
                           generate_warm_band, identity_mapping, make_grid, power_vector)
 from hotmesh.placement import (AnnealConfig, _block_response, _pairs, anneal, evaluate,
                                place, read_mapping_csv, write_mapping_csv)
 from hotmesh.errors import ConfigurationError
-from hotmesh.thermal import ThermalParams, build_network
+from hotmesh.thermal import ThermalParams, _modal_steady_state, build_network
 
 
 def mapping_with_hot_at(grid, hot_coord):
@@ -71,6 +73,35 @@ def test_response_operator_peak_matches_evaluate(case):
     p = power_vector(mapping, profile)
     by_operator = float(np.max(_block_response(net) @ p)) + net.ambient
     assert abs(by_operator - evaluate(mapping, profile, net)) <= 1e-9
+
+
+def test_block_response_is_built_in_bounded_blocks(monkeypatch):
+    # R is solved in blocks of unit powers, each into its rows of one array:
+    # up to 16x16 in one block, bit for bit the one stacked solve; smaller
+    # blocks give the same R to float noise, laid out alike; and a 64x64
+    # R of 134 MB is built at a traced peak of at most 1.5 times its size
+    for nx in (4, 5, 8, 16):
+        net = build_network(make_grid(nx, nx), ThermalParams())
+        n = net.n_blocks
+        stacked = net.modes.from_modal(_modal_steady_state(net, np.eye(n)))[:, :n].T
+        got = _block_response(net)
+        assert np.array_equal(got, stacked) and got.strides == stacked.strides
+    net = build_network(make_grid(12, 12), ThermalParams())
+    whole = _block_response(net)
+    for rows in (1, 7, 143):
+        monkeypatch.setattr(hotmesh.placement, "_RESPONSE_BLOCK", rows * 144)
+        got = _block_response(net)
+        assert got.strides == whole.strides and np.abs(got - whole).max() <= 1e-12
+    monkeypatch.undo()
+    net = build_network(make_grid(64, 64), ThermalParams())
+    tracemalloc.start()
+    try:
+        response = _block_response(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert response.shape == (4096, 4096)
+    assert peak <= 1.5 * response.base.nbytes
 
 
 def test_hot_workload_lands_on_center():

@@ -350,6 +350,81 @@ def test_sweep_plans_once_per_distinct_function(monkeypatch):
         assert row.summary == direct
 
 
+def _count_schedules(monkeypatch):
+    """Patch sim._schedule to record each call's layout key, (period,
+    downtime) or None without a plan, and each schedule it returns, and
+    TransientSolver.layout to record each layout it builds."""
+    keys, schedules, layouts = [], [], []
+    real, real_layout = hotmesh.sim._schedule, TransientSolver.layout
+
+    def counted(cfg, mplan):
+        keys.append(None if mplan is None else (cfg.period, mplan.downtime))
+        schedules.append(real(cfg, mplan))
+        return schedules[-1]
+
+    def laid_out(self, runs):
+        layouts.append(real_layout(self, runs))
+        return layouts[-1]
+
+    monkeypatch.setattr(hotmesh.sim, "_schedule", counted)
+    monkeypatch.setattr(TransientSolver, "layout", laid_out)
+    return keys, schedules, layouts
+
+
+@pytest.mark.parametrize("detailed", [False, True])
+def test_a_sweep_lays_out_each_period_and_downtime_once(monkeypatch, detailed):
+    # the cells run period by period: default timing gives every plan the
+    # same downtime, so the four migrating functions at one period share
+    # one layout; detailed timing gives each plan its own, and so distinct
+    # layouts. The identity has no plan and no period layout. Nothing is
+    # kept between sweeps, and every cell equals its run()
+    cfg = band_cfg(sim_duration=1e-3, warmup=0.3e-3,
+                   cost=MigrationCostParams(detailed_timing=detailed))
+    functions = [translate_x(1), ROTATION, MIRROR_XY, translate_xy(1, 1), IDENTITY]
+    periods = [109e-6, 218e-6]
+    plans = {fn: hotmesh.sim._plan(replace(cfg, migration_fn=fn)) for fn in functions}
+    order = [None if plans[fn] is None else (period, plans[fn].downtime)
+             for period in periods for fn in functions]
+    want = [key for k, key in enumerate(order) if k == 0 or key != order[k - 1]]
+    assert len(want) == (10 if detailed else 4)  # per period 4 downtimes or 1, then None
+    keys, schedules, layouts = _count_schedules(monkeypatch)
+    rows = sweep(cfg, functions, periods)
+    assert keys == want
+    assert len(layouts) == len(want) - 2  # none for the identity, which never marches
+    assert not any(s.times.flags.writeable for s in schedules)
+    assert sweep(cfg, functions, periods) == rows
+    assert keys == want + want and len(layouts) == 2 * (len(want) - 2)
+    monkeypatch.undo()
+    for row in rows:
+        assert row.error is None
+        assert row.summary == run(replace(cfg, migration_fn=row.fn, period=row.period))[0]
+
+
+def test_a_refused_layout_is_an_error_row_in_every_cell_of_its_period(monkeypatch):
+    # a 1.5 us period is shorter than the 1.744 us downtime: its layout is
+    # refused and not kept, so it is refused again for each migrating
+    # function; the identity at that period and every cell of the other
+    # periods still equal their run(). One layout is held at a time, so
+    # the identity's, between two functions, is laid out in its place
+    cfg = band_cfg(sim_duration=1e-3, warmup=0.3e-3)
+    functions = [translate_xy(1, 1), ROTATION, IDENTITY, MIRROR_XY]
+    periods = [109e-6, 1.5e-6, 218e-6]
+    keys, _, layouts = _count_schedules(monkeypatch)
+    rows = sweep(cfg, functions, periods)
+    first, refused, last = ((period, cfg.cost.downtime_fixed) for period in periods)
+    assert keys == [first, None, first, refused, refused, None, refused, last, None, last]
+    assert len(layouts) == 4
+    monkeypatch.undo()
+    for row in rows:
+        if row.period == 1.5e-6 and row.fn != IDENTITY:
+            assert row.summary is None
+            assert row.error == ("the migration downtime of 1.744 us is not shorter than the "
+                                 "period of 1.500 us: the PEs would never compute")
+        else:
+            assert row.error is None
+            assert row.summary == run(replace(cfg, migration_fn=row.fn, period=row.period))[0]
+
+
 def test_default_timing_runs_never_pack_phases(monkeypatch):
     # a run reads the plan's closed-form hops and energy, its constant
     # downtime and its inverse permutation, never the phase schedule

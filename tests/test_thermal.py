@@ -343,9 +343,9 @@ def test_period_template_matches_march_run_by_run():
     layout = [(1, 1e-6, idle + pulse, False), (1, 7.44e-7, idle, False),
               (9, 1e-6, 0.0, True), (1, 3e-7, 0.0, True)]
     fixed = thermal._modal_steady_state(net, [np.broadcast_to(p, 12) for _, _, p, _ in layout])
-    template = solver.template([(count, dt, z, varies)
-                                for (count, dt, _, varies), z in zip(layout, fixed)])
-    assert template.steps == 12
+    template = solver.layout([(count, dt, varies) for count, dt, _, varies in layout]
+                             ).template(fixed)
+    assert template.layout.steps == 12
     z_var = thermal._modal_steady_state(net, actives)
     starts = template.starts(z_var[0], z_var)
     x = steady_state(net, actives[0]).temps
@@ -365,19 +365,17 @@ def test_period_template_matches_march_run_by_run():
 
 
 def test_template_approach_rows_hold_for_any_step_count():
-    # the template stores its approach rows mode by mode, the period's step
-    # count apart: for every step count up to 17, with a one-step run first
-    # and last, they equal _approach's own rows bit for bit
+    # the layout stores its approach rows mode by mode, the period's step
+    # count apart, read-only: for every step count up to 17, with a one-step
+    # run first and last, they equal _approach's own rows bit for bit
     net = build_network(make_grid(3, 3), ThermalParams())
     solver = TransientSolver(net, 1e-6)
-    p = np.linspace(0.1, 1.7, 9)
-    z = thermal._modal_steady_state(net, p)
     for steps in range(2, 18):
         layout = [(1, 1e-6), (steps - 2, 7.44e-7), (1, 3e-7)] if steps > 2 else [(1, 1e-6)] * 2
-        template = solver.template([(count, dt, z, False) for count, dt in layout])
-        assert template.steps == steps
-        for (count, dt), a, b in zip(layout, template.bounds, template.bounds[1:]):
-            assert np.array_equal(template.approach[a:b], solver._approach(dt, count))
+        period = solver.layout([(count, dt, False) for count, dt in layout])
+        assert period.steps == steps and not period.approach.flags.writeable
+        for (count, dt), a, b in zip(layout, period.bounds, period.bounds[1:]):
+            assert np.array_equal(period.approach[a:b], solver._approach(dt, count))
 
 
 def test_march_holds_a_steady_state_bit_for_bit():
@@ -477,7 +475,7 @@ def test_march_equals_the_rows_of_a_one_run_template(nx, ny, count, dt, seed):
     p = rng.uniform(0.0, 2.0, net.n_blocks)
     start = steady_state(net, rng.uniform(0.0, 2.0, net.n_blocks)).temps
     fixed = net.modes.to_modal(steady_state(net, p).temps - start)
-    template = solver.template([(count, dt, fixed, False)])
+    template = solver.layout([(count, dt, False)]).template([fixed])
     zero = np.zeros((1, net.n_nodes))
     rows = solver.nodes(template.rows(zero, zero, 0, count), start)
     assert np.array_equal(solver.march(start, p, count, dt), rows)
@@ -490,7 +488,7 @@ def test_template_rows_into_work_are_the_rows_without_it():
     solver = TransientSolver(net, 1e-6)
     rng = np.random.default_rng(5)
     fixed = net.modes.to_modal(rng.uniform(-5.0, 5.0, (2, net.n_nodes)))
-    template = solver.template([(3, 1e-6, fixed[0], False), (5, 7.44e-7, fixed[1], True)])
+    template = solver.layout([(3, 1e-6, False), (5, 7.44e-7, True)]).template(fixed)
     z0, z_var = net.modes.to_modal(rng.uniform(-5.0, 5.0, (2, 3, net.n_nodes)))
     for s0, s1 in ((0, 8), (2, 6), (7, 8)):
         want = template.rows(z0, z_var, s0, s1)
