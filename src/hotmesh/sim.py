@@ -19,13 +19,13 @@ downtime, so a sweep runs its cells period by period and lays out each
 (period, downtime) once for the cells that follow one another with it,
 which share it read-only; run() takes the same path for its one run.
 
-Every period, and the tail as the start of one more, is marched from one
-period template (PeriodLayout.template: the layout and the run's powers)
-in modal coordinates, diagonal in the modes: the state at each event
+Every period, and the tail as the start of one more, is marched from the
+period's layout and the run's sources (PeriodLayout.starts and rows) in
+modal coordinates, diagonal in the modes: the state at each event
 follows z_{k+1} = D z_k + f + B z_act(k), O(n) per event, with z_act(k)
 the steady state of the power the k-th event's placement dissipates. One
 walk over bounded blocks of whole periods forms their modal rows from the
-template, and both consumers read it. The statistics walk from warm-up's
+layout, and both consumers read it. The statistics walk from warm-up's
 period on, the same in a run and in a sweep cell, and store each block's
 node rows along its long axis: node by node when it holds more rows than
 nodes, row by row otherwise, so their reductions run along contiguous
@@ -64,7 +64,7 @@ from .transforms import MigrationFunction
 _TIME_EPS_DT = 1e-3
 
 # Bound on the rows x nodes of one block of node rows formed from the
-# period template. A statistics block's modal rows, then its node rows over
+# period's layout. A statistics block's modal rows, then its node rows over
 # them, and the basis's y-pass are two such arrays in flight.
 _MARCH_ELEMENTS = 1 << 15
 
@@ -196,7 +196,7 @@ def _step_ends(length: float, dt: float, breaks) -> np.ndarray:
 def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
     """Steps of the migrated run, laid out once (see _Schedule).
 
-    A head up to the first event, one template per event-to-event period and
+    A head up to the first event, the runs of one event-to-event period and
     a tail after the last event; events fire at t = k*period strictly inside
     the run. The tail's steps end where the period's do, but for a last
     step that the run's end cuts short.
@@ -299,10 +299,10 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     (Trace.temps), which holds neither weights nor stats.
 
     Every period, and the tail as the first steps of one more, is marched
-    from one template: the period's layout (get_layout), and the idle and
-    pulse powers and the active power of each event's placement
-    (_steady_states), in modal deviations from the baseline; a last step
-    cut short by the run's end is one solver.step.
+    from the period's layout (get_layout) and the run's sources: the idle
+    and pulse powers of its runs and the active power of each event's
+    placement (_steady_states), in modal deviations from the baseline; a
+    last step cut short by the run's end is one solver.step.
 
     One walk, modal_blocks, forms the modal rows of the blocks of _blocks,
     and both consumers read it. The statistics walk from warm-up's period
@@ -322,20 +322,20 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     (stalled, pulse, active), z_idle, z_pulse, actives = _steady_states(
         solver, cfg, mapping, mplan, sched.events)
     layout = get_layout()  # built on first use, after the steady states (_simulate)
-    template = layout.template([(z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0)
-                                for _, idle, pulsed, _ in sched.body])
+    sources = [(z_idle if idle else 0.0) + (z_pulse if pulsed else 0.0)
+               for _, idle, pulsed, _ in sched.body]
     # period k runs from event k + 1 on, from starts[k]; the last is the tail
-    starts = template.starts(np.zeros(n_nodes), actives[:-1])
+    starts = layout.starts(sources, np.zeros(n_nodes), actives[:-1])
 
     def modal_blocks(k_first: int):
         """(first step, modal rows) of each block of _blocks from period
-        k_first on (PeriodTemplate.rows), all in one buffer sized by the
+        k_first on (PeriodLayout.rows), all in one buffer sized by the
         first block, the largest."""
         work = None
         for k0, k1, s0, s1, lo in _blocks(sched, layout.steps, n_nodes, k_first):
             if work is None:
                 work = np.empty((k1 - k0) * (s1 - s0) * n_nodes)
-            yield lo, template.rows(starts[k0:k1], actives[k0:k1], s0, s1, work)
+            yield lo, layout.rows(sources, starts[k0:k1], actives[k0:k1], s0, s1, work)
 
     for lo, z in modal_blocks(max(sched.window - sched.head, 0) // layout.steps):
         means = base_mean + solver.net.modes.block_mean(z)
@@ -433,22 +433,23 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, layouts: dict,
     Its schedule, its step lengths (the window's weights) and its period's
     layout (TransientSolver.layout) depend in a sweep only on the period
     and the plan's downtime, or on nothing without a plan, whose run is its
-    head: they are found in layouts under that key, or laid out and put
-    there, read-only, in place of any other key's, so that a sweep holds
-    one layout at a time. A refused schedule is not put there, so it is
+    head. layouts holds two slots, keyed by whether there is no plan: the
+    no-plan schedule, laid out once, and one period layout at a time. Each
+    holds (key, schedule, weights, layout), read-only, and is laid out
+    again only for another key. A refused schedule is not kept, so it is
     refused again for every run of its key. The layout is built on its
     first use, after that run's steady states: built before them, its
     approach array made glibc trim and refault ~0.8 MB of heap in every
     32x32 run."""
     key = None if mplan is None else (cfg.period, mplan.downtime)
-    if key not in layouts:
-        layouts.clear()
+    held = layouts.get(mplan is None)
+    if held is None or held[0] != key:
         sched = _schedule(cfg, mplan)
         weights = np.diff(sched.times)
         weights.setflags(write=False)
         runs = [(count, length, not idle) for length, idle, _, count in sched.body]
-        layouts[key] = (sched, weights, cache(partial(solver.layout, runs)))
-    sched, weights, layout = layouts[key]
+        held = layouts[mplan is None] = (key, sched, weights, cache(partial(solver.layout, runs)))
+    _, sched, weights, layout = held
     events = sched.events
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
         (mig_peak, time_avg, spread), form = _march(solver, cfg, mapping0, baseline.temps,
@@ -502,9 +503,10 @@ def sweep(base: ScenarioConfig, functions: Sequence[MigrationFunction],
     function is planned once. The cells run period by period, so the cells
     of one period whose plans stall as long follow one another and share,
     read-only, one schedule and period layout (_simulate), laid out once;
-    one layout is held at a time. A failing cell records its error instead
-    of aborting the sweep; a failing placement is recorded in every cell.
-    Nothing is kept from one sweep to the next.
+    one period layout is held at a time, and beside it the schedule of the
+    runs without a plan, held for the whole sweep. A failing cell records
+    its error instead of aborting the sweep; a failing placement is
+    recorded in every cell. Nothing is kept from one sweep to the next.
     """
     functions = list(functions)
     periods = list(periods)

@@ -48,7 +48,7 @@ the decayed deviation would lose the digits of a large x_ss, such as a
 heat pulse's. A steady state stays fixed bit for bit: x_ss is the
 steady_state() solve of that power, so a start at it has zero deviation.
 In modal coordinates z = Q^T C^1/2 (x - x_ref) each such run is diagonal,
-so a sequence of runs that repeats (one migration period, PeriodTemplate)
+so a sequence of runs that repeats (one migration period, PeriodLayout)
 maps its start to its end by one diagonal affine map.
 """
 
@@ -103,7 +103,7 @@ class ModalBasis:
     to_modal(x) = (Q^T C^1/2 x^T)^T and from_modal(z) = (C^-1/2 Q z^T)^T act
     on the last axis of any stack of rows. Each reads the rows as columns,
     one per mode or node (no copy when the rows are stored column by column,
-    as PeriodTemplate.rows forms them), applies one DCT product along y to
+    as PeriodLayout.rows forms them), applies one DCT product along y to
     all of them, then one along x for each row of the mesh, written
     straight into the output rows, and the rotation to the two columns it
     mixes: O(n (nx + ny)) work per row, from O(nx^2 + ny^2 + n) values.
@@ -315,9 +315,9 @@ class TransientSolver:
 
     Every step is one formula, step j of a run of equal steps moving each
     mode 1 - lambda^j of its way (_approach): layout() lays out a repeating
-    sequence of such runs in modal coordinates, its template() adds what
-    heats them, nodes() turns modal rows into node temperatures, and
-    march() forms the rows of one run directly (step() its one-row case).
+    sequence of such runs in modal coordinates, whose starts() and rows()
+    take what heats them, nodes() turns modal rows into node temperatures,
+    and march() forms the rows of one run directly (step() its one-row case).
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
@@ -346,7 +346,7 @@ class TransientSolver:
         -expm1(-j log1p(dt mu)), exact also where lambda is close to 1.
         The sign is flipped by a product with -1, as exact as np.negative,
         which in numpy 2.4.6 writes wrong values in place along a stride of
-        eight elements: a one-step run of an eight-step template."""
+        eight elements: a one-step run of an eight-step layout."""
         out = np.multiply(np.arange(-1, -count - 1, -1)[:, None], np.log1p(dt * self._mu),
                           out=out)
         return np.multiply(np.expm1(out, out=out), -1.0, out=out)
@@ -384,11 +384,17 @@ class TransientSolver:
 
 
 class PeriodLayout(NamedTuple):
-    """The steps of one event-to-event period in modal coordinates, whatever
-    powers them: run r takes steps bounds[r]..bounds[r + 1] - 1, heated by
-    the period's varying source if varies[r]. D and B of the period's map
-    (PeriodTemplate) depend on the steps alone, composed run by run from
-    the last approach row of each."""
+    """One event-to-event period in modal coordinates, diagonal in the modes,
+    whatever powers it: run r takes steps bounds[r]..bounds[r + 1] - 1 and
+    heads for the modal steady state fixed[r] of the run's sources, plus the
+    period's varying source z_var if varies[r]. starts and rows take fixed,
+    per run a modal row or 0.0 for none, so one layout serves every run.
+
+    Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss) (see the
+    module docstring), so a period maps its start z0 to its end D z0 + f +
+    B z_var. D and B depend on the steps alone, composed run by run from the
+    last approach row of each; f is composed like them from fixed.
+    """
 
     bounds: tuple[int, ...]
     approach: np.ndarray      # (steps, n), mode-major: 1 - lambda^j of step j = 1.. of its run
@@ -400,41 +406,20 @@ class PeriodLayout(NamedTuple):
     def steps(self) -> int:
         return self.bounds[-1]
 
-    def template(self, fixed) -> PeriodTemplate:
-        """The PeriodTemplate of this layout whose run r heads for the modal
-        steady state fixed[r] (a row, or 0.0 for none)."""
-        n = self.approach.shape[1]
-        return PeriodTemplate(self, np.array([np.broadcast_to(f, n) for f in fixed]))
-
-
-class PeriodTemplate(NamedTuple):
-    """One event-to-event period in modal coordinates, diagonal in the modes:
-    a layout, and per run the modal steady state fixed[r] it heads for,
-    plus the period's varying source z_var if varies[r].
-
-    Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss) (see the
-    module docstring), so a period maps its start z0 to its end D z0 + f +
-    B z_var, with f composed like D and B (PeriodLayout).
-    """
-
-    layout: PeriodLayout
-    fixed: np.ndarray         # (runs, n)
-
-    def starts(self, z0: np.ndarray, z_var: np.ndarray) -> np.ndarray:
+    def starts(self, fixed, z0: np.ndarray, z_var: np.ndarray) -> np.ndarray:
         """z0 and the start of every later period, z_{k+1} = D z_k + f + B
         z_var[k]: O(n) per period, (len(z_var) + 1, n)."""
-        layout = self.layout
         offset = np.zeros(len(z0))
-        for end, fixed in zip(layout.bounds[1:], self.fixed):
-            offset = offset - layout.approach[end - 1] * (offset - fixed)
+        for end, target in zip(self.bounds[1:], fixed):
+            offset = offset - self.approach[end - 1] * (offset - target)
         z = np.empty((len(z_var) + 1, len(z0)))
         z[0] = z0
-        z[1:] = layout.gain * z_var + offset
+        z[1:] = self.gain * z_var + offset
         for k in range(len(z_var)):
-            z[k + 1] += layout.decay * z[k]
+            z[k + 1] += self.decay * z[k]
         return z
 
-    def rows(self, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int,
+    def rows(self, fixed, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int,
              work: np.ndarray | None = None) -> np.ndarray:
         """Modal states after steps s0..s1 - 1 of the periods started at
         z0[k] under z_var[k], both (periods, n): (periods * (s1 - s0), n)
@@ -443,12 +428,12 @@ class PeriodTemplate(NamedTuple):
         n, size = z0.shape[1], z0.size * (s1 - s0)
         flat = np.empty(size) if work is None else work[:size]
         out = flat.reshape(n, len(z0), s1 - s0).transpose(1, 2, 0)
-        bounds, approach = self.layout.bounds, self.layout.approach
+        bounds, approach = self.bounds, self.approach
         z = z0
-        for a, b, fixed, varies in zip(bounds, bounds[1:], self.fixed, self.layout.varies):
+        for a, b, target, varies in zip(bounds, bounds[1:], fixed, self.varies):
             if a >= s1:
                 break
-            dev = z - (fixed + z_var if varies else fixed)
+            dev = z - (target + z_var if varies else target)
             lo, hi = max(a, s0), min(b, s1)
             if lo < hi:
                 block = out[:, lo - s0:hi - s0]

@@ -1,7 +1,7 @@
-"""The migrated run marched run by run, independently of the period template.
+"""The migrated run marched run by run, independently of the period layout.
 
 hotmesh.sim marches every event-to-event period, and the tail after the
-last event, in modal coordinates from one template, and lays out the steps
+last event, in modal coordinates from one layout, and lays out the steps
 of each segment in closed form. This is the sequential march it replaced,
 with a schedule of its own: the head, every period and the tail each
 walked step by step (walk_segment) into runs of equal steps, their times

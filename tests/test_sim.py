@@ -150,7 +150,7 @@ def tail_case(period_us, duration_us, downtime_us):
 
 
 # (period, duration, downtime) in us: (events, tail steps taken from the
-# template, the cut step's (stalled, pulsed) or None when none is cut)
+# period's layout, the cut step's (stalled, pulsed) or None when none is cut)
 TAIL_CASES = {
     "shorter than dt: cut at the event": ((10.0, 30.4, 1.744), (3, 0, (True, True))),
     "ends inside the stall": ((10.0, 32.2, 2.5), (3, 2, (True, False))),
@@ -376,24 +376,26 @@ def test_a_sweep_lays_out_each_period_and_downtime_once(monkeypatch, detailed):
     # the cells run period by period: default timing gives every plan the
     # same downtime, so the four migrating functions at one period share
     # one layout; detailed timing gives each plan its own, and so distinct
-    # layouts. The identity has no plan and no period layout. Nothing is
-    # kept between sweeps, and every cell equals its run()
+    # layouts. The identity has no plan and no period layout, and its
+    # schedule is laid out once per sweep. Nothing is kept between sweeps,
+    # and every cell equals its run()
     cfg = band_cfg(sim_duration=1e-3, warmup=0.3e-3,
                    cost=MigrationCostParams(detailed_timing=detailed))
     functions = [translate_x(1), ROTATION, MIRROR_XY, translate_xy(1, 1), IDENTITY]
     periods = [109e-6, 218e-6]
     plans = {fn: hotmesh.sim._plan(replace(cfg, migration_fn=fn)) for fn in functions}
-    order = [None if plans[fn] is None else (period, plans[fn].downtime)
-             for period in periods for fn in functions]
-    want = [key for k, key in enumerate(order) if k == 0 or key != order[k - 1]]
-    assert len(want) == (10 if detailed else 4)  # per period 4 downtimes or 1, then None
+    first, second = ([(period, plans[fn].downtime) for fn in functions[:-1]]
+                     for period in periods)
+    want = [key for k, key in enumerate(first) if k == 0 or key != first[k - 1]] + [None]
+    want += [key for k, key in enumerate(second) if k == 0 or key != second[k - 1]]
+    assert len(want) == (9 if detailed else 3)  # per period 4 downtimes or 1; None once
     keys, schedules, layouts = _count_schedules(monkeypatch)
     rows = sweep(cfg, functions, periods)
     assert keys == want
-    assert len(layouts) == len(want) - 2  # none for the identity, which never marches
+    assert len(layouts) == len(want) - 1  # none for the identity, which never marches
     assert not any(s.times.flags.writeable for s in schedules)
     assert sweep(cfg, functions, periods) == rows
-    assert keys == want + want and len(layouts) == 2 * (len(want) - 2)
+    assert keys == want + want and len(layouts) == 2 * (len(want) - 1)
     monkeypatch.undo()
     for row in rows:
         assert row.error is None
@@ -404,16 +406,16 @@ def test_a_refused_layout_is_an_error_row_in_every_cell_of_its_period(monkeypatc
     # a 1.5 us period is shorter than the 1.744 us downtime: its layout is
     # refused and not kept, so it is refused again for each migrating
     # function; the identity at that period and every cell of the other
-    # periods still equal their run(). One layout is held at a time, so
-    # the identity's, between two functions, is laid out in its place
+    # periods still equal their run(). The identity's schedule is held
+    # beside the one period layout, so a function after it lays out nothing
     cfg = band_cfg(sim_duration=1e-3, warmup=0.3e-3)
     functions = [translate_xy(1, 1), ROTATION, IDENTITY, MIRROR_XY]
     periods = [109e-6, 1.5e-6, 218e-6]
     keys, _, layouts = _count_schedules(monkeypatch)
     rows = sweep(cfg, functions, periods)
     first, refused, last = ((period, cfg.cost.downtime_fixed) for period in periods)
-    assert keys == [first, None, first, refused, refused, None, refused, last, None, last]
-    assert len(layouts) == 4
+    assert keys == [first, None, refused, refused, refused, last]
+    assert len(layouts) == 2
     monkeypatch.undo()
     for row in rows:
         if row.period == 1.5e-6 and row.fn != IDENTITY:

@@ -22,6 +22,12 @@ from hotmesh.thermal import (ThermalNetwork, ThermalParams, TransientSolver,
 from hotmesh.transforms import MIRROR_X, MIRROR_Y, ROTATION, as_permutation
 
 from dense_oracle import reference_capacitance, reference_conductance
+from stencil_oracle import apply_conductance, step_backward_error, steady_backward_error
+
+# The componentwise backward error, in eps, that the stencil checks allow:
+# over their examples the worst measured was 4.8 for a steady state (4.1 at
+# 128 x 128) and 0.5 for a period's rows.
+BACKWARD_EPS = 16
 
 
 def lateral_link_count(g):
@@ -169,8 +175,8 @@ def test_networks_the_closed_form_cannot_represent_raise_model_error():
 
 
 @st.composite
-def thermal_cases(draw):
-    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+def thermal_cases(draw, side=12):
+    nx, ny = draw(st.integers(1, side)), draw(st.integers(1, side))
     factor = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
     defaults = ThermalParams()
     params = ThermalParams(
@@ -203,6 +209,10 @@ def test_closed_form_basis_matches_the_dense_operator(case):
     p = np.random.default_rng(seed).uniform(0.0, 2.0, net.n_blocks)
     dense = np.linalg.solve(g, np.append(p, 0.0)) + net.ambient
     assert np.max(np.abs(steady_state(net, p).temps - dense)) <= 1e-9
+    # the stencil oracle applies the same G, and |G| to |x|
+    gx, ax = apply_conductance(grid, params, eye)
+    assert np.max(np.abs(gx - g)) <= 1e-12 * np.max(np.abs(g))
+    assert np.max(np.abs(ax - np.abs(g))) <= 1e-12 * np.max(np.abs(g))
 
 
 @given(thermal_cases())
@@ -211,7 +221,7 @@ def test_closed_form_basis_matches_the_dense_operator(case):
 @example((make_grid(12, 1), ThermalParams(), 2))
 def test_factored_transforms_agree_however_applied_and_invert_each_other(case):
     # a stack of rows at once, row by row and stored column by column (as
-    # the period template forms them), and from_modal into a strided out:
+    # a period layout's rows are formed), and from_modal into a strided out:
     # the same values; to_modal and from_modal undo each other
     grid, params, seed = case
     modes = build_network(grid, params).modes
@@ -241,6 +251,46 @@ def test_factored_transforms_agree_however_applied_and_invert_each_other(case):
     scale = np.abs(x).max()
     assert np.abs(modes.from_modal(modes.to_modal(x)) - x).max() <= 1e-12 * scale
     assert np.abs(modes.to_modal(modes.from_modal(x)) - x).max() <= 1e-12 * scale
+
+
+@given(thermal_cases(side=64))
+@example((make_grid(128, 128), ThermalParams(), 0))
+def test_the_steady_state_residual_is_rounding_at_every_node(case):
+    # |G x - p| <= k eps (|G||x| + |p|) at every node, G applied by the
+    # stencil; at ambient 0 deg C the temperatures are x itself
+    grid, params, seed = case
+    params = replace(params, ambient=0.0)
+    p = np.random.default_rng(seed).uniform(0.0, 2.0, grid.n_cells)
+    x = steady_state(build_network(grid, params), p).temps
+    assert steady_backward_error(grid, params, x, p) <= BACKWARD_EPS
+
+
+@given(thermal_cases(side=64), st.integers(1, 20))
+def test_period_rows_are_backward_euler_steps_at_every_node(case, count):
+    # a period laid out as sim lays it out, a stalled and pulsed step, a
+    # short stalled step and count active steps, marched in modal deviations
+    # from a baseline steady state: each node row is a backward-Euler step
+    # from the one before, |C (x_j - x_{j-1}) / h + G x_j - p_j| <= k eps
+    # (C (|x_j| + |x_{j-1}|) / h + |G||x_j| + |p_j|)
+    grid, params, seed = case
+    params = replace(params, ambient=0.0)
+    net = build_network(grid, params)
+    base, idle, pulse, active = np.random.default_rng(seed).uniform(0.0, 2.0,
+                                                                    (4, grid.n_cells))
+    runs = [(1, 1e-6, idle + pulse, False), (1, 7.44e-7, idle, False),
+            (count, 1e-6, active, True)]
+    z = thermal._modal_steady_state(net, [base, idle + pulse, idle, active])
+    dev = z[1:] - z[0]
+    solver = TransientSolver(net, 1e-6)
+    period = solver.layout([(c, h, varies) for c, h, _, varies in runs])
+    x0 = steady_state(net, base).temps
+    zero = np.zeros((1, net.n_nodes))
+    rows = solver.nodes(period.rows([dev[0], dev[1], 0.0], zero, dev[2:], 0, period.steps), x0)
+    counts = [c for c, _, _, _ in runs]
+    lengths = np.repeat([h for _, h, _, _ in runs], counts)[:, None]
+    powers = np.repeat([p for _, _, p, _ in runs], counts, axis=0)
+    assert step_backward_error(grid, params, np.vstack([x0, rows[:-1]]), rows, lengths,
+                               powers) <= BACKWARD_EPS
 
 
 def test_the_basis_of_a_128x128_mesh_holds_no_dense_array():
@@ -343,11 +393,10 @@ def test_period_template_matches_march_run_by_run():
     layout = [(1, 1e-6, idle + pulse, False), (1, 7.44e-7, idle, False),
               (9, 1e-6, 0.0, True), (1, 3e-7, 0.0, True)]
     fixed = thermal._modal_steady_state(net, [np.broadcast_to(p, 12) for _, _, p, _ in layout])
-    template = solver.layout([(count, dt, varies) for count, dt, _, varies in layout]
-                             ).template(fixed)
-    assert template.layout.steps == 12
+    period = solver.layout([(count, dt, varies) for count, dt, _, varies in layout])
+    assert period.steps == 12
     z_var = thermal._modal_steady_state(net, actives)
-    starts = template.starts(z_var[0], z_var)
+    starts = period.starts(fixed, z_var[0], z_var)
     x = steady_state(net, actives[0]).temps
     for k, active in enumerate(actives):
         marched = []
@@ -355,12 +404,13 @@ def test_period_template_matches_march_run_by_run():
             rows = solver.march(x, p + active if varies else np.broadcast_to(p, 12), count, dt)
             marched.extend(rows)
             x = rows[-1]
-        rows = solver.nodes(template.rows(starts[k:k + 1], z_var[k:k + 1], 0, 12), net.ambient)
+        rows = solver.nodes(period.rows(fixed, starts[k:k + 1], z_var[k:k + 1], 0, 12),
+                            net.ambient)
         assert np.abs(rows - np.array(marched)).max() <= 1e-10
         assert np.abs(solver.nodes(starts[k + 1], net.ambient) - x).max() <= 1e-10
         # any slice of the period: the same rows
         for s0, s1 in ((0, 1), (1, 2), (2, 7), (5, 12), (11, 12)):
-            part = template.rows(starts[k:k + 1], z_var[k:k + 1], s0, s1)
+            part = period.rows(fixed, starts[k:k + 1], z_var[k:k + 1], s0, s1)
             assert np.abs(solver.nodes(part, net.ambient) - rows[s0:s1]).max() <= 1e-12
 
 
@@ -467,7 +517,7 @@ def test_march_matches_sequential_dense_backward_euler(case):
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 50),
        st.sampled_from([1e-6, 7.44e-7, 2.56e-7, 3e-3]), st.integers(0, 2**32 - 1))
 def test_march_equals_the_rows_of_a_one_run_template(nx, ny, count, dt, seed):
-    # march forms a zero start's rows directly; a template of the same one
+    # march forms a zero start's rows directly; a layout of the same one
     # run, started at zero, gives the same node rows bit for bit
     net = build_network(make_grid(nx, ny), ThermalParams())
     solver = TransientSolver(net, 1e-6)
@@ -475,29 +525,39 @@ def test_march_equals_the_rows_of_a_one_run_template(nx, ny, count, dt, seed):
     p = rng.uniform(0.0, 2.0, net.n_blocks)
     start = steady_state(net, rng.uniform(0.0, 2.0, net.n_blocks)).temps
     fixed = net.modes.to_modal(steady_state(net, p).temps - start)
-    template = solver.layout([(count, dt, False)]).template([fixed])
+    layout = solver.layout([(count, dt, False)])
     zero = np.zeros((1, net.n_nodes))
-    rows = solver.nodes(template.rows(zero, zero, 0, count), start)
+    rows = solver.nodes(layout.rows([fixed], zero, zero, 0, count), start)
     assert np.array_equal(solver.march(start, p, count, dt), rows)
 
 
-def test_template_rows_into_work_are_the_rows_without_it():
+def test_layout_rows_into_work_are_the_rows_without_it():
     # rows(..., work) forms its rows in the start of the flat buffer work,
-    # mode by mode, bit for bit the rows formed without it
+    # mode by mode, bit for bit the rows formed without it. A run's source
+    # may be the scalar 0.0: starts and rows then give the bytes of a zero row
     net = build_network(make_grid(3, 2), ThermalParams())
     solver = TransientSolver(net, 1e-6)
     rng = np.random.default_rng(5)
     fixed = net.modes.to_modal(rng.uniform(-5.0, 5.0, (2, net.n_nodes)))
-    template = solver.layout([(3, 1e-6, False), (5, 7.44e-7, True)]).template(fixed)
+    layout = solver.layout([(3, 1e-6, False), (5, 7.44e-7, True)])
+    mixed = solver.layout([(1, 1e-6, False), (2, 7.44e-7, False), (4, 1e-6, True),
+                           (1, 3e-7, True)])
+    zero = np.zeros(net.n_nodes)
     z0, z_var = net.modes.to_modal(rng.uniform(-5.0, 5.0, (2, 3, net.n_nodes)))
-    for s0, s1 in ((0, 8), (2, 6), (7, 8)):
-        want = template.rows(z0, z_var, s0, s1)
-        assert want.shape == (3 * (s1 - s0), net.n_nodes)
-        work = np.full(want.size + 9, np.nan)
-        got = template.rows(z0, z_var, s0, s1, work)
-        assert np.shares_memory(got, work) and got.strides[0] == got.itemsize
-        assert got.tobytes("F") == want.tobytes("F") == work[:want.size].tobytes()
-        assert np.isnan(work[want.size:]).all()
+    for period, sources, rows_of in ((layout, fixed, fixed),
+                                     (mixed, [fixed[0], 0.0, 0.0, fixed[1]],
+                                      [fixed[0], zero, zero, fixed[1]])):
+        assert (period.starts(sources, z0[0], z_var).tobytes()
+                == period.starts(rows_of, z0[0], z_var).tobytes())
+        for s0, s1 in ((0, period.steps), (2, 6), (period.steps - 1, period.steps)):
+            want = period.rows(rows_of, z0, z_var, s0, s1)
+            assert want.shape == (3 * (s1 - s0), net.n_nodes)
+            assert period.rows(sources, z0, z_var, s0, s1).tobytes("F") == want.tobytes("F")
+            work = np.full(want.size + 9, np.nan)
+            got = period.rows(sources, z0, z_var, s0, s1, work)
+            assert np.shares_memory(got, work) and got.strides[0] == got.itemsize
+            assert got.tobytes("F") == want.tobytes("F") == work[:want.size].tobytes()
+            assert np.isnan(work[want.size:]).all()
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), st.booleans(),
@@ -510,7 +570,7 @@ def test_the_modal_row_mean_is_the_block_mean_of_the_node_rows(nx, ny, count, by
     rng = np.random.default_rng(seed)
     origin = steady_state(net, rng.uniform(0.0, 2.0, net.n_blocks)).temps
     z = net.modes.to_modal(rng.uniform(-10.0, 10.0, (count, net.n_nodes)))
-    if by_mode:  # as PeriodTemplate.rows stores them
+    if by_mode:  # as PeriodLayout.rows stores them
         z = np.asfortranarray(z)
     rows = solver.nodes(z, origin)
     modal = origin[:-1].mean() + net.modes.block_mean(z)
