@@ -20,17 +20,21 @@ downtime, so a sweep runs its cells period by period and lays out each
 which share it read-only; run() takes the same path for its one run.
 
 Every period, and the tail as the start of one more, is marched from the
-period's layout and the run's sources (PeriodLayout.starts and rows) in
-modal coordinates, diagonal in the modes: the state at each event
-follows z_{k+1} = D z_k + f + B z_act(k), O(n) per event, with z_act(k)
-the steady state of the power the k-th event's placement dissipates. One
-walk over bounded blocks of whole periods forms their modal rows from the
-layout, and both consumers read it. The statistics walk from warm-up's
-period on, the same in a run and in a sweep cell, and store each block's
-node rows along its long axis: node by node when it holds more rows than
-nodes, row by row otherwise, so their reductions run along contiguous
-memory. A row's block mean is read off the two modal coordinates that
-carry it. The trace walks from the first period, into its own rows, only
+period's layout and the run's sources (PeriodLayout) in modal
+coordinates, diagonal in the modes: the state at each event follows
+z_{k+1} = D z_k + f + B z_act(k), O(n) per event, with z_act(k) the
+steady state of the power the k-th event's placement dissipates. Within
+a period each chunk of a run of equal steps is a short Taylor series in
+the step (PeriodLayout.coefficients), so one walk over bounded blocks of
+whole periods applies the basis once per group of periods, to their
+chunks' coefficient rows, and forms each block's node rows as products
+of the layout's step matrix with those (PeriodLayout.rows); both
+consumers read it. The statistics walk from warm-up's period on, the
+same in a run and in a sweep cell, and reduce each block along its long
+axis: node by node, a copy, when it holds more rows than nodes, row by
+row otherwise, so their reductions run along contiguous memory. A row's
+block mean is the same product of its coefficients' block means. The
+trace walks from the first period, straight into its own rows, only
 when its temps are first read, so run() writes no trace row and a sweep
 cell keeps no trace. A step cut short by the run's end is the run's one
 lone step. Statistics are taken over the window after warm-up so they
@@ -64,8 +68,9 @@ from .transforms import MigrationFunction
 _TIME_EPS_DT = 1e-3
 
 # Bound on the rows x nodes of one block of node rows formed from the
-# period's layout. A statistics block's modal rows, then its node rows over
-# them, and the basis's y-pass are two such arrays in flight.
+# period's layout, and on the node coefficients and row means of one group
+# of periods. A statistics block's node rows, their node-major copy and a
+# group's coefficients are in flight.
 _MARCH_ELEMENTS = 1 << 15
 
 # Bound on the steps x nodes of a traced run (1 GiB of float64) and on the steps of any run.
@@ -261,9 +266,9 @@ class _Window:
     over the steps from index start on, taken block of rows by block. A
     block's rows may be stored row by row or node by node: its peak and
     spread are exact either way, and each row's block mean comes with it,
-    taken element by element (ModalBasis.block_mean), so the mean, a single
-    sum of one term per step over the window, depends neither on how the
-    rows are stored nor on how they are grouped."""
+    formed from whole periods (_march), so the mean, a single sum of one
+    term per step over the window, depends neither on how the rows are
+    stored nor on how they are grouped."""
 
     def __init__(self, weights: np.ndarray, start: int, n_blocks: int):
         self.weights = weights
@@ -304,14 +309,18 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     placement (_steady_states), in modal deviations from the baseline; a
     last step cut short by the run's end is one solver.step.
 
-    One walk, modal_blocks, forms the modal rows of the blocks of _blocks,
-    and both consumers read it. The statistics walk from warm-up's period
-    on and form each block's node rows over its modal rows, stored along
-    the block's long axis: node by node when it holds more rows than nodes,
-    row by row otherwise. A row's block mean is read off its two modal
-    coordinates that carry it (ModalBasis.block_mean); the head's rows sit
-    at temps0 and the cut step's row is averaged. The trace walks from
-    period 0, into its own rows, only when formed.
+    One walk, node_blocks, forms the node rows of the blocks of _blocks,
+    and both consumers read it: one application of the basis per group of
+    periods turns their chunks' coefficient rows into node values
+    (PeriodLayout.coefficients), and each block's rows are products of
+    step-matrix rows and those (PeriodLayout.rows). The statistics walk from
+    warm-up's period on, into one buffer, row by row, and take a block's
+    copy node by node when it holds more rows than nodes, so their
+    reductions run along contiguous memory. The block means of a group's
+    rows are one more such product, of its coefficients' block means, over
+    whole periods; the head's rows sit at temps0 and the cut step's row is
+    averaged. The trace walks from period 0, straight into
+    its own rows, only when formed: the same products, so the same bytes.
     """
     n_blocks, n_nodes = cfg.grid.n_cells, cfg.grid.n_cells + 1
     base_mean = temps0[:n_blocks].mean()
@@ -327,21 +336,38 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     # period k runs from event k + 1 on, from starts[k]; the last is the tail
     starts = layout.starts(sources, np.zeros(n_nodes), actives[:-1])
 
-    def modal_blocks(k_first: int):
-        """(first step, modal rows) of each block of _blocks from period
-        k_first on (PeriodLayout.rows), all in one buffer sized by the
-        first block, the largest."""
-        work = None
-        for k0, k1, s0, s1, lo in _blocks(sched, layout.steps, n_nodes, k_first):
-            if work is None:
-                work = np.empty((k1 - k0) * (s1 - s0) * n_nodes)
-            yield lo, layout.rows(sources, starts[k0:k1], actives[k0:k1], s0, s1, work)
+    def node_blocks(k_first: int, into: Callable):
+        """(g, periods, s0, s1, lo, node rows) of each block of _blocks from
+        period k_first on: g the node coefficients of its group of periods,
+        its periods a slice of them, and its rows formed into into(lo,
+        shape)."""
+        group = None
+        for g0, g1, k0, k1, s0, s1, lo in _blocks(sched, layout, n_nodes, k_first):
+            if group != (g0, g1):
+                group = g0, g1
+                g = layout.coefficients(sources, starts[g0:g1], actives[g0:g1], temps0)
+            yield g, slice(k0 - g0, k1 - g0), s0, s1, lo, layout.rows(
+                g[k0 - g0:k1 - g0], s0, s1, into(lo, (k1 - k0, s1 - s0, n_nodes)))
 
-    for lo, z in modal_blocks(max(sched.window - sched.head, 0) // layout.steps):
-        means = base_mean + solver.net.modes.block_mean(z)
-        # node rows over z's own memory (mode by mode, z.T row-major)
-        rows = solver.nodes(z, temps0, z if len(z) > n_nodes else z.T.reshape(z.shape))
-        stats.add(lo, rows, means)
+    work = None  # the rows and their node-major copy, sized by the first block, the largest
+
+    def into_work(lo, shape):
+        nonlocal work
+        if work is None:
+            work = np.empty(2 * math.prod(shape))
+        return work[:math.prod(shape)].reshape(shape)
+
+    k_first, g_means = max(sched.window - sched.head, 0) // layout.steps, None
+    for g, periods, s0, s1, lo, rows in node_blocks(k_first, into_work):
+        if g is not g_means:  # the mean is linear: a product of the coefficients' means
+            g_means, means = g, layout.rows(g[..., :n_blocks].mean(axis=2, keepdims=True),
+                                            0, layout.steps)
+        rows = rows.reshape(-1, n_nodes)
+        if len(rows) > n_nodes:
+            major = work[rows.size:2 * rows.size].reshape(n_nodes, -1)
+            np.copyto(major, rows.T)
+            rows = major.T
+        stats.add(lo, rows, means[periods, s0:s1].ravel())
     cut = None
     if sched.cut is not None:  # from the tail's last row, the walk's last
         length, idle, pulsed = sched.cut
@@ -353,8 +379,9 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     def form() -> np.ndarray:
         trace = np.empty((len(sched.times), n_nodes))
         trace[:1 + sched.head] = temps0
-        for lo, z in modal_blocks(0):
-            solver.nodes(z, temps0, trace[1 + lo:1 + lo + len(z)])
+        for _ in node_blocks(0, lambda lo, shape: trace[
+                1 + lo:1 + lo + shape[0] * shape[1]].reshape(shape)):
+            pass
         if cut is not None:
             trace[-1] = cut
         return trace
@@ -385,19 +412,26 @@ def _steady_states(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mappin
     return powers[[0, 1, -1]], z[0] - z[2], z[1].copy(), np.subtract(z[3:], z[2], out=actives)
 
 
-def _blocks(sched: _Schedule, steps: int, n_nodes: int, k_first: int):
-    """The blocks (k0, k1, s0, s1, lo) of at most _MARCH_ELEMENTS node
-    values that cover the periods from k_first on and then the tail: steps
-    s0..s1 - 1 of the periods k0..k1 - 1, whose first row is that of step
-    lo. A block is whole periods, or one period's steps when a period is
-    longer than a block; none is larger than the first."""
-    periods = sched.events - 1
+def _blocks(sched: _Schedule, layout: thermal.PeriodLayout, n_nodes: int, k_first: int):
+    """The blocks (g0, g1, k0, k1, s0, s1, lo) of at most _MARCH_ELEMENTS
+    node values that cover the periods from k_first on and then the tail:
+    steps s0..s1 - 1 of the periods k0..k1 - 1, whose first row is that of
+    step lo. A block is whole periods, or one period's steps when a period
+    is longer than a block; none is larger than the first. Its periods lie
+    in the group g0..g1 - 1 of whole blocks of periods whose node
+    coefficients (PeriodLayout.coefficients) and row means fill at most
+    _MARCH_ELEMENTS values, or in one block of periods."""
+    periods, steps = sched.events - 1, layout.steps
     span = min(steps, max(1, _MARCH_ELEMENTS // n_nodes))
     per = max(1, _MARCH_ELEMENTS // (steps * n_nodes))
+    group = per * max(1, _MARCH_ELEMENTS // ((layout.width * n_nodes + steps) * per))
     runs = [(k0, min(k0 + per, periods), steps) for k0 in range(k_first, periods, per)]
+    g1 = -1
     for k0, k1, stop in runs + [(periods, periods + 1, sched.tail)]:
+        if k1 > g1:
+            g0, g1 = k0, min(k0 + group, periods + 1)
         for s0 in range(0, stop, span):
-            yield k0, k1, s0, min(s0 + span, stop), sched.head + k0 * steps + s0
+            yield g0, g1, k0, k1, s0, min(s0 + span, stop), sched.head + k0 * steps + s0
 
 
 def _start(cfg: ScenarioConfig, net):
@@ -438,9 +472,8 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, layouts: dict,
     holds (key, schedule, weights, layout), read-only, and is laid out
     again only for another key. A refused schedule is not kept, so it is
     refused again for every run of its key. The layout is built on its
-    first use, after that run's steady states: built before them, its
-    approach array made glibc trim and refault ~0.8 MB of heap in every
-    32x32 run."""
+    first use, after that run's steady states, so a run without events
+    lays out none."""
     key = None if mplan is None else (cfg.period, mplan.downtime)
     held = layouts.get(mplan is None)
     if held is None or held[0] != key:

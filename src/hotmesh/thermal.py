@@ -37,23 +37,32 @@ of one power vector or a stack of them, is one solve on it:
 
 and, since a backward-Euler step of any length h scales each modal
 deviation from the steady state x_ss of the step's power by
-lambda(h) = 1 / (1 + h mu), k equal steps at constant power are one
-batched application of the basis,
+lambda(h) = 1 / (1 + h mu), step j of k equal steps at constant power is,
+in modal coordinates z = Q^T C^1/2 (x - x_ref),
 
-    x_j = x_0 - C^-1/2 Q ((1 - lambda^j) * Q^T C^1/2 (x_0 - x_ss)),  j = 1..k.
+    z_j = z_0 - (1 - lambda^j) * (z_0 - z_ss),   j = 1..k,
 
-The step is taken as the change from x_0, with 1 - lambda^j computed by
-expm1 and log1p: in the slow modes (the sink's) it is tiny, and x_ss plus
-the decayed deviation would lose the digits of a large x_ss, such as a
-heat pulse's. A steady state stays fixed bit for bit: x_ss is the
+with 1 - lambda^j computed by expm1 and log1p: in the slow modes (the
+sink's) it is tiny, and z_ss plus the decayed deviation would lose the
+digits of a large z_ss, such as a heat pulse's. As lambda^j = exp(j ln
+lambda), a chunk of the run about its centre step c is a short Taylor
+series in u = j - c, truncated at the smallest order P whose remainder
+bound r^(P+1) / (P+1)! e^r, r = max |u ln lambda|, is at most 2^-56:
+
+    z_{c+u} = z_c + sum_{p=1..P} (u^p / p!) (ln lambda)^p * (z_c - z_ss).
+
+So the basis turns only the chunk's P + 1 coefficient rows into node
+values, and each node row is a product of u^p / p! with them
+(PeriodLayout). A steady state stays fixed bit for bit: z_ss is the
 steady_state() solve of that power, so a start at it has zero deviation.
-In modal coordinates z = Q^T C^1/2 (x - x_ref) each such run is diagonal,
-so a sequence of runs that repeats (one migration period, PeriodLayout)
-maps its start to its end by one diagonal affine map.
+Each run is diagonal in the modes, so a sequence of runs that repeats
+(one migration period) maps its start to its end by one diagonal affine
+map.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -72,6 +81,9 @@ _CSV_BLOCK_VALUES, _TIME_DECIMALS, _TEMP_DECIMALS = 1 << 15, 9, 6
 _DIGITS4 = (np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
                                  indexing="ij"), axis=-1).reshape(10_000, 4).view("<u4")[:, 0])
 _POWERS_OF_TEN = np.array([10 ** k for k in range(16)], dtype=float)  # those below 2^52
+# The truncation a chunk's Taylor series may leave, relative to its d_c: an
+# eighth of an ulp (PeriodLayout).
+_TAYLOR_REMAINDER = 2.0 ** -56
 
 
 @dataclass(frozen=True)
@@ -102,11 +114,11 @@ class ModalBasis:
 
     to_modal(x) = (Q^T C^1/2 x^T)^T and from_modal(z) = (C^-1/2 Q z^T)^T act
     on the last axis of any stack of rows. Each reads the rows as columns,
-    one per mode or node (no copy when the rows are stored column by column,
-    as PeriodLayout.rows forms them), applies one DCT product along y to
-    all of them, then one along x for each row of the mesh, written
-    straight into the output rows, and the rotation to the two columns it
-    mixes: O(n (nx + ny)) work per row, from O(nx^2 + ny^2 + n) values.
+    one per mode or node (no copy when the rows are stored column by
+    column), applies one DCT product along y to all of them, then one
+    along x for each row of the mesh, written straight into the output
+    rows, and the rotation to the two columns it mixes: O(n (nx + ny))
+    work per row, from O(nx^2 + ny^2 + n) values.
     """
 
     mu: np.ndarray   # (n+1,), 1/s, all positive
@@ -313,11 +325,12 @@ def _modal_steady_state(net: ThermalNetwork, powers) -> np.ndarray:
 class TransientSolver:
     """Backward-Euler stepper over one network, dt being its default step.
 
-    Every step is one formula, step j of a run of equal steps moving each
-    mode 1 - lambda^j of its way (_approach): layout() lays out a repeating
-    sequence of such runs in modal coordinates, whose starts() and rows()
-    take what heats them, nodes() turns modal rows into node temperatures,
-    and march() forms the rows of one run directly (step() its one-row case).
+    Every step is one formula (see PeriodLayout): layout() lays out a
+    repeating sequence of runs of equal steps, whose starts() and
+    coefficients() take what heats them and whose rows() form the node
+    rows, a short Taylor series in the step per chunk of a run; march()
+    takes its one run through a layout of its own (step() its one-row
+    case), and nodes() turns modal rows into node temperatures.
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
@@ -325,7 +338,7 @@ class TransientSolver:
         self.net = net
         self.dt = dt
         self._modes = net.modes
-        self._mu = net.modes.mu
+        self._run = None, None  # march's last (count, dt) and its one-run layout
 
     def march(self, temps: np.ndarray, power, count: int, dt: float | None = None) -> np.ndarray:
         """Node temperatures after each of count steps of length dt at constant
@@ -335,21 +348,13 @@ class TransientSolver:
         count = operator.index(count)
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
-        dt = self.dt if dt is None else dt
-        _check_dt(dt)
+        run = count, self.dt if dt is None else dt
+        if self._run[0] != run:
+            self._run = run, _layout(self._modes, [(*run, False)])
+        layout = self._run[1]
         fixed = self._modes.to_modal(steady_state(self.net, power).temps - temps)
-        return self.nodes(self._approach(dt, count) * fixed, temps)
-
-    def _approach(self, dt: float, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """1 - lambda(dt)^j for j = 1..count, (count, n_nodes): the share of
-        each mode's way to the steady state after j steps, as
-        -expm1(-j log1p(dt mu)), exact also where lambda is close to 1.
-        The sign is flipped by a product with -1, as exact as np.negative,
-        which in numpy 2.4.6 writes wrong values in place along a stride of
-        eight elements: a one-step run of an eight-step layout."""
-        out = np.multiply(np.arange(-1, -count - 1, -1)[:, None], np.log1p(dt * self._mu),
-                          out=out)
-        return np.multiply(np.expm1(out, out=out), -1.0, out=out)
+        zero = np.zeros((1, self.net.n_nodes))
+        return layout.rows(layout.coefficients([fixed], zero, zero, temps), 0, count)[0]
 
     def step(self, temps: np.ndarray, power, dt: float | None = None) -> np.ndarray:
         """Advance node temperatures by dt (defaults to the solver's own)."""
@@ -358,8 +363,8 @@ class TransientSolver:
     def nodes(self, z: np.ndarray, origin: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
         """Node temperatures origin + from_modal(z) of modal rows z taken
-        relative to the node temperatures origin, into out if given (a
-        slice of a trace, say): the basis writes them there directly."""
+        relative to the node temperatures origin, into out if given: the
+        basis writes them there directly."""
         out = self._modes.from_modal(z, out=out)
         out += origin
         return out
@@ -367,40 +372,113 @@ class TransientSolver:
     def layout(self, runs) -> PeriodLayout:
         """The PeriodLayout of consecutive runs of equal steps, each run
         (count, dt, varies): count steps of length dt, heated by the
-        period's varying source if varies. Its arrays are read-only, so one
-        layout serves every period of the same steps."""
-        n = self.net.n_nodes
-        bounds = (0, *np.cumsum([run[0] for run in runs]).tolist())
-        approach = np.empty((n, bounds[-1])).T  # mode-major, as rows() forms its rows
-        decay, gain = np.ones(n), np.zeros(n)
-        for (count, dt, varies), start in zip(runs, bounds):
-            _check_dt(dt)
-            w = self._approach(dt, count, out=approach[start:start + count])[-1]
-            decay = decay - w * decay
-            gain = gain - w * (gain - float(varies))
-        for a in (approach, decay, gain):
-            a.setflags(write=False)
-        return PeriodLayout(bounds, approach, tuple(bool(run[2]) for run in runs), decay, gain)
+        period's varying source if varies. Each run is cut into chunks
+        (_chunking) from its steps and the modes alone. Its arrays are
+        read-only, so one layout serves every period of the same steps."""
+        return _layout(self._modes, runs)
+
+
+def _layout(basis: ModalBasis, runs) -> PeriodLayout:
+    """TransientSolver.layout on the basis, also march's of its one run."""
+    logs, centres, ends, offsets, chunks, width = [], [], [], [], [], 0
+    decay, gain = np.ones(len(basis.mu)), np.zeros(len(basis.mu))
+    for count, dt, varies in runs:
+        _check_dt(dt)
+        log_decay = np.multiply(np.log1p(dt * basis.mu), -1.0)  # ln lambda, see _approach
+        length, order = _chunking(count, -float(log_decay.min()))
+        t = np.arange(count)
+        first = t - t % length  # each step's chunk's first and centre step
+        centre = first + np.minimum(length, count - first) // 2
+        a = _approach(log_decay, np.append(centre[::length], count - 1) + 1)
+        chunks.append((length, order, width, sum(map(len, centres))))
+        width += (len(a) - 1) * (order + 1)
+        logs.append(log_decay)
+        centres.append(a[:-1])
+        ends.append(a[-1])
+        offsets.append(t - centre)
+        decay = decay - a[-1] * decay
+        gain = gain - a[-1] * (gain - float(varies))
+    # the step matrix: u^p / p! of each step about its chunk's centre, p = K - 1..0
+    powers = range(max(order for _, order, _, _ in chunks), -1, -1)
+    steps = np.concatenate(offsets).astype(float)[:, None] ** np.array(powers)
+    steps /= [math.factorial(p) for p in powers]
+    arrays = (np.array(logs), np.concatenate(centres), np.array(ends), steps, decay, gain)
+    for a in arrays:
+        a.setflags(write=False)
+    return PeriodLayout((0, *itertools.accumulate(run[0] for run in runs)),
+                        tuple(bool(run[2]) for run in runs), tuple(chunks), width, *arrays,
+                        basis)
+
+
+def _approach(log_decay: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """1 - lambda^j for each step j of steps, (len(steps), n_nodes): the
+    share of each mode's way to the steady state after j steps, as
+    -expm1(j ln lambda) from ln lambda = -log1p(dt mu), exact also where
+    lambda is close to 1. Signs are flipped by a product with -1, as exact
+    as np.negative, which in numpy 2.4.6 writes wrong values in place along
+    a stride of eight elements."""
+    out = np.multiply(steps[:, None], log_decay)
+    return np.multiply(np.expm1(out, out=out), -1.0, out=out)
+
+
+def _chunking(count: int, reach: float) -> tuple[int, int]:
+    """(length, order) of the chunks a run of count steps is cut into, reach
+    being the largest |ln lambda| of its step over the modes. A chunk about
+    its centre step spans |u| <= r / reach: the chunks are the fewest, of
+    nearly equal length, with r <= ln 2, so the series' terms sum to at most
+    2 |d_c| and round as d_c does. order is the smallest P with r^(P+1) /
+    (P+1)! e^r <= 2^-56, the Taylor remainder of exp on [-r, r] (Moler &
+    Van Loan, SIAM Review 45(1), 2003); where that takes as many
+    coefficients as steps, the chunks are single steps, P = 0."""
+    length = count
+    if count // 2 * reach > math.log(2.0):
+        length = -(-count // -(-count // (2 * int(math.log(2.0) / reach) + 1)))
+    r = length // 2 * reach
+    order, remainder = 0, r * math.exp(r)
+    while remainder > _TAYLOR_REMAINDER:
+        order += 1
+        remainder *= r / (order + 1)
+    return (length, order) if order + 1 < length else (1, 0)
 
 
 class PeriodLayout(NamedTuple):
     """One event-to-event period in modal coordinates, diagonal in the modes,
     whatever powers it: run r takes steps bounds[r]..bounds[r + 1] - 1 and
     heads for the modal steady state fixed[r] of the run's sources, plus the
-    period's varying source z_var if varies[r]. starts and rows take fixed,
-    per run a modal row or 0.0 for none, so one layout serves every run.
+    period's varying source z_var if varies[r]. starts and coefficients take
+    fixed, per run a modal row or 0.0 for none, so one layout serves every
+    run.
 
-    Within a run z_j = z_start - (1 - lambda^j) (z_start - z_ss) (see the
-    module docstring), so a period maps its start z0 to its end D z0 + f +
-    B z_var. D and B depend on the steps alone, composed run by run from the
-    last approach row of each; f is composed like them from fixed.
+    Within a run started at z_s, with dev = z_s - z_ss, step j is z_j = z_s
+    - (1 - lambda^j) dev, and lambda^j = exp(j ln lambda). About the centre
+    step c of a chunk of the run (_chunking), with a_c = 1 - lambda^c,
+
+        z_{c+u} = z_c + sum_{p=1..P} (u^p / p!) (ln lambda)^p d_c,
+        z_c = z_s - a_c dev,   d_c = dev - a_c dev,
+
+    to within 2^-56 |d_c|, P and the chunks following from the run's steps
+    and modes alone (_chunking): the chunk's rows are a polynomial in u. So
+    the basis turns only each chunk's P + 1 coefficient rows into node
+    values (coefficients), and a node row is a row of the step matrix,
+    u^p / p!, times them (rows). A chunk of one step has u = 0: z_c itself,
+    the per-step formula, which stiff runs fall back to.
+
+    A period maps its start z0 to its end D z0 + f + B z_var. D and B
+    depend on the steps alone, composed run by run from the approach row at
+    each run's end; f is composed like them from fixed.
     """
 
     bounds: tuple[int, ...]
-    approach: np.ndarray      # (steps, n), mode-major: 1 - lambda^j of step j = 1.. of its run
     varies: tuple[bool, ...]
-    decay: np.ndarray         # (n,), D
-    gain: np.ndarray          # (n,), B
+    chunks: tuple[tuple[int, int, int, int], ...]  # per run: length, P, first q, first centre
+    width: int               # the number of the period's coefficient rows q
+    log_decay: np.ndarray    # (runs, n), ln lambda of each run's step
+    centres: np.ndarray      # (chunks, n), a_c = 1 - lambda^c at each chunk's centre step c
+    ends: np.ndarray         # (runs, n), 1 - lambda^count at each run's last step
+    step_matrix: np.ndarray  # (steps, K), u^p / p! of each step for p = K - 1..0
+    decay: np.ndarray        # (n,), D
+    gain: np.ndarray         # (n,), B
+    basis: ModalBasis
 
     @property
     def steps(self) -> int:
@@ -410,8 +488,8 @@ class PeriodLayout(NamedTuple):
         """z0 and the start of every later period, z_{k+1} = D z_k + f + B
         z_var[k]: O(n) per period, (len(z_var) + 1, n)."""
         offset = np.zeros(len(z0))
-        for end, target in zip(self.bounds[1:], fixed):
-            offset = offset - self.approach[end - 1] * (offset - target)
+        for end, target in zip(self.ends, fixed):
+            offset = offset - end * (offset - target)
         z = np.empty((len(z_var) + 1, len(z0)))
         z[0] = z0
         z[1:] = self.gain * z_var + offset
@@ -419,28 +497,57 @@ class PeriodLayout(NamedTuple):
             z[k + 1] += self.decay * z[k]
         return z
 
-    def rows(self, fixed, z0: np.ndarray, z_var: np.ndarray, s0: int, s1: int,
-             work: np.ndarray | None = None) -> np.ndarray:
-        """Modal states after steps s0..s1 - 1 of the periods started at
-        z0[k] under z_var[k], both (periods, n): (periods * (s1 - s0), n)
-        rows, period by period, stored mode by mode, which from_modal reads
-        without a copy; at the start of the flat buffer work if given."""
-        n, size = z0.shape[1], z0.size * (s1 - s0)
-        flat = np.empty(size) if work is None else work[:size]
-        out = flat.reshape(n, len(z0), s1 - s0).transpose(1, 2, 0)
-        bounds, approach = self.bounds, self.approach
-        z = z0
-        for a, b, target, varies in zip(bounds, bounds[1:], fixed, self.varies):
-            if a >= s1:
-                break
+    def coefficients(self, fixed, z0: np.ndarray, z_var: np.ndarray,
+                     origin: np.ndarray) -> np.ndarray:
+        """The node coefficient rows of the periods started at z0[k] under
+        z_var[k], both (periods, n), as (periods, coefficients, n): per
+        chunk, [(ln lambda)^P d_c, .., ln lambda d_c, z_c] turned into node
+        values by one application of the basis, with origin added to z_c's."""
+        coef = np.empty((len(z0), self.width, z0.shape[1]))
+        z, blocks = z0, []
+        for a, b, target, varies, log_decay, end, (length, order, q, c) in zip(
+                self.bounds, self.bounds[1:], fixed, self.varies, self.log_decay, self.ends,
+                self.chunks):
             dev = z - (target + z_var if varies else target)
-            lo, hi = max(a, s0), min(b, s1)
-            if lo < hi:
-                block = out[:, lo - s0:hi - s0]
-                np.multiply(approach[lo:hi], dev[:, None], out=block)
-                np.subtract(z[:, None], block, out=block)
-            z = z - approach[b - 1] * dev
-        return out.reshape(-1, n)
+            n_chunks = -((a - b) // length)
+            block = coef[:, q:q + n_chunks * (order + 1)].reshape(len(z0), n_chunks, order + 1, -1)
+            shift = self.centres[c:c + n_chunks] * dev[:, None]
+            np.subtract(z[:, None], shift, out=block[:, :, order])
+            d = np.subtract(dev[:, None], shift, out=shift) if order else None
+            for p in range(order - 1, -1, -1):
+                d = np.multiply(d, log_decay, out=block[:, :, p])
+            z = z - end * dev
+            blocks.append(block[:, :, order])
+        self.basis.from_modal(coef, out=coef)
+        for block in blocks:  # each chunk's z_c, now in node values
+            block += origin
+        return coef
+
+    def rows(self, g: np.ndarray, s0: int, s1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Node rows after steps s0..s1 - 1 of the periods whose node
+        coefficients g (coefficients) gives, as (periods, s1 - s0, n), into
+        out if given (a slice of a trace, say): one product of step matrix
+        rows and coefficients per piece of a chunk, the same whole chunks of
+        a run in one. A row's bytes depend only on its piece."""
+        if out is None:
+            out = np.empty((len(g), s1 - s0, g.shape[2]))
+        k = self.step_matrix.shape[1]
+        for a, b, (length, order, q, _) in zip(self.bounds, self.bounds[1:], self.chunks):
+            lo = max(a, s0)
+            while lo < min(b, s1):
+                i, t = divmod(lo - a, length)
+                whole = (min(b, s1) - a) // length - i if t == 0 else 0  # full-length chunks
+                size, count = (length, whole) if whole > 0 else (
+                    min(b, s1, a + (i + 1) * length) - lo, 1)
+                coef = g[:, q + i * (order + 1):q + (i + count) * (order + 1)].reshape(
+                    len(g), count, order + 1, -1)
+                piece = out[:, lo - s0:lo - s0 + count * size].reshape(len(g), count, size, -1)
+                if order:
+                    np.matmul(self.step_matrix[lo:lo + size, k - 1 - order:], coef, out=piece)
+                else:  # u^0 / 0! = 1: each row is its chunk's z_c, as the product gives it
+                    np.copyto(piece, coef)
+                lo += count * size
+        return out
 
 
 def _check_dt(dt: float) -> None:

@@ -672,17 +672,18 @@ def test_migrated_trace_conserves_energy_row_to_row():
 
 
 def test_node_rows_are_formed_in_bounded_blocks(monkeypatch):
-    # no modal copy of the whole trace: every block of rows turned into node
-    # temperatures holds at most _MARCH_ELEMENTS values, also the blocks
-    # before warm-up that the first read of the trace forms
+    # no copy of the whole trace: every block of node rows formed from the
+    # layout's coefficients holds at most _MARCH_ELEMENTS values, also the
+    # blocks before warm-up that the first read of the trace forms
     sizes = []
-    real_nodes = hotmesh.thermal.TransientSolver.nodes
+    real_rows = hotmesh.thermal.PeriodLayout.rows
 
-    def recorded(self, z, origin, out=None):
-        sizes.append(np.size(z))
-        return real_nodes(self, z, origin, out)
+    def recorded(self, g, s0, s1, out=None):
+        rows = real_rows(self, g, s0, s1, out)
+        sizes.append(rows.size)
+        return rows
 
-    monkeypatch.setattr(hotmesh.thermal.TransientSolver, "nodes", recorded)
+    monkeypatch.setattr(hotmesh.thermal.PeriodLayout, "rows", recorded)
     monkeypatch.setattr(hotmesh.sim, "_MARCH_ELEMENTS", 1 << 10)
     cfg = band_cfg(sim_duration=2e-3, warmup=1e-3)
     summary, trace = run(cfg)
@@ -693,17 +694,17 @@ def test_node_rows_are_formed_in_bounded_blocks(monkeypatch):
     assert max(sizes) <= 1 << 10
 
 
-def _nodes_outs(monkeypatch):
-    """Patch TransientSolver.nodes to record the out of every call (None
-    when it has none), keeping each alive; return the record."""
+def _rows_outs(monkeypatch):
+    """Patch PeriodLayout.rows to record the out of every call as node rows
+    (None when it has none), keeping each alive; return the record."""
     outs = []
-    real_nodes = hotmesh.thermal.TransientSolver.nodes
+    real_rows = hotmesh.thermal.PeriodLayout.rows
 
-    def recorded(self, z, origin, out=None):
-        outs.append(out)
-        return real_nodes(self, z, origin, out)
+    def recorded(self, g, s0, s1, out=None):
+        outs.append(None if out is None else out.reshape(-1, out.shape[-1]))
+        return real_rows(self, g, s0, s1, out)
 
-    monkeypatch.setattr(hotmesh.thermal.TransientSolver, "nodes", recorded)
+    monkeypatch.setattr(hotmesh.thermal.PeriodLayout, "rows", recorded)
     return outs
 
 
@@ -724,7 +725,7 @@ def test_a_trace_forms_its_rows_before_warm_up_only_when_read(monkeypatch, warmu
     sched = hotmesh.sim._schedule(cfg, hotmesh.sim._plan(cfg))
     assert sched.events == 18 and sched.cut is not None
     expected, oracle_trace = sequential_run(cfg)
-    outs = _nodes_outs(monkeypatch)
+    outs = _rows_outs(monkeypatch)
     cut_rows = []
     real_step = TransientSolver.step
     monkeypatch.setattr(TransientSolver, "step", lambda self, *args: cut_rows.append(
@@ -755,12 +756,14 @@ def test_the_summary_does_not_depend_on_how_the_blocks_are_stored(monkeypatch):
     # more whole periods of 110 steps node by node; the peak and spread are
     # exact either way, and every row's block mean is the same bits
     cfg = band_cfg(sim_duration=2e-3, warmup=0.5e-3)
-    outs = _nodes_outs(monkeypatch)
+    outs = []  # the walk's blocks: not the head's broadcast row nor the cut step's one row
     means = {}
     real_add = hotmesh.sim._Window.add
 
     def recorded(self, first, rows, row_means):
         means.update(zip(range(first, first + len(rows)), row_means.tolist()))
+        if rows.strides[0] and len(rows) > 1:
+            outs.append(rows)
         return real_add(self, first, rows, row_means)
 
     monkeypatch.setattr(hotmesh.sim._Window, "add", recorded)
