@@ -37,10 +37,11 @@ block mean is the same product of its coefficients' block means. The
 trace walks from the first period, straight into its own rows, only
 when its temps are first read, so run() writes no trace row and a sweep
 cell keeps no trace. A step cut short by the run's end is the run's one
-lone step. Statistics are taken over the window after warm-up so they
-describe settled behavior rather than the decay of the initial condition;
-they are accumulated block by block, and refused when they are not finite
-in float64.
+lone step, TransientSolver.step's per-step formula from the tail's last
+row, or from the tail's start when it has none. Statistics are taken
+over the window after warm-up so they describe settled behavior rather
+than the decay of the initial condition; they are accumulated block by
+block, and refused when they are not finite in float64.
 """
 
 from __future__ import annotations
@@ -307,7 +308,8 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     from the period's layout (get_layout) and the run's sources: the idle
     and pulse powers of its runs and the active power of each event's
     placement (_steady_states), in modal deviations from the baseline; a
-    last step cut short by the run's end is one solver.step.
+    last step cut short by the run's end is one solver.step, the per-step
+    formula, from the tail's last row or, with no tail rows, its start.
 
     One walk, node_blocks, forms the node rows of the blocks of _blocks,
     and both consumers read it: one application of the basis per group of
@@ -371,7 +373,7 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     cut = None
     if sched.cut is not None:  # from the tail's last row, the walk's last
         length, idle, pulsed = sched.cut
-        x = rows[-1] if sched.tail else solver.nodes(starts[-1], temps0)
+        x = rows[-1] if sched.tail else solver.net.modes.from_modal(starts[-1]) + temps0
         p = stalled if idle else active
         cut = solver.step(x, p + pulse if pulsed else p, length)
         stats.add(len(sched.times) - 2, cut[None], cut[None, :n_blocks].mean(axis=1))

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -167,15 +166,6 @@ class ModalBasis:
         np.matmul(self._from_x, v.reshape(ny, nx, r), out=flat[:, :n].T.reshape(ny, nx, r))
         flat[:, n] = sink
         return out
-
-    def block_mean(self, z) -> np.ndarray:
-        """Mean over the blocks of from_modal(z), per modal row, in closed
-        form: of the block modes only the uniform one has a nonzero sum, so
-        it is that mode rotated back out of the sink, (cos z[..., 0] - sin
-        z[..., n]) / sqrt(n c_b). Taken element by element, it depends
-        neither on how the rows are stored nor on how they are grouped."""
-        n = len(self.dx) * len(self.dy)
-        return (self.cos * z[..., 0] - self.sin * z[..., n]) / (math.sqrt(n) * self.sqrt_cb)
 
     # the DCT factors with the blocks' C^1/2 and C^-1/2 folded in
     @cached_property
@@ -325,12 +315,10 @@ def _modal_steady_state(net: ThermalNetwork, powers) -> np.ndarray:
 class TransientSolver:
     """Backward-Euler stepper over one network, dt being its default step.
 
-    Every step is one formula (see PeriodLayout): layout() lays out a
-    repeating sequence of runs of equal steps, whose starts() and
-    coefficients() take what heats them and whose rows() form the node
-    rows, a short Taylor series in the step per chunk of a run; march()
-    takes its one run through a layout of its own (step() its one-row
-    case), and nodes() turns modal rows into node temperatures.
+    step() takes one step by the per-step formula. layout() lays out a
+    repeating sequence of runs of equal steps (PeriodLayout), whose starts()
+    and coefficients() take what heats them and whose rows() form the node
+    rows, a short Taylor series in the step per chunk of a run.
     """
 
     def __init__(self, net: ThermalNetwork, dt: float):
@@ -338,36 +326,17 @@ class TransientSolver:
         self.net = net
         self.dt = dt
         self._modes = net.modes
-        self._run = None, None  # march's last (count, dt) and its one-run layout
-
-    def march(self, temps: np.ndarray, power, count: int, dt: float | None = None) -> np.ndarray:
-        """Node temperatures after each of count steps of length dt at constant
-        power (dt defaults to the solver's own), as a (count, n_nodes) array:
-        in modal deviations from temps, step j goes 1 - lambda^j of the way
-        to the steady state x_ss of the power, so a start at x_ss stays."""
-        count = operator.index(count)
-        if count < 1:
-            raise ValueError(f"count must be at least 1, got {count}")
-        run = count, self.dt if dt is None else dt
-        if self._run[0] != run:
-            self._run = run, _layout(self._modes, [(*run, False)])
-        layout = self._run[1]
-        fixed = self._modes.to_modal(steady_state(self.net, power).temps - temps)
-        zero = np.zeros((1, self.net.n_nodes))
-        return layout.rows(layout.coefficients([fixed], zero, zero, temps), 0, count)[0]
 
     def step(self, temps: np.ndarray, power, dt: float | None = None) -> np.ndarray:
-        """Advance node temperatures by dt (defaults to the solver's own)."""
-        return self.march(temps, power, 1, dt)[0]
-
-    def nodes(self, z: np.ndarray, origin: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """Node temperatures origin + from_modal(z) of modal rows z taken
-        relative to the node temperatures origin, into out if given: the
-        basis writes them there directly."""
-        out = self._modes.from_modal(z, out=out)
-        out += origin
-        return out
+        """Node temperatures after one step of length dt (defaults to the
+        solver's own) at constant power: in modal deviations from temps, the
+        step goes 1 - lambda of the way to the steady state x_ss of the
+        power, so a start at x_ss stays."""
+        dt = self.dt if dt is None else dt
+        _check_dt(dt)
+        a = _approach(np.multiply(np.log1p(dt * self._modes.mu), -1.0), np.ones(1))[0]
+        fixed = self._modes.to_modal(steady_state(self.net, power).temps - temps)
+        return temps + self._modes.from_modal(a * fixed)
 
     def layout(self, runs) -> PeriodLayout:
         """The PeriodLayout of consecutive runs of equal steps, each run
@@ -375,39 +344,35 @@ class TransientSolver:
         period's varying source if varies. Each run is cut into chunks
         (_chunking) from its steps and the modes alone. Its arrays are
         read-only, so one layout serves every period of the same steps."""
-        return _layout(self._modes, runs)
-
-
-def _layout(basis: ModalBasis, runs) -> PeriodLayout:
-    """TransientSolver.layout on the basis, also march's of its one run."""
-    logs, centres, ends, offsets, chunks, width = [], [], [], [], [], 0
-    decay, gain = np.ones(len(basis.mu)), np.zeros(len(basis.mu))
-    for count, dt, varies in runs:
-        _check_dt(dt)
-        log_decay = np.multiply(np.log1p(dt * basis.mu), -1.0)  # ln lambda, see _approach
-        length, order = _chunking(count, -float(log_decay.min()))
-        t = np.arange(count)
-        first = t - t % length  # each step's chunk's first and centre step
-        centre = first + np.minimum(length, count - first) // 2
-        a = _approach(log_decay, np.append(centre[::length], count - 1) + 1)
-        chunks.append((length, order, width, sum(map(len, centres))))
-        width += (len(a) - 1) * (order + 1)
-        logs.append(log_decay)
-        centres.append(a[:-1])
-        ends.append(a[-1])
-        offsets.append(t - centre)
-        decay = decay - a[-1] * decay
-        gain = gain - a[-1] * (gain - float(varies))
-    # the step matrix: u^p / p! of each step about its chunk's centre, p = K - 1..0
-    powers = range(max(order for _, order, _, _ in chunks), -1, -1)
-    steps = np.concatenate(offsets).astype(float)[:, None] ** np.array(powers)
-    steps /= [math.factorial(p) for p in powers]
-    arrays = (np.array(logs), np.concatenate(centres), np.array(ends), steps, decay, gain)
-    for a in arrays:
-        a.setflags(write=False)
-    return PeriodLayout((0, *itertools.accumulate(run[0] for run in runs)),
-                        tuple(bool(run[2]) for run in runs), tuple(chunks), width, *arrays,
-                        basis)
+        basis = self._modes
+        logs, centres, ends, offsets, chunks, width = [], [], [], [], [], 0
+        decay, gain = np.ones(len(basis.mu)), np.zeros(len(basis.mu))
+        for count, dt, varies in runs:
+            _check_dt(dt)
+            log_decay = np.multiply(np.log1p(dt * basis.mu), -1.0)  # ln lambda, see _approach
+            length, order = _chunking(count, -float(log_decay.min()))
+            t = np.arange(count)
+            first = t - t % length  # each step's chunk's first and centre step
+            centre = first + np.minimum(length, count - first) // 2
+            a = _approach(log_decay, np.append(centre[::length], count - 1) + 1)
+            chunks.append((length, order, width, sum(map(len, centres))))
+            width += (len(a) - 1) * (order + 1)
+            logs.append(log_decay)
+            centres.append(a[:-1])
+            ends.append(a[-1])
+            offsets.append(t - centre)
+            decay = decay - a[-1] * decay
+            gain = gain - a[-1] * (gain - float(varies))
+        # the step matrix: u^p / p! of each step about its chunk's centre, p = K - 1..0
+        powers = range(max(order for _, order, _, _ in chunks), -1, -1)
+        steps = np.concatenate(offsets).astype(float)[:, None] ** np.array(powers)
+        steps /= [math.factorial(p) for p in powers]
+        arrays = (np.array(logs), np.concatenate(centres), np.array(ends), steps, decay, gain)
+        for a in arrays:
+            a.setflags(write=False)
+        return PeriodLayout((0, *itertools.accumulate(run[0] for run in runs)),
+                            tuple(bool(run[2]) for run in runs), tuple(chunks), width, *arrays,
+                            basis)
 
 
 def _approach(log_decay: np.ndarray, steps: np.ndarray) -> np.ndarray:

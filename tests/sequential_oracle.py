@@ -6,10 +6,10 @@ of each segment in closed form. This is the sequential march it replaced,
 with a schedule of its own: the head, every period and the tail each
 walked step by step (walk_segment) into runs of equal steps, their times
 composed as k*period + the segment's step ends as sim composes them, and
-the runs marched from the same start, one TransientSolver.march or step
-per run, the mapping executed and its power vector taken at every event
-and the window statistics taken from the full trace. The tests compare
-run() against it.
+the runs marched from the same start, each by the per-step formula
+(per_step_rows) rather than by a layout's Taylor chunks, the mapping
+executed and its power vector taken at every event and the window
+statistics taken from the full trace. The tests compare run() against it.
 """
 
 import math
@@ -20,11 +20,25 @@ from hotmesh.errors import ConfigurationError
 from hotmesh.grid import idle_vector, power_vector
 from hotmesh.migration import execute
 from hotmesh.sim import RunSummary, Trace, _plan, _start
-from hotmesh.thermal import build_network, peak
+from hotmesh.thermal import build_network, peak, steady_state
 from hotmesh.transforms import apply
 
 # The walk's own tolerance on times, as a fraction of dt (sim._TIME_EPS_DT).
 TIME_EPS_DT = 1e-3
+
+
+def per_step_rows(modes, temps, x_ss, count, dt):
+    """Node temperatures after steps j = 1..count of length dt from temps
+    towards the steady state x_ss of a constant power, (count, n_nodes):
+    after j steps each modal deviation from x_ss is lambda^j times the
+    start's, with ln lambda = -log1p(dt mu), so
+
+        x_j = temps + from_modal(expm1(j ln lambda) * to_modal(temps - x_ss)).
+
+    Every row is formed from temps on its own, with no Taylor series."""
+    log_decay = -np.log1p(dt * modes.mu)
+    approach = np.expm1(np.arange(1, count + 1)[:, None] * log_decay)
+    return temps + modes.from_modal(approach * modes.to_modal(temps - x_ss))
 
 
 def walk_segment(length, dt, stall, pulse):
@@ -80,7 +94,8 @@ def walked_schedule(cfg, mplan):
 def sequential_run(cfg):
     """(RunSummary, Trace) of a validated cfg, marched run by run."""
     mplan = _plan(cfg)
-    mapping, baseline, solver = _start(cfg, build_network(cfg.grid, cfg.thermal))
+    net = build_network(cfg.grid, cfg.thermal)
+    mapping, baseline, _ = _start(cfg, net)
     times, window, events, runs = walked_schedule(cfg, mplan)
     n_blocks = cfg.grid.n_cells
     active = power_vector(mapping, cfg.profile)
@@ -100,11 +115,8 @@ def sequential_run(cfg):
         p = stalled if idle else active
         if pulsed:
             p = p + pulse
-        if count == 1:
-            rows = solver.step(temps[i], p, length)[None]
-        else:
-            rows = solver.march(temps[i], p, count, length)
-        temps[i + 1:i + 1 + count] = rows
+        temps[i + 1:i + 1 + count] = per_step_rows(
+            net.modes, temps[i], steady_state(net, p).temps, count, length)
         i += count
     assert i == len(times) - 1
 

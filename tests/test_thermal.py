@@ -22,12 +22,23 @@ from hotmesh.thermal import (ThermalNetwork, ThermalParams, TransientSolver,
 from hotmesh.transforms import MIRROR_X, MIRROR_Y, ROTATION, as_permutation
 
 from dense_oracle import reference_capacitance, reference_conductance
+from sequential_oracle import per_step_rows
 from stencil_oracle import apply_conductance, step_backward_error, steady_backward_error
 
 # The componentwise backward error, in eps, that the stencil checks allow:
 # over their examples the worst measured was 4.8 for a steady state (4.1 at
 # 128 x 128) and 0.5 for a period's rows.
 BACKWARD_EPS = 16
+
+
+def one_run_rows(solver, start, power, count, dt):
+    """The node rows of count steps of length dt at constant power from the
+    node temperatures start, as a layout of that one run forms them:
+    relative to start, heading for the modal steady state of the power."""
+    layout = solver.layout([(count, dt, False)])
+    fixed = solver.net.modes.to_modal(steady_state(solver.net, power).temps - start)
+    zero = np.zeros((1, solver.net.n_nodes))
+    return layout.rows(layout.coefficients([fixed], zero, zero, start), 0, count)[0]
 
 
 def lateral_link_count(g):
@@ -354,19 +365,13 @@ def test_transient_fixed_point_and_cooling():
         for temps, power in ((cold, np.zeros(9)), (ss.temps, p)):
             with pytest.raises(ValueError):
                 solver.step(temps, power, bad)
-            with pytest.raises(ValueError):
-                solver.march(temps, power, 3, bad)
-    for count in (0, -1):
-        with pytest.raises(ValueError):
-            solver.march(ss.temps, p, count)
 
 
 def test_modal_steady_state_is_the_steady_state_in_modal_coordinates():
     net = build_network(make_grid(3, 5), ThermalParams())
-    solver = TransientSolver(net, 1e-6)
     for p in np.random.default_rng(5).uniform(0.0, 2.0, (4, 15)):
         z = thermal._modal_steady_state(net, p)
-        assert np.array_equal(solver.nodes(z, net.ambient), steady_state(net, p).temps)
+        assert np.array_equal(net.modes.from_modal(z) + net.ambient, steady_state(net, p).temps)
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -374,19 +379,19 @@ def test_a_stack_of_powers_is_solved_row_by_row(nx, ny, rows, seed):
     # one solve of a stack of power vectors gives each row's own solve, and
     # a row's own solve is steady_state() bit for bit
     net = build_network(make_grid(nx, ny), ThermalParams())
-    solver = TransientSolver(net, 1e-6)
     powers = np.random.default_rng(seed).uniform(0.0, 3.0, (rows, net.n_blocks))
     stack = thermal._modal_steady_state(net, powers)
     assert stack.shape == (rows, net.n_nodes)
     for p, z in zip(powers, stack):
-        single = solver.nodes(thermal._modal_steady_state(net, p), net.ambient)
+        single = net.modes.from_modal(thermal._modal_steady_state(net, p)) + net.ambient
         assert np.array_equal(single, steady_state(net, p).temps)
-        assert np.abs(solver.nodes(z, net.ambient) - single).max() <= 1e-12
+        assert np.abs(net.modes.from_modal(z) + net.ambient - single).max() <= 1e-12
 
 
 def test_period_template_matches_march_run_by_run():
     # runs of one period: a stalled and pulsed step, a short stalled step,
-    # active steps, a short active step; the active power varies by period
+    # active steps, a short active step; the active power varies by period.
+    # The layout's rows against steps taken one by one
     net = build_network(make_grid(3, 4), ThermalParams())
     solver = TransientSolver(net, 1e-6)
     rng = np.random.default_rng(11)
@@ -403,13 +408,13 @@ def test_period_template_matches_march_run_by_run():
     for k, active in enumerate(actives):
         marched = []
         for count, dt, p, varies in layout:
-            rows = solver.march(x, p + active if varies else np.broadcast_to(p, 12), count, dt)
-            marched.extend(rows)
-            x = rows[-1]
+            for _ in range(count):
+                x = solver.step(x, p + active if varies else np.broadcast_to(p, 12), dt)
+                marched.append(x)
         g = period.coefficients(fixed, starts[k:k + 1], z_var[k:k + 1], net.ambient)
         rows = period.rows(g, 0, 12)[0]
         assert np.abs(rows - np.array(marched)).max() <= 1e-10
-        assert np.abs(solver.nodes(starts[k + 1], net.ambient) - x).max() <= 1e-10
+        assert np.abs(net.modes.from_modal(starts[k + 1]) + net.ambient - x).max() <= 1e-10
         # any slice of the period: the same rows
         for s0, s1 in ((0, 1), (1, 2), (2, 7), (5, 12), (11, 12)):
             part = period.rows(g, s0, s1)[0]
@@ -449,7 +454,8 @@ def test_march_holds_a_steady_state_bit_for_bit():
     p = np.linspace(0.2, 1.7, 16)
     ss = steady_state(net, p).temps
     solver = TransientSolver(net, 1e-6)
-    assert np.array_equal(solver.march(ss, p, 500), np.tile(ss, (500, 1)))
+    assert np.array_equal(one_run_rows(solver, ss, p, 500, 1e-6), np.tile(ss, (500, 1)))
+    assert np.array_equal(solver.step(ss, p), ss)
     assert np.array_equal(solver.step(ss, p, 7.44e-7), ss)
 
 
@@ -522,35 +528,40 @@ def test_march_matches_sequential_dense_backward_euler(case):
     for _ in range(count):
         x = np.linalg.solve(system, np.append(p1, 0.0) + c_over_dt * x)
         exact.append(x + net.ambient)
-    rows = TransientSolver(net, dt).march(start, p1, count)
+    rows = one_run_rows(TransientSolver(net, 1e-6), start, p1, count, dt)
     assert rows.shape == (count, net.n_nodes)
     assert np.max(np.abs(rows - np.array(exact))) <= 1e-9
-    # off the default step length, through the explicit dt
-    rows = TransientSolver(net, 1e-6).march(start, p1, count, dt)
-    assert np.max(np.abs(rows - np.array(exact))) <= 1e-9
+    # count steps one by one, at the solver's own step length and, off it,
+    # through the explicit dt
+    for solver, step_dt in ((TransientSolver(net, dt), ()), (TransientSolver(net, 1e-6), (dt,))):
+        x, stepped = start, []
+        for _ in range(count):
+            x = solver.step(x, p1, *step_dt)
+            stepped.append(x)
+        assert np.max(np.abs(np.array(stepped) - np.array(exact))) <= 1e-9
 
 
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 50),
+@given(st.integers(1, 8), st.integers(1, 8),
        st.sampled_from([1e-6, 7.44e-7, 2.56e-7, 3e-3]), st.integers(0, 2**32 - 1))
-def test_march_equals_the_rows_of_a_one_run_template(nx, ny, count, dt, seed):
-    # march forms a zero start's rows directly; a layout of the same one
-    # run, started at zero, gives the same node rows bit for bit
+def test_step_is_the_row_of_a_one_step_layout(nx, ny, dt, seed):
+    # a run's lone cut step and the tail's rows agree: step() gives the node
+    # row of a layout of that one step, started at zero relative to the
+    # start, bit for bit, at the solver's own step length and off it
     net = build_network(make_grid(nx, ny), ThermalParams())
-    solver = TransientSolver(net, 1e-6)
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.0, 2.0, net.n_blocks)
     start = steady_state(net, rng.uniform(0.0, 2.0, net.n_blocks)).temps
-    fixed = net.modes.to_modal(steady_state(net, p).temps - start)
-    layout = solver.layout([(count, dt, False)])
-    zero = np.zeros((1, net.n_nodes))
-    rows = layout.rows(layout.coefficients([fixed], zero, zero, start), 0, count)[0]
-    assert np.array_equal(solver.march(start, p, count, dt), rows)
+    (row,) = one_run_rows(TransientSolver(net, 1e-6), start, p, 1, dt)
+    assert np.array_equal(TransientSolver(net, 1e-6).step(start, p, dt), row)
+    assert np.array_equal(TransientSolver(net, dt).step(start, p), row)
 
 
 # The agreement, in ulp, that the layout's node rows keep with the per-step
 # formula they replace: over 2 400 random runs of that test's kind the worst
-# measured was 5, at chunks whose Taylor reach r is near ln 2 (order 16);
-# runs within 0.07 of a decay (every benchmark workload's) stay within 1.
+# measured was 5, at chunks whose Taylor reach r is near ln 2 (order 16), and
+# 4 over 2 400 more against per_step_rows, formed from the run's start in
+# node values; runs within 0.07 of a decay (every benchmark workload's) stay
+# within 1.
 LAYOUT_ULPS = 8
 
 
@@ -561,28 +572,27 @@ LAYOUT_ULPS = 8
 @example((make_grid(5, 3), ThermalParams(), 3), 300, -20.0, True)    # the whole run, order 0
 def test_layout_rows_are_the_per_step_formula(case, count, stiffness, pulsed):
     # one run of count steps, dt mu_max = 10^stiffness, from a baseline or
-    # from a pulse-sized deviation of it: each node row is origin +
-    # from_modal(z_s - (1 - lambda^j) dev) of its step j, componentwise
-    # within LAYOUT_ULPS ulp of |x|, or of the run's largest |x - origin|
-    # where x crosses zero (an ambient below 0 deg C); each chunk's order
-    # is the smallest that meets the Taylor remainder bound at its reach
+    # from a pulse-sized deviation of it: each node row is the per-step
+    # formula of its step j (per_step_rows, the sequential oracle's),
+    # componentwise within LAYOUT_ULPS ulp of |x|, or of the run's largest
+    # |x - start| where x crosses zero (an ambient below 0 deg C); each
+    # chunk's order is the smallest that meets the Taylor remainder bound at
+    # its reach
     grid, params, seed = case
     net = build_network(grid, params)
     mu = net.modes.mu
     dt = 10.0 ** stiffness / mu.max()
     rng = np.random.default_rng(seed)
     base, power, pulse = rng.uniform(0.0, 2.0, (3, net.n_blocks))
-    z = thermal._modal_steady_state(net, [base, power, 25.0 * pulse])
     log_decay = -np.log1p(dt * mu)
-    z_s = -np.expm1(log_decay) * z[2] if pulsed else np.zeros(net.n_nodes)  # after one step
-    z_ss = z[1] - z[0]
-    origin = steady_state(net, base).temps
+    start = steady_state(net, base).temps
+    if pulsed:  # after one step of the pulse
+        start = start + net.modes.from_modal(
+            -np.expm1(log_decay) * thermal._modal_steady_state(net, 25.0 * pulse))
     layout = TransientSolver(net, dt).layout([(count, dt, False)])
-    zero = np.zeros((1, net.n_nodes))
-    rows = layout.rows(layout.coefficients([z_ss], z_s[None], zero, origin), 0, count)[0]
-    approach = np.multiply(np.expm1(np.arange(1, count + 1)[:, None] * log_decay), -1.0)
-    want = origin + net.modes.from_modal(z_s - approach * (z_s - z_ss))
-    scale = np.maximum(np.abs(want), np.abs(want - origin).max())
+    rows = one_run_rows(TransientSolver(net, dt), start, power, count, dt)
+    want = per_step_rows(net.modes, start, steady_state(net, power).temps, count, dt)
+    scale = np.maximum(np.abs(want), np.abs(want - start).max())
     assert (np.abs(rows - want) <= LAYOUT_ULPS * np.spacing(scale)).all()
     ((length, order, _, _),) = layout.chunks
     r = length // 2 * -log_decay.min()
@@ -623,28 +633,35 @@ def test_layout_rows_into_work_are_the_rows_without_it():
             assert np.isnan(work[:, [0, -1]]).all()
 
 
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_the_modal_row_mean_is_the_block_mean_of_the_node_rows(nx, ny, count, by_mode, seed):
-    # the mean block temperature of a row, read off the two modal coordinates
-    # that carry it, is the mean of the blocks of its node row
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_groups_coefficient_means_give_its_node_row_means(nx, ny, count, periods, by_node,
+                                                            seed):
+    # the mean is linear: the block means of a group's node coefficients,
+    # through rows, give the block means of its node rows, as sim._march
+    # takes them, with the rows stored row by row or node by node
     net = build_network(make_grid(nx, ny), ThermalParams())
-    solver = TransientSolver(net, 1e-6)
+    n = net.n_blocks
+    layout = TransientSolver(net, 1e-6).layout([(1, 1e-6, False), (1, 7.44e-7, False),
+                                                (count, 1e-6, True)])
     rng = np.random.default_rng(seed)
-    origin = steady_state(net, rng.uniform(0.0, 2.0, net.n_blocks)).temps
-    z = net.modes.to_modal(rng.uniform(-10.0, 10.0, (count, net.n_nodes)))
-    if by_mode:  # stored mode by mode
-        z = np.asfortranarray(z)
-    rows = solver.nodes(z, origin)
-    modal = origin[:-1].mean() + net.modes.block_mean(z)
-    assert np.abs(modal - rows[:, :-1].mean(axis=1)).max() <= 1e-12
+    origin = steady_state(net, rng.uniform(0.0, 2.0, n)).temps
+    fixed = thermal._modal_steady_state(net, rng.uniform(-3.0, 3.0, (2, n)))
+    z_var = thermal._modal_steady_state(net, rng.uniform(-3.0, 3.0, (periods, n)))
+    sources = [fixed[0], fixed[1], 0.0]
+    g = layout.coefficients(sources, layout.starts(sources, fixed[0], z_var)[:-1], z_var, origin)
+    means = layout.rows(g[..., :n].mean(axis=2, keepdims=True), 0, layout.steps)[..., 0]
+    for rows, row_means in zip(layout.rows(g, 0, layout.steps), means):
+        if by_node:  # stored node by node
+            rows = np.asfortranarray(rows)
+        assert np.abs(row_means - rows[:, :n].mean(axis=1)).max() <= 1e-12
 
 
 def test_transient_step_conserves_energy():
     # Per step: sum C (T' - T) / dt + heat to ambient = sum P. That holds
     # exactly for backward Euler up to the rounding of the stored T', which
     # is also charged: one ulp per node, weighted by C / dt. Checked for
-    # single steps and for consecutive rows of one march.
+    # single steps and for consecutive rows of a one-run layout.
     for n in (2, 3, 4, 5):
         net = build_network(make_grid(n, n), ThermalParams())
         rng = np.random.default_rng(n)
@@ -656,7 +673,7 @@ def test_transient_step_conserves_energy():
             stepped = [start]
             for _ in range(100):
                 stepped.append(solver.step(stepped[-1], p1, dt))
-            marched = np.vstack([start, solver.march(start, p1, 100, dt)])
+            marched = np.vstack([start, one_run_rows(solver, start, p1, 100, dt)])
             for rows in (np.array(stepped), marched):
                 for old, new in zip(rows[:-1], rows[1:]):
                     balance = (c_over_dt * (new - old)).sum() \
@@ -668,8 +685,8 @@ def test_transient_step_conserves_energy():
 def test_march_conserves_energy_under_a_large_heat_pulse():
     # A migration's heat pulse is a large power for one step. Its steady
     # state is hundreds of degrees, so x_ss plus the decayed deviation would
-    # lose the digits of the slow sink mode; march() takes the step as the
-    # change from the start, and the allowance of the test above holds.
+    # lose the digits of the slow sink mode; a one-run layout takes its rows
+    # as the change from the start, and the allowance of the test above holds.
     for n in (3, 4, 5, 6):
         net = build_network(make_grid(n, n), ThermalParams())
         rng = np.random.default_rng(n)
@@ -680,7 +697,7 @@ def test_march_conserves_energy_under_a_large_heat_pulse():
             for dt in (1e-6, 2.5e-7):
                 c_over_dt = reference_capacitance(net.grid, ThermalParams()) / dt
                 start = steady_state(net, p0).temps
-                rows = np.vstack([start, solver.march(start, p1, 3, dt)])
+                rows = np.vstack([start, one_run_rows(solver, start, p1, 3, dt)])
                 for old, new in zip(rows[:-1], rows[1:]):
                     balance = (c_over_dt * (new - old)).sum() \
                         + net.g_amb * (new[-1] - net.ambient)
