@@ -171,15 +171,17 @@ class PowerProfile:
         if not 0 <= self.idle_power < math.inf:
             raise ConfigurationError(f"idle_power must be finite and >= 0, got {self.idle_power}")
 
-    def power_of(self, workload: int) -> float:
-        return self.workload_power.get(workload, self.idle_power)
-
 
 def power_vector(mapping: Mapping, profile: PowerProfile) -> np.ndarray:
-    """Dissipated watts per block, indexed row-major: each workload's power
-    scattered onto its block."""
-    v = np.empty(mapping.grid.n_cells)
-    v[mapping.blocks] = [profile.power_of(w) for w in mapping.workloads.tolist()]
+    """Dissipated watts per block, indexed row-major: idle power, with each
+    profile workload's power scattered onto its block (the ascending
+    mapping.workloads found by binary search)."""
+    v = np.full(mapping.grid.n_cells, profile.idle_power, dtype=float)
+    n = len(profile.workload_power)
+    ids = np.fromiter(profile.workload_power, np.intp, n)
+    at = mapping.workloads.searchsorted(ids)
+    placed = mapping.workloads.take(at, mode="clip") == ids  # a profile id may be on no block
+    v[mapping.blocks[at[placed]]] = np.fromiter(profile.workload_power.values(), float, n)[placed]
     return v
 
 

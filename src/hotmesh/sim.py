@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -503,7 +503,7 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, layouts: dict,
         migration_count=events,
         total_migration_energy=energy,
     )
-    if not all(map(math.isfinite, astuple(summary))):
+    if not all(map(math.isfinite, vars(summary).values())):  # its fields, not copied
         raise ConfigurationError(
             "the run's statistics are not finite in float64: check the [thermal] ambient_c "
             "and the [profile] powers")

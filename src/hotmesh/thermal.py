@@ -65,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,9 +76,6 @@ from .grid import GridSpec
 # Values per block of rows that write_trace_csv formats, so its buffers stay a
 # few hundred kB, and the decimals of the time column and of each temperature.
 _CSV_BLOCK_VALUES, _TIME_DECIMALS, _TEMP_DECIMALS = 1 << 15, 9, 6
-# "0000".."9999", one little-endian word of four ASCII digits each.
-_DIGITS4 = (np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
-                                 indexing="ij"), axis=-1).reshape(10_000, 4).view("<u4")[:, 0])
 _POWERS_OF_TEN = np.array([10 ** k for k in range(16)], dtype=float)  # those below 2^52
 # The truncation a chunk's Taylor series may leave, relative to its d_c: an
 # eighth of an ulp (PeriodLayout).
@@ -563,23 +560,24 @@ def _template_rows(block: np.ndarray, decimals) -> bytes:
 def _fixed_point_rows(parts, plans: dict) -> np.ndarray | None:
     """The bytes of _template_rows of the block (times (rows, 1), temps
     (rows, nodes)) as (rows, row bytes) uint8, or None if _column_groups
-    refuses a part; each run of a column group's digit bytes is one look-up."""
-    rows, layout, words = len(parts[0]), (), []
+    refuses a part. A group's base-10^4 digit words (cut in int32 up to 9
+    digits) are one look-up and one store each."""
+    rows, layout, cut = len(parts[0]), (), []
     for x, d in zip(parts, (_TIME_DECIMALS, _TEMP_DECIMALS)):
         q, groups = _column_groups(x, d)
         if groups is None:
             return None
-        for a, b, width, negative in groups:
-            layout += ((b - a, negative, width, d),)
-            q_group = q[:, a:b].astype(np.intp)
-            for _ in range(-(-width // 4) - 1):  # the digit words, least significant first
-                high = q_group // 10_000
-                words.append(q_group - high * 10_000)
-                q_group = high
-            words.append(q_group)
-    out, runs = plans.get(layout) or plans.setdefault(layout, _row_plan(layout, rows))
-    for word, table, view in runs:
-        np.copyto(view[:rows], table.take(words[word], mode="wrap"))  # each word < 10^4
+        layout += tuple((b - a, negative, width, d) for a, b, width, negative in groups)
+        cut += [(q[:, a:b], width) for a, b, width, _ in groups]
+    out, plan = plans.get(layout) or plans.setdefault(layout, _row_plan(layout, rows))
+    for (q, width), stores in zip(cut, plan):
+        q, words = q.astype(np.int32 if width <= 9 else np.int64), []
+        for _ in stores[1:]:  # the digit words, least significant first
+            high = q // 10_000
+            words.append(q - high * 10_000)
+            q = high
+        for word, (table, view) in zip((q, *words[::-1]), stores):  # each word < len(table)
+            np.copyto(view[:rows], table.take(word.astype(np.intp, copy=False), mode="wrap"))
     return out[:rows]
 
 
@@ -590,22 +588,31 @@ def _column_groups(x: np.ndarray, d: int):
     if a column changes either or a value is not below 2^52 once scaled. Float
     |v| 10^d is within 2^-53 of its size of the exact product, so rint rounds
     it as %-formatting does unless a tie lies in between: products within
-    1e-6 + 2^-50 * (the largest product) of a tie are %-formatted one by one."""
-    scaled = np.abs(x)
-    top = float(scaled.max()) * 10.0 ** d  # the largest product, as scaling is monotonic
+    1e-6 + 2^-50 * (the largest product) of a tie are %-formatted one by one.
+    A block of one sign, no zero and no such tie takes its sign and digit
+    counts from its extremes; others from each value's sign bit and q."""
+    lo, hi = float(x.min()), float(x.max())
+    top = max(-lo, hi) * 10.0 ** d  # the largest product, as scaling is monotonic
     if not top < 2.0 ** 52:  # also false for nan and inf, and so no product overflows
         return None, None
-    q = np.rint(np.multiply(scaled, 10.0 ** d, out=scaled))
+    sign = 1.0 if lo > 0 else -1.0 if hi < 0 else 0.0  # 0.0 for mixed signs or a zero
+    scaled = np.multiply(x, sign * 10.0 ** d) if sign else np.abs(x) * 10.0 ** d
+    q = np.rint(scaled)
     off = np.abs(np.subtract(scaled, q, out=scaled), out=scaled)
     near = 0.5 - 1e-6 - top * 2.0 ** -50
-    for i in np.flatnonzero(off >= near).tolist() if off.max() >= near else ():
+    ties = np.flatnonzero(off >= near).tolist() if off.max() >= near else []
+    for i in ties:
         q.flat[i] = float(("%.*f" % (d, abs(x.flat[i]))).replace(".", ""))
 
     def code(bits, q):  # 2 width + negative; of the width digits printed, d are decimals
         return 2 * (d + 1 + _POWERS_OF_TEN[d + 1:].searchsorted(q, "right")) + (bits < 0)
     sign_bits = x.view(np.int64)  # negative exactly where the sign bit is set
-    layout = code(sign_bits.min(), q.min())
-    if layout != code(sign_bits.max(), q.max()):  # per column only if the block's differ
+    if sign and not ties:  # hi has every value's sign; q's extremes are |x|'s, rounded
+        low, high = (hi, round((lo if sign > 0 else -hi) * 10.0 ** d)), (hi, round(top))
+    else:
+        low, high = (sign_bits.min(), q.min()), (sign_bits.max(), q.max())
+    layout = code(*low)
+    if layout != code(*high):  # per column only if the block's differ
         layout = code(sign_bits.min(axis=0), q.min(axis=0))
         if (layout != code(sign_bits.max(axis=0), q.max(axis=0))).any():
             return None, None
@@ -616,24 +623,37 @@ def _column_groups(x: np.ndarray, d: int):
 
 
 def _row_plan(layout, rows: int) -> tuple[np.ndarray, list]:
-    """(out, runs) of a layout of column groups (columns, negative, width,
-    decimals): out (rows, row bytes) holds every row's punctuation; each run
-    of 1, 2 or 4 group digit bytes in one word and on one side of the point
-    is (word, table, view): its bytes of all 10^4 words, its place in out."""
+    """(out, plan) of a layout of column groups (columns, negative, width,
+    decimals): out (rows, row bytes) holds every row's punctuation; plan has
+    per group one store (its _word_table, its view of out) per digit word,
+    most significant first. The next word overwrites a store's spare trailing
+    bytes; the last is four digits (decimals >= 4), so no store reaches the comma."""
     cells = [b"-" * neg + b"0" * (w - d) + b"." + b"0" * d + b"," for _, neg, w, d in layout]
     text = b"".join(cell * group[0] for cell, group in zip(cells, layout))[:-1] + b"\r\n"
     out = np.empty((rows, len(text)), dtype=np.uint8)
     out[:] = np.frombuffer(text, dtype=np.uint8)
-    runs, start, word = [], 0, 0
+    plan, start = [], 0
     for cell, (columns, negative, width, d) in zip(cells, layout):
-        size = 4 * -(-width // 4)  # bytes of the group's words, the digits at their end
-        first, point = size - width, size - d
-        bounds = sorted({first, point, *range(4, size + 1, 4)})
-        bounds = sorted({*bounds, *(b + 2 for b, e in zip(bounds, bounds[1:]) if e - b == 3)})
-        for b, e in zip(bounds, bounds[1:]):
-            table = np.ascontiguousarray(np.ndarray(10_000, f"<u{e - b}", _DIGITS4, b % 4, 4))
-            runs.append((word + (size - 1 - b) // 4, table, np.ndarray(
-                (rows, columns), table.dtype, out, start + negative + b - first + (b >= point),
-                (len(text), len(cell)))))
-        start, word = start + len(cell) * columns, word + size // 4
-    return out, runs
+        point, stores = width - d, []  # point: the group's integer digits
+        for end in range((width - 1) % 4 + 1, width + 1, 4):  # each word's digits s..end - 1
+            s = max(end - 4, 0)
+            table = _word_table(end - s, point - s if s < point <= end else 0)
+            stores.append((table, np.ndarray((rows, columns), table.dtype, out, start + negative
+                                             + s + (s >= point), (len(text), len(cell)))))
+        plan.append(stores)
+        start += len(cell) * columns
+    return out, plan
+
+
+@cache
+def _word_table(digits: int, point: int) -> np.ndarray:
+    """The printed digits of every word of that many digits, the decimal point
+    after the first point of them if point > 0, zero-padded to 1, 2, 4 or 8 bytes."""
+    text = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * digits,
+                                indexing="ij"), axis=-1).reshape(-1, digits)
+    if point:  # the word of the group's last integer digit
+        text = np.insert(text, point, ord("."), axis=1)
+    text = np.pad(text, ((0, 0), (0, (1 << (text.shape[1] - 1).bit_length()) - text.shape[1])))
+    table = text.view(f"<u{text.shape[1]}")[:, 0]
+    table.setflags(write=False)
+    return table

@@ -813,16 +813,40 @@ def test_shipped_traces_take_the_trace_csv_kernel(tmp_path, monkeypatch):
     assert template_blocks == []
 
 
+def test_the_shipped_trace_layout_stores_each_digit_word_once(tmp_path, monkeypatch):
+    # the center hotspot's every block: times 0.0xxxxxxxx (10 digits, words
+    # "0.0", 4 digits, 4 digits) and temperatures xx.xxxxxx (8 digits, words
+    # "xx.xx" in 8 bytes, 4 digits): one store per word, none split at the point
+    plans = []
+    row_plan = thermal._row_plan
+
+    def recorded(layout, rows):
+        plan = row_plan(layout, rows)
+        plans.append((layout, plan[1]))
+        return plan
+
+    monkeypatch.setattr(thermal, "_row_plan", recorded)
+    _, trace = run(load_scenario(Path(__file__).resolve().parents[1]
+                                 / "scenarios" / "center_hotspot_5x5.ini"))
+    write_trace_csv(trace.times, trace.temps, tmp_path / "trace.csv")
+    assert [layout for layout, _ in plans] == [((1, False, 10, 9), (26, False, 8, 6))]
+    (_, stores), = plans
+    assert [len(group) for group in stores] == [3, 2]
+    assert [[table.itemsize for table, _ in group] for group in stores] == [[4, 4, 4], [8, 4]]
+
+
 def test_trace_csv_template_takes_blocks_the_kernel_cannot(tmp_path, monkeypatch):
     template_blocks = _count_template_blocks(monkeypatch)
     times = np.array([0.0, 1e-6, 2e-6])
+    # 9.9999995 prints 9.999999, though rint(9.9999995 * 10^6) is 10^7: a tie
+    # at the block's minimum that only its %-formatting places
     for column in ([9.5, 10.5, 11.5], [-1.0, 0.0, 1.0], [1.0, math.inf, 2.0],
-                   [1.0, math.nan, 2.0], [1.0, 1e300, 2.0]):
+                   [1.0, math.nan, 2.0], [1.0, 1e300, 2.0], [9.9999995, 10.5, 11.5]):
         temps = np.column_stack((np.full(3, 45.0), column))
         write_trace_csv(times, temps, tmp_path / "fast.csv")
         _csv_writer_reference(times, temps, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert template_blocks == [3] * 5
+    assert template_blocks == [3] * 6
 
 
 @pytest.mark.filterwarnings("error")
@@ -886,7 +910,7 @@ def trace_cases(draw):
             block[special]])
         block *= -1.0 if negative else 1.0
     temps[rng.random(temps.shape) < 0.02] = -0.0
-    step = draw(st.sampled_from([1e-6, 1e-3, 0.7, 40.0]))
+    step = draw(st.sampled_from([1e-6, 1e-3, 0.7, 40.0, 5000.0]))  # to 6 integer digits
     times = np.cumsum(rng.uniform(0.0, step, rows))
     ties = rng.random(rows) < 0.2
     times[ties] = (2 * rng.integers(512, size=int(ties.sum())) + 1) / 1024  # ties of the 9th
