@@ -28,20 +28,20 @@ a period each chunk of a run of equal steps is a short Taylor series in
 the step (PeriodLayout.coefficients), so one walk over bounded blocks of
 whole periods applies the basis once per group of periods, to their
 chunks' coefficient rows, and forms each block's node rows as products
-of the layout's step matrix with those (PeriodLayout.rows); both
-consumers read it. The statistics walk from warm-up's period on, the
-same in a run and in a sweep cell, and reduce each block along its long
-axis: node by node, a copy, when it holds more rows than nodes, row by
-row otherwise, so their reductions run along contiguous memory. A row's
-block mean is the same product of its coefficients' block means. The
-trace walks from the first period, straight into its own rows, only
-when its temps are first read, so run() writes no trace row and a sweep
-cell keeps no trace. A step cut short by the run's end is the run's one
-lone step, TransientSolver.step's per-step formula from the tail's last
-row, or from the tail's start when it has none. Statistics are taken
-over the window after warm-up so they describe settled behavior rather
-than the decay of the initial condition; they are accumulated block by
-block, and refused when they are not finite in float64.
+of its runs' step rows with those (PeriodLayout.rows); both consumers
+read it. The statistics walk from warm-up's period on, the same in a run
+and in a sweep cell, and reduce each block along its long axis: node by
+node, a copy, when it holds more rows than nodes, row by row otherwise,
+so their reductions run along contiguous memory. A row's block mean is
+the same product of its coefficients' block means. The trace walks from
+the first period, straight into its own rows, only when its temps are
+first read, so run() writes no trace row and a sweep cell keeps no
+trace. A step cut short by the run's end is the run's one lone step,
+TransientSolver.step's per-step formula from the tail's last row, or
+from the tail's start when it has none. Statistics are taken over the
+window after warm-up so they describe settled behavior rather than the
+decay of the initial condition; they are accumulated block by block, and
+refused when they are not finite in float64.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ _TIME_EPS_DT = 1e-3
 
 # Bound on the rows x nodes of one block of node rows formed from the
 # period's layout, and on the node coefficients and row means of one group
-# of periods. A statistics block's node rows, their node-major copy and a
-# group's coefficients are in flight.
+# of periods (node_blocks in _march). A statistics block's node rows, their
+# node-major copy and a group's coefficients are in flight.
 _MARCH_ELEMENTS = 1 << 15
 
 # Bound on the steps x nodes of a traced run (1 GiB of float64) and on the steps of any run.
@@ -121,15 +121,16 @@ class Trace:
 
 
 class _Schedule(NamedTuple):
-    """The steps of a migrated run. Step i ends at times[i + 1]; steps from
-    index window on end after warm-up. head steps lead up to the first
-    event and body is the runs (see _segment) of every event-to-event
-    period. After the last event come the period's first tail steps, then,
-    unless cut is None, one step cut short by the run's end: cut is its
-    (length, stalled, pulsed). times is read-only: a sweep shares one
-    schedule among its cells."""
+    """The steps of a migrated run. Step i ends at times[i + 1] and is
+    weights[i] long; steps from index window on end after warm-up. head
+    steps lead up to the first event and body is the runs (see _segment) of
+    every event-to-event period. After the last event come the period's
+    first tail steps, then, unless cut is None, one step cut short by the
+    run's end: cut is its (length, stalled, pulsed). times and weights are
+    read-only: a sweep shares one schedule among its cells."""
 
     times: np.ndarray
+    weights: np.ndarray
     window: int
     events: int
     head: int
@@ -234,8 +235,10 @@ def _schedule(cfg: ScenarioConfig, mplan: MigrationPlan | None) -> _Schedule:
     window = int(np.searchsorted(times[1:], cfg.effective_warmup + eps, side="right"))
     if window == len(times) - 1:
         raise ConfigurationError("warmup leaves no step to take statistics over")
-    times.setflags(write=False)
-    return _Schedule(times, window, events, len(parts[0]), body, tail, cut)
+    weights = np.diff(times)
+    for a in (times, weights):
+        a.setflags(write=False)
+    return _Schedule(times, weights, window, events, len(parts[0]), body, tail, cut)
 
 
 def _events(cfg: ScenarioConfig) -> int:
@@ -297,12 +300,12 @@ class _Window:
 
 def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
            temps0: np.ndarray, mplan: MigrationPlan | None, sched: _Schedule,
-           weights: np.ndarray, get_layout: Callable[[], thermal.PeriodLayout]
+           get_layout: Callable[[], thermal.PeriodLayout]
            ) -> tuple[tuple[float, float, float], Callable[[], np.ndarray]]:
     """Backward-Euler march of the migrated run from the baseline temps0:
-    its window statistics (see _Window; weights are the step lengths), and
-    what forms its trace, the node temps at t = 0 and at every step end
-    (Trace.temps), which holds neither weights nor stats.
+    its window statistics (see _Window), and what forms its trace, the node
+    temps at t = 0 and at every step end (Trace.temps), which holds neither
+    the schedule's weights nor stats.
 
     Every period, and the tail as the first steps of one more, is marched
     from the period's layout (get_layout) and the run's sources: the idle
@@ -311,11 +314,11 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     last step cut short by the run's end is one solver.step, the per-step
     formula, from the tail's last row or, with no tail rows, its start.
 
-    One walk, node_blocks, forms the node rows of the blocks of _blocks,
-    and both consumers read it: one application of the basis per group of
-    periods turns their chunks' coefficient rows into node values
-    (PeriodLayout.coefficients), and each block's rows are products of
-    step-matrix rows and those (PeriodLayout.rows). The statistics walk from
+    One walk, node_blocks, forms the node rows block by block, and both
+    consumers read it: one application of the basis per group of periods
+    turns their chunks' coefficient rows into node values
+    (PeriodLayout.coefficients), and each block's rows are products of its
+    runs' step rows and those (PeriodLayout.rows). The statistics walk from
     warm-up's period on, into one buffer, row by row, and take a block's
     copy node by node when it holds more rows than nodes, so their
     reductions run along contiguous memory. The block means of a group's
@@ -326,7 +329,8 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     """
     n_blocks, n_nodes = cfg.grid.n_cells, cfg.grid.n_cells + 1
     base_mean = temps0[:n_blocks].mean()
-    stats = _Window(weights, sched.window, n_blocks)
+    stats = _Window(sched.weights, sched.window, n_blocks)
+    sched = sched._replace(weights=None)  # what forms the trace holds no weights
     stats.add(0, np.broadcast_to(temps0, (sched.head, n_nodes)), np.full(sched.head, base_mean))
     if not sched.events:  # the head is the whole run
         return stats.result(), lambda: np.tile(temps0, (len(sched.times), 1))
@@ -339,17 +343,30 @@ def _march(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mapping,
     starts = layout.starts(sources, np.zeros(n_nodes), actives[:-1])
 
     def node_blocks(k_first: int, into: Callable):
-        """(g, periods, s0, s1, lo, node rows) of each block of _blocks from
-        period k_first on: g the node coefficients of its group of periods,
-        its periods a slice of them, and its rows formed into into(lo,
-        shape)."""
-        group = None
-        for g0, g1, k0, k1, s0, s1, lo in _blocks(sched, layout, n_nodes, k_first):
-            if group != (g0, g1):
-                group = g0, g1
-                g = layout.coefficients(sources, starts[g0:g1], actives[g0:g1], temps0)
-            yield g, slice(k0 - g0, k1 - g0), s0, s1, lo, layout.rows(
-                g[k0 - g0:k1 - g0], s0, s1, into(lo, (k1 - k0, s1 - s0, n_nodes)))
+        """(g, periods, s0, s1, lo, node rows) of each block from period
+        k_first on, the tail last: steps s0..s1 - 1 of some periods of one
+        group, formed into into(lo, shape), lo being the first row's step.
+        A block is at most _MARCH_ELEMENTS node values of whole periods, or
+        of one period's steps when a period is longer; none is larger than
+        the first. A group is whole blocks of periods whose coefficients and
+        row means fit _MARCH_ELEMENTS, or one block of periods. g is its
+        node coefficients, formed on its first block, and periods the
+        block's slice of them."""
+        periods, steps = sched.events - 1, layout.steps
+        span = min(steps, max(1, _MARCH_ELEMENTS // n_nodes))
+        per = max(1, _MARCH_ELEMENTS // (steps * n_nodes))
+        group = per * max(1, _MARCH_ELEMENTS // ((layout.width * n_nodes + steps) * per))
+        for g0 in range(k_first, periods + 1, group):  # the tail is period `periods`
+            g1, g, k0 = min(g0 + group, periods + 1), None, g0
+            while k0 < g1:  # blocks of per whole periods, then the tail's
+                k1, stop = (min(k0 + per, periods), steps) if k0 < periods else (g1, sched.tail)
+                for s0 in range(0, stop, span):  # one span, or a longer period's spans
+                    if g is None:
+                        g = layout.coefficients(sources, starts[g0:g1], actives[g0:g1], temps0)
+                    s1, lo = min(s0 + span, stop), sched.head + k0 * steps + s0
+                    yield g, slice(k0 - g0, k1 - g0), s0, s1, lo, layout.rows(
+                        g[k0 - g0:k1 - g0], s0, s1, into(lo, (k1 - k0, s1 - s0, n_nodes)))
+                k0 = k1
 
     work = None  # the rows and their node-major copy, sized by the first block, the largest
 
@@ -414,28 +431,6 @@ def _steady_states(solver: TransientSolver, cfg: ScenarioConfig, mapping: Mappin
     return powers[[0, 1, -1]], z[0] - z[2], z[1].copy(), np.subtract(z[3:], z[2], out=actives)
 
 
-def _blocks(sched: _Schedule, layout: thermal.PeriodLayout, n_nodes: int, k_first: int):
-    """The blocks (g0, g1, k0, k1, s0, s1, lo) of at most _MARCH_ELEMENTS
-    node values that cover the periods from k_first on and then the tail:
-    steps s0..s1 - 1 of the periods k0..k1 - 1, whose first row is that of
-    step lo. A block is whole periods, or one period's steps when a period
-    is longer than a block; none is larger than the first. Its periods lie
-    in the group g0..g1 - 1 of whole blocks of periods whose node
-    coefficients (PeriodLayout.coefficients) and row means fill at most
-    _MARCH_ELEMENTS values, or in one block of periods."""
-    periods, steps = sched.events - 1, layout.steps
-    span = min(steps, max(1, _MARCH_ELEMENTS // n_nodes))
-    per = max(1, _MARCH_ELEMENTS // (steps * n_nodes))
-    group = per * max(1, _MARCH_ELEMENTS // ((layout.width * n_nodes + steps) * per))
-    runs = [(k0, min(k0 + per, periods), steps) for k0 in range(k_first, periods, per)]
-    g1 = -1
-    for k0, k1, stop in runs + [(periods, periods + 1, sched.tail)]:
-        if k1 > g1:
-            g0, g1 = k0, min(k0 + group, periods + 1)
-        for s0 in range(0, stop, span):
-            yield g0, g1, k0, k1, s0, min(s0 + span, stop), sched.head + k0 * steps + s0
-
-
 def _start(cfg: ScenarioConfig, net):
     """(initial placement, its steady state, solver): what every run of one
     configuration starts from. The steady state is the static baseline,
@@ -466,29 +461,26 @@ def _simulate(cfg: ScenarioConfig, mplan: MigrationPlan | None, layouts: dict,
               ) -> tuple[RunSummary, Trace]:
     """The migrated run of a validated cfg against its static baseline.
 
-    Its schedule, its step lengths (the window's weights) and its period's
-    layout (TransientSolver.layout) depend in a sweep only on the period
-    and the plan's downtime, or on nothing without a plan, whose run is its
-    head. layouts holds two slots, keyed by whether there is no plan: the
-    no-plan schedule, laid out once, and one period layout at a time. Each
-    holds (key, schedule, weights, layout), read-only, and is laid out
-    again only for another key. A refused schedule is not kept, so it is
-    refused again for every run of its key. The layout is built on its
-    first use, after that run's steady states, so a run without events
-    lays out none."""
+    Its schedule and its period's layout (TransientSolver.layout) depend in
+    a sweep only on the period and the plan's downtime, or on nothing
+    without a plan, whose run is its head. layouts holds two slots, keyed
+    by whether there is no plan: the no-plan schedule, laid out once, and
+    one period layout at a time. Each holds (key, schedule, layout),
+    read-only, and is laid out again only for another key. A refused
+    schedule is not kept, so it is refused again for every run of its key.
+    The layout is built on its first use, after that run's steady states,
+    so a run without events lays out none."""
     key = None if mplan is None else (cfg.period, mplan.downtime)
     held = layouts.get(mplan is None)
     if held is None or held[0] != key:
         sched = _schedule(cfg, mplan)
-        weights = np.diff(sched.times)
-        weights.setflags(write=False)
         runs = [(count, length, not idle) for length, idle, _, count in sched.body]
-        held = layouts[mplan is None] = (key, sched, weights, cache(partial(solver.layout, runs)))
-    _, sched, weights, layout = held
+        held = layouts[mplan is None] = (key, sched, cache(partial(solver.layout, runs)))
+    _, sched, layout = held
     events = sched.events
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
         (mig_peak, time_avg, spread), form = _march(solver, cfg, mapping0, baseline.temps,
-                                                    mplan, sched, weights, layout)
+                                                    mplan, sched, layout)
     base_peak = peak(baseline)
 
     penalty = 0.0 if mplan is None else mplan.downtime / cfg.period

@@ -52,17 +52,17 @@ bound r^(P+1) / (P+1)! e^r, r = max |u ln lambda|, is at most 2^-56:
     z_{c+u} = z_c + sum_{p=1..P} (u^p / p!) (ln lambda)^p * (z_c - z_ss).
 
 So the basis turns only the chunk's P + 1 coefficient rows into node
-values, and each node row is a product of u^p / p! with them
-(PeriodLayout). A steady state stays fixed bit for bit: z_ss is the
-steady_state() solve of that power, so a start at it has zero deviation.
-Each run is diagonal in the modes, so a sequence of runs that repeats
-(one migration period) maps its start to its end by one diagonal affine
-map.
+values, and each node row is a product of its run's step row u^p / p!
+with them (PeriodLayout, which keeps one record per run: its steps, its
+approach rows and its step rows). A steady state stays fixed bit for
+bit: z_ss is the steady_state() solve of that power, so a start at it
+has zero deviation. Each run is diagonal in the modes, so a sequence of
+runs that repeats (one migration period) maps its start to its end by
+one diagonal affine map.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -341,9 +341,7 @@ class TransientSolver:
         period's varying source if varies. Each run is cut into chunks
         (_chunking) from its steps and the modes alone. Its arrays are
         read-only, so one layout serves every period of the same steps."""
-        basis = self._modes
-        logs, centres, ends, offsets, chunks, width = [], [], [], [], [], 0
-        decay, gain = np.ones(len(basis.mu)), np.zeros(len(basis.mu))
+        basis, laid, width = self._modes, [], 0
         for count, dt, varies in runs:
             _check_dt(dt)
             log_decay = np.multiply(np.log1p(dt * basis.mu), -1.0)  # ln lambda, see _approach
@@ -351,25 +349,17 @@ class TransientSolver:
             t = np.arange(count)
             first = t - t % length  # each step's chunk's first and centre step
             centre = first + np.minimum(length, count - first) // 2
-            a = _approach(log_decay, np.append(centre[::length], count - 1) + 1)
-            chunks.append((length, order, width, sum(map(len, centres))))
-            width += (len(a) - 1) * (order + 1)
-            logs.append(log_decay)
-            centres.append(a[:-1])
-            ends.append(a[-1])
-            offsets.append(t - centre)
-            decay = decay - a[-1] * decay
-            gain = gain - a[-1] * (gain - float(varies))
-        # the step matrix: u^p / p! of each step about its chunk's centre, p = K - 1..0
-        powers = range(max(order for _, order, _, _ in chunks), -1, -1)
-        steps = np.concatenate(offsets).astype(float)[:, None] ** np.array(powers)
-        steps /= [math.factorial(p) for p in powers]
-        arrays = (np.array(logs), np.concatenate(centres), np.array(ends), steps, decay, gain)
-        for a in arrays:
-            a.setflags(write=False)
-        return PeriodLayout((0, *itertools.accumulate(run[0] for run in runs)),
-                            tuple(bool(run[2]) for run in runs), tuple(chunks), width, *arrays,
-                            basis)
+            approach = _approach(log_decay, np.append(centre[::length], count - 1) + 1)
+            powers = range(order, -1, -1)  # u^p / p! of each step about its chunk's centre
+            steps = (t - centre).astype(float)[:, None] ** np.array(powers)
+            steps /= [math.factorial(p) for p in powers]
+            for a in (log_decay, approach, steps):
+                a.setflags(write=False)
+            start = laid[-1].stop if laid else 0
+            laid.append(_Run(start, start + count, bool(varies), log_decay, approach, length,
+                             order, width, steps))
+            width += (len(approach) - 1) * (order + 1)
+        return PeriodLayout(tuple(laid), width, basis)
 
 
 def _approach(log_decay: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -403,13 +393,26 @@ def _chunking(count: int, reach: float) -> tuple[int, int]:
     return (length, order) if order + 1 < length else (1, 0)
 
 
+class _Run(NamedTuple):
+    """One run of equal steps of a PeriodLayout; its arrays are read-only."""
+
+    first: int              # its steps are first..stop - 1 of the period
+    stop: int
+    varies: bool            # heated by the period's varying source
+    log_decay: np.ndarray   # (n,), ln lambda of its step
+    approach: np.ndarray    # (chunks + 1, n), a_c at each chunk's centre c, then 1 - lambda^count
+    length: int             # its chunks' length, order P and first coefficient row q
+    order: int
+    q: int
+    steps: np.ndarray       # (count, P + 1), u^p / p! of each step about its centre, p = P..0
+
+
 class PeriodLayout(NamedTuple):
     """One event-to-event period in modal coordinates, diagonal in the modes,
-    whatever powers it: run r takes steps bounds[r]..bounds[r + 1] - 1 and
-    heads for the modal steady state fixed[r] of the run's sources, plus the
-    period's varying source z_var if varies[r]. starts and coefficients take
-    fixed, per run a modal row or 0.0 for none, so one layout serves every
-    run.
+    whatever powers it: run r (runs[r], _Run) heads for the modal steady
+    state fixed[r] of the run's sources, plus the period's varying source
+    z_var if it varies. starts and coefficients take fixed, per run a modal
+    row or 0.0 for none, so one layout serves every run.
 
     Within a run started at z_s, with dev = z_s - z_ss, step j is z_j = z_s
     - (1 - lambda^j) dev, and lambda^j = exp(j ln lambda). About the centre
@@ -421,42 +424,37 @@ class PeriodLayout(NamedTuple):
     to within 2^-56 |d_c|, P and the chunks following from the run's steps
     and modes alone (_chunking): the chunk's rows are a polynomial in u. So
     the basis turns only each chunk's P + 1 coefficient rows into node
-    values (coefficients), and a node row is a row of the step matrix,
+    values (coefficients), and a node row is a row of its run's steps,
     u^p / p!, times them (rows). A chunk of one step has u = 0: z_c itself,
     the per-step formula, which stiff runs fall back to.
 
     A period maps its start z0 to its end D z0 + f + B z_var. D and B
-    depend on the steps alone, composed run by run from the approach row at
-    each run's end; f is composed like them from fixed.
+    depend on the steps alone and f on fixed, each composed run by run from
+    the approach row at the run's end (starts).
     """
 
-    bounds: tuple[int, ...]
-    varies: tuple[bool, ...]
-    chunks: tuple[tuple[int, int, int, int], ...]  # per run: length, P, first q, first centre
+    runs: tuple[_Run, ...]
     width: int               # the number of the period's coefficient rows q
-    log_decay: np.ndarray    # (runs, n), ln lambda of each run's step
-    centres: np.ndarray      # (chunks, n), a_c = 1 - lambda^c at each chunk's centre step c
-    ends: np.ndarray         # (runs, n), 1 - lambda^count at each run's last step
-    step_matrix: np.ndarray  # (steps, K), u^p / p! of each step for p = K - 1..0
-    decay: np.ndarray        # (n,), D
-    gain: np.ndarray         # (n,), B
     basis: ModalBasis
 
     @property
     def steps(self) -> int:
-        return self.bounds[-1]
+        return self.runs[-1].stop
 
     def starts(self, fixed, z0: np.ndarray, z_var: np.ndarray) -> np.ndarray:
         """z0 and the start of every later period, z_{k+1} = D z_k + f + B
         z_var[k]: O(n) per period, (len(z_var) + 1, n)."""
-        offset = np.zeros(len(z0))
-        for end, target in zip(self.ends, fixed):
+        decay, gain, offset = np.ones(len(z0)), np.zeros(len(z0)), np.zeros(len(z0))
+        for run, target in zip(self.runs, fixed):
+            end = run.approach[-1]
+            decay = decay - end * decay
+            gain = gain - end * (gain - float(run.varies))
             offset = offset - end * (offset - target)
         z = np.empty((len(z_var) + 1, len(z0)))
         z[0] = z0
-        z[1:] = self.gain * z_var + offset
+        z[1:] = gain * z_var + offset
         for k in range(len(z_var)):
-            z[k + 1] += self.decay * z[k]
+            z[k + 1] += decay * z[k]
         return z
 
     def coefficients(self, fixed, z0: np.ndarray, z_var: np.ndarray,
@@ -467,18 +465,17 @@ class PeriodLayout(NamedTuple):
         values by one application of the basis, with origin added to z_c's."""
         coef = np.empty((len(z0), self.width, z0.shape[1]))
         z, blocks = z0, []
-        for a, b, target, varies, log_decay, end, (length, order, q, c) in zip(
-                self.bounds, self.bounds[1:], fixed, self.varies, self.log_decay, self.ends,
-                self.chunks):
-            dev = z - (target + z_var if varies else target)
-            n_chunks = -((a - b) // length)
-            block = coef[:, q:q + n_chunks * (order + 1)].reshape(len(z0), n_chunks, order + 1, -1)
-            shift = self.centres[c:c + n_chunks] * dev[:, None]
+        for run, target in zip(self.runs, fixed):
+            dev = z - (target + z_var if run.varies else target)
+            centres, order = run.approach[:-1], run.order
+            block = coef[:, run.q:run.q + len(centres) * (order + 1)].reshape(
+                len(z0), len(centres), order + 1, -1)
+            shift = centres * dev[:, None]
             np.subtract(z[:, None], shift, out=block[:, :, order])
             d = np.subtract(dev[:, None], shift, out=shift) if order else None
             for p in range(order - 1, -1, -1):
-                d = np.multiply(d, log_decay, out=block[:, :, p])
-            z = z - end * dev
+                d = np.multiply(d, run.log_decay, out=block[:, :, p])
+            z = z - run.approach[-1] * dev
             blocks.append(block[:, :, order])
         self.basis.from_modal(coef, out=coef)
         for block in blocks:  # each chunk's z_c, now in node values
@@ -488,13 +485,12 @@ class PeriodLayout(NamedTuple):
     def rows(self, g: np.ndarray, s0: int, s1: int, out: np.ndarray | None = None) -> np.ndarray:
         """Node rows after steps s0..s1 - 1 of the periods whose node
         coefficients g (coefficients) gives, as (periods, s1 - s0, n), into
-        out if given (a slice of a trace, say): one product of step matrix
-        rows and coefficients per piece of a chunk, the same whole chunks of
-        a run in one. A row's bytes depend only on its piece."""
+        out if given (a slice of a trace, say): one product of its run's
+        step rows and coefficients per piece of a chunk, the same whole
+        chunks of a run in one. A row's bytes depend only on its piece."""
         if out is None:
             out = np.empty((len(g), s1 - s0, g.shape[2]))
-        k = self.step_matrix.shape[1]
-        for a, b, (length, order, q, _) in zip(self.bounds, self.bounds[1:], self.chunks):
+        for a, b, _, _, _, length, order, q, steps in self.runs:
             lo = max(a, s0)
             while lo < min(b, s1):
                 i, t = divmod(lo - a, length)
@@ -505,7 +501,7 @@ class PeriodLayout(NamedTuple):
                     len(g), count, order + 1, -1)
                 piece = out[:, lo - s0:lo - s0 + count * size].reshape(len(g), count, size, -1)
                 if order:
-                    np.matmul(self.step_matrix[lo:lo + size, k - 1 - order:], coef, out=piece)
+                    np.matmul(steps[lo - a:lo - a + size], coef, out=piece)
                 else:  # u^0 / 0! = 1: each row is its chunk's z_c, as the product gives it
                     np.copyto(piece, coef)
                 lo += count * size

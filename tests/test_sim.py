@@ -687,6 +687,83 @@ def test_node_rows_are_formed_in_bounded_blocks(monkeypatch):
     assert max(sizes) <= 1 << 10
 
 
+# band runs whose walks the partition test follows, with the steps of their
+# period and of their tail: 18 events at 109 us and a tail of no steps before
+# the 0.3 us cut step; periods of 2 501 steps, longer than a block at every
+# bound; and a tail of 38 steps before the cut step
+WALK_CASES = {
+    "tail of no steps": (dict(sim_duration=(18 * 109 + 0.3) * 1e-6, warmup=1e-3), (110, 0)),
+    "period longer than a block": (dict(period=5e-3, dt=2e-6, sim_duration=30e-3,
+                                        warmup=12e-3), (2501, 2500)),
+    "tail of 38 steps": (dict(sim_duration=2e-3, warmup=0.5e-3), (110, 38)),
+}
+
+
+@pytest.mark.parametrize("block", [1 << 9, 1 << 10, 1 << 15])
+@pytest.mark.parametrize("overrides,lengths", WALK_CASES.values(), ids=WALK_CASES.keys())
+def test_the_walks_form_each_step_once_in_bounded_blocks_and_groups(monkeypatch, overrides,
+                                                                    lengths, block):
+    # the statistics walk forms the node rows of every step from the
+    # window's period through the tail, and the trace walk those from period
+    # 0, each exactly once and in order, in blocks of at most _MARCH_ELEMENTS
+    # values. A group of periods forms its coefficients once, and only if it
+    # yields a block; they and the group's row means fit the bound, or the
+    # group holds no more periods than one block of whole periods
+    monkeypatch.setattr(hotmesh.sim, "_MARCH_ELEMENTS", block)
+    layout_type = hotmesh.thermal.PeriodLayout
+    real_starts, real_coefficients, real_rows = (
+        layout_type.starts, layout_type.coefficients, layout_type.rows)
+    starts, groups, blocks = [], [], []
+
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    def recorded_starts(self, *args):
+        starts.append(real_starts(self, *args))
+        return starts[-1]
+
+    def recorded_coefficients(self, fixed, z0, z_var, origin):
+        g = real_coefficients(self, fixed, z0, z_var, origin)
+        g0 = (address(z0) - address(starts[-1])) // starts[-1].strides[0]
+        groups.append((g0, g0 + len(z0), g))
+        return g
+
+    def recorded_rows(self, g, s0, s1, out=None):
+        if g.shape[2] > 1:  # node rows, not the row means of a group
+            g0, _, of = next(group for group in groups if np.may_share_memory(g, group[2]))
+            k0 = g0 + (address(g) - address(of)) // of.strides[0]
+            blocks.append((g0, k0, k0 + len(g), s0, s1))
+        return real_rows(self, g, s0, s1, out)
+
+    monkeypatch.setattr(layout_type, "starts", recorded_starts)
+    monkeypatch.setattr(layout_type, "coefficients", recorded_coefficients)
+    monkeypatch.setattr(layout_type, "rows", recorded_rows)
+    cfg = band_cfg(**overrides)
+    sched = hotmesh.sim._schedule(cfg, hotmesh.sim._plan(cfg))
+    steps = sum(run[3] for run in sched.body)
+    periods, n_nodes = sched.events - 1, cfg.grid.n_cells + 1
+    assert (steps, sched.tail) == lengths and sched.cut is not None and periods >= 4
+    summary, trace = run(cfg)
+    walks = [(max(sched.window - sched.head, 0) // steps, groups[:], blocks[:])]
+    groups.clear()
+    blocks.clear()
+    trace.temps
+    walks.append((0, groups, blocks))
+    for first, walk_groups, walk_blocks in walks:
+        formed = [sched.head + k * steps + s for _, k0, k1, s0, s1 in walk_blocks
+                  for k in range(k0, k1) for s in range(s0, s1)]
+        assert formed == list(range(sched.head + first * steps,
+                                    sched.head + periods * steps + sched.tail))
+        assert all((k1 - k0) * (s1 - s0) * n_nodes <= block
+                   for _, k0, k1, s0, s1 in walk_blocks)
+        assert sorted({g0 for g0, _, _ in walk_groups}) == [g0 for g0, _, _ in walk_groups]
+        for g0, g1, g in walk_groups:
+            in_group = [(k0, k1) for of, k0, k1, _, _ in walk_blocks if of == g0]
+            assert in_group and all(g0 <= k0 < k1 <= g1 for k0, k1 in in_group)
+            assert (g.size + (g1 - g0) * steps <= block
+                    or g1 - g0 <= max(1, block // (steps * n_nodes)))
+
+
 def _rows_outs(monkeypatch):
     """Patch PeriodLayout.rows to record the out of every call as node rows
     (None when it has none), keeping each alive; return the record."""

@@ -440,13 +440,13 @@ def test_template_approach_rows_hold_for_any_step_count():
     for layout in cases:
         period = solver.layout([(count, dt, False) for count, dt in layout])
         assert period.steps == sum(count for count, _ in layout)
-        assert not period.centres.flags.writeable and not period.ends.flags.writeable
-        for (count, dt), (length, _, _, c), end in zip(layout, period.chunks, period.ends):
+        for (count, dt), run in zip(layout, period.runs):
+            assert not run.approach.flags.writeable
             want = _approach_rows(net.modes.mu, dt, count)
-            firsts = np.arange(0, count, length)
-            centres = firsts + np.minimum(length, count - firsts) // 2
-            assert np.array_equal(period.centres[c:c + len(firsts)], want[centres])
-            assert np.array_equal(end, want[-1])
+            firsts = np.arange(0, count, run.length)
+            centres = firsts + np.minimum(run.length, count - firsts) // 2
+            assert np.array_equal(run.approach[:-1], want[centres])
+            assert np.array_equal(run.approach[-1], want[-1])
 
 
 def test_march_holds_a_steady_state_bit_for_bit():
@@ -594,7 +594,8 @@ def test_layout_rows_are_the_per_step_formula(case, count, stiffness, pulsed):
     want = per_step_rows(net.modes, start, steady_state(net, power).temps, count, dt)
     scale = np.maximum(np.abs(want), np.abs(want - start).max())
     assert (np.abs(rows - want) <= LAYOUT_ULPS * np.spacing(scale)).all()
-    ((length, order, _, _),) = layout.chunks
+    (run,) = layout.runs
+    length, order = run.length, run.order
     r = length // 2 * -log_decay.min()
     assert r <= math.log(2.0)
     bound = [r ** (p + 1) / math.factorial(p + 1) * math.exp(r) for p in (order - 1, order)]
